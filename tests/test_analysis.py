@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.signal import find_peaks
 
+from ucspd import analysis
 from ucspd.analysis import (
     DeconvolutionSettings,
     ErfGateFit,
@@ -152,6 +153,42 @@ class TestDeconvolveThreePulse:
         measured, kernel = self.seeded_three_pulse()
         result = deconvolve(measured, kernel)
         assert result.max_flux_drift < 1e-6
+
+
+# FFT_THRESHOLD values that force the direct and the FFT operator path
+PATHS = {"direct": 10 ** 9, "fft": 0}
+
+
+class TestDeconvolvePaths:
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    @pytest.mark.parametrize("n,m", [(50, 7), (50, 8), (145, 69), (145, 70), (30, 41), (30, 40)])
+    def test_operators_are_an_exact_adjoint_pair(self, monkeypatch, path, n, m):
+        monkeypatch.setattr(analysis, "FFT_THRESHOLD", PATHS[path])
+        rng = np.random.default_rng(n * 1000 + m)
+        kn = rng.random(m)
+        kn /= kn.sum()
+        forward, adjoint = analysis._rl_operators(kn, n)
+        u = rng.random(n)
+        v = rng.random(n)
+        lhs = float(np.dot(forward(u), v))
+        rhs = float(np.dot(u, adjoint(v)))
+        assert forward(u).shape == adjoint(v).shape == (n,)
+        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+    @pytest.mark.parametrize("trim", [0, 1])
+    def test_direct_and_fft_paths_give_the_same_estimate(self, monkeypatch, trim):
+        measured, kernel = TestDeconvolveThreePulse().seeded_three_pulse()
+        kernel = SampledWaveform(kernel.t0_fs, kernel.dt_fs, kernel.samples[trim:])
+        results = {}
+        for path, threshold in PATHS.items():
+            monkeypatch.setattr(analysis, "FFT_THRESHOLD", threshold)
+            results[path] = deconvolve(measured, kernel, DeconvolutionSettings(iterations=100))
+        direct, fft = results["direct"].estimate, results["fft"].estimate
+        assert fft.t0_fs == direct.t0_fs
+        assert np.abs(fft.samples - direct.samples).max() <= 1e-12 * direct.peak_value
+        for result in results.values():
+            assert result.iterations_run == 100
+            assert result.max_flux_drift <= 1e-12
 
 
 class TestDeconvolveValidation:

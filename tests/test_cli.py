@@ -1,12 +1,18 @@
 """Command line: artifacts, reproducibility, hash policing, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.signal import find_peaks
 
+import ucspd
 from ucspd.cli import main
 from ucspd.detector import detection_limit
 from ucspd.scenario import parse_scenario
@@ -285,3 +291,41 @@ class TestExitCodes:
         assert payload["subcommand"] == "limits"
         assert payload["scenario_hash"] == scenario_hash()
         assert "limits.csv" in payload["artifacts"]
+
+
+# Runs in a fresh interpreter: what `import ucspd.cli` loads, then a gate fit.
+IMPORT_PROBE = textwrap.dedent("""
+    import json, math, sys
+    import ucspd.cli
+    heavy = ("scipy.signal", "scipy.optimize")
+    loaded = sorted(m for m in sys.modules if m.startswith(heavy))
+    import numpy as np
+    from ucspd.analysis import erf_gate_model, fit_erf_gate
+    from ucspd.simulate import ScanConfig, ScanResult
+    q = math.sqrt(math.log(2.0) / (200.0 ** 2 + 240.0 ** 2))
+    delays = np.arange(-1000.0, 1001.0, 25.0)
+    expected = erf_gate_model(delays, 408.6, 1e4, 0.0, 5.0, q)
+    scan = ScanResult(delays, np.round(expected), expected, ScanConfig(delays))
+    fit = fit_erf_gate(scan, 200.0, 240.0)
+    print(json.dumps({
+        "loaded_by_cli": loaded,
+        "optimize_after_fit": "scipy.optimize" in sys.modules,
+        "gate_width_fs": fit.gate_width_fs,
+    }))
+""")
+
+
+class TestImportCost:
+    def test_cli_import_skips_signal_and_optimize_until_a_fit_needs_it(self):
+        env = dict(os.environ)
+        src = str(Path(ucspd.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        probe = json.loads(proc.stdout)
+        assert probe["loaded_by_cli"] == []
+        assert probe["optimize_after_fit"]
+        assert probe["gate_width_fs"] == pytest.approx(408.6, rel=1e-3)

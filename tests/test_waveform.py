@@ -4,14 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import GATE_FWHM_BY_LENGTH, GAUSS312_RECT408_PEAK, gauss_rect_fwhm_oracle
 from ucspd.errors import GridMismatchError, NumericalError, ValidationError
 from ucspd.waveform import (
+    FFT_THRESHOLD,
     PulseSpec,
     SampledWaveform,
     TimeGrid,
     convolve,
+    fast_fft_len,
     fwhm,
     gaussian_waveform,
     read_csv,
@@ -190,6 +194,32 @@ class TestConvolve:
             scale = np.abs(direct.samples).max()
             assert np.abs(direct.samples - fft.samples).max() <= 1e-9 * scale
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_a=st.integers(2, 1400),
+        n_b=st.integers(2, 700),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    # output lengths on both sides of FFT_THRESHOLD (1024 = 2^10) and of the
+    # 5-smooth lengths 1080 and 2000 that the FFT pads to
+    @example(n_a=1000, n_b=24, seed=0)
+    @example(n_a=1000, n_b=25, seed=1)
+    @example(n_a=1000, n_b=26, seed=2)
+    @example(n_a=1000, n_b=81, seed=3)
+    @example(n_a=1000, n_b=82, seed=4)
+    @example(n_a=1400, n_b=601, seed=5)
+    @example(n_a=1400, n_b=602, seed=6)
+    def test_direct_and_fft_agree_for_any_lengths(self, n_a, n_b, seed):
+        rng = np.random.default_rng(seed)
+        a = SampledWaveform(0.0, 1.0, rng.standard_normal(n_a), intensity=False)
+        b = SampledWaveform(3.0, 1.0, rng.standard_normal(n_b), intensity=False)
+        direct = convolve(a, b, method="direct")
+        fft = convolve(a, b, method="fft")
+        assert fft.n == direct.n == n_a + n_b - 1
+        assert fft.t0_fs == direct.t0_fs
+        scale = np.abs(direct.samples).max()
+        assert np.abs(direct.samples - fft.samples).max() <= 1e-9 * scale
+
     def test_commutative_and_linear(self):
         rng = np.random.default_rng(7)
         a = SampledWaveform(1.0, 0.5, rng.standard_normal(40), intensity=False)
@@ -216,6 +246,25 @@ class TestConvolve:
         a = SampledWaveform(0.0, 1.0, np.ones(4))
         with pytest.raises(ValidationError):
             convolve(a, a, method="magic")
+
+
+class TestFastFftLen:
+    def test_matches_brute_force(self):
+        limit = 5000
+        smooth = sorted(
+            2 ** a * 3 ** b * 5 ** c
+            for a in range(14) for b in range(9) for c in range(7)
+            if 2 ** a * 3 ** b * 5 ** c < 2 * limit
+        )
+        for n in range(1, limit + 1):
+            expected = smooth[np.searchsorted(smooth, n)]
+            assert fast_fft_len(n) == expected, n
+        assert fast_fft_len(FFT_THRESHOLD) == FFT_THRESHOLD
+        assert fast_fft_len(FFT_THRESHOLD + 1) == 1080
+
+    def test_rejects_non_positive_length(self):
+        with pytest.raises(ValidationError):
+            fast_fft_len(0)
 
 
 class TestFwhm:
