@@ -52,16 +52,10 @@ _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 class DeconvolutionSettings:
     """Iteration budget and stop rule for the deconvolution."""
 
-    algorithm: str = "richardson-lucy"
     iterations: int = 500
     stop_threshold: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.algorithm != "richardson-lucy":
-            raise ValidationError(
-                f"unknown deconvolution algorithm {self.algorithm!r}; "
-                "only 'richardson-lucy' is implemented"
-            )
         if not isinstance(self.iterations, int) or self.iterations < 1:
             raise ValidationError(f"iterations must be a positive integer, got {self.iterations!r}")
         if not (math.isfinite(self.stop_threshold) and self.stop_threshold > 0.0):

@@ -2,14 +2,18 @@
 
 Every subcommand takes a scenario (a file path or the name of a bundled
 configuration), derives its own stage seed from the scenario seed, and
-writes CSV/JSON artifacts into the output directory.  All artifacts embed
-the scenario hash; re-running with the same scenario and seed reproduces
-them byte for byte.  Run manifests additionally carry a wall-clock
-timestamp in a dedicated field that is excluded from every hash and from
+writes CSV/JSON/SVG artifacts into the output directory through one writer,
+``_Artifacts``.  It embeds the scenario hash in every file and writes each
+one to a temporary name before renaming it into place, so a failed write
+never leaves a partial file; the reported ``artifacts`` list names exactly
+the files written (a plot that fails is skipped with a warning and left
+out).  Re-running with the same scenario and seed reproduces every artifact
+byte for byte.  Run manifests additionally carry a wall-clock timestamp in
+a dedicated field that is excluded from every hash and from
 reproducibility comparisons.
 
-Exit codes: 0 success, 1 validation or scenario errors, 2 numerical
-failures (non-convergent fits and the like).
+Exit codes: 0 success, 1 validation or scenario errors and unusable output
+paths, 2 numerical failures (non-convergent fits and the like).
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from datetime import datetime, timezone
 from importlib import resources
@@ -26,12 +31,14 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .analysis import DeconvolutionSettings, deconvolve, fit_erf_gate, fit_sine
+from .analysis import deconvolve, fit_erf_gate, fit_sine
 from .detector import detection_limit
-from .errors import NumericalError, ScenarioError, UcspdError, ValidationError
+from .errors import NumericalError, ScenarioError, UcspdError
 from .response import predict_measured, resolution_function
 from .scenario import Scenario, load_scenario, scenario_with_seed
-from .simulate import ScanConfig, delay_rate_function, derive_stage_seed, run_phase_sweep, run_scan
+from .simulate import (
+    RNG_SCHEME, ScanConfig, delay_rate_function, derive_stage_seed, run_phase_sweep, run_scan,
+)
 from .svgplot import line_plot
 from .timebin import (
     InterferometerSpec,
@@ -49,13 +56,7 @@ _STAGE_SCAN = 1
 _STAGE_SWEEP = 2
 _STAGE_DECONV = 3
 
-_SUBCOMMANDS = ("resolve", "scan", "sweep", "timebin", "limits", "deconv", "fitvis", "report")
-
-_MODEL_VERSIONS = {
-    "ucspd": __version__,
-    "numpy": np.__version__,
-    "scipy": scipy.__version__,
-}
+_MODEL_VERSIONS = {"ucspd": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -133,61 +134,80 @@ def _resolve_scenario(args) -> Scenario:
 
 
 # ---------------------------------------------------------------------------
-# artifact writers
+# artifact writer
 
 
-def _sig9(value: float) -> str:
-    return f"{value:.9g}"
+class _Artifacts:
+    """Writes one run's files into ``out`` and lists the ones it wrote.
 
+    Every file is tagged with the scenario name and hash, written under a
+    temporary name in ``out`` and renamed into place, so a failed write
+    leaves any earlier file of that name untouched.  ``names`` lists a file
+    only once it is in place.
+    """
 
-def _write_table(path, header: str, rows, metadata: dict) -> None:
-    lines = [f"# {key}={value}" for key, value in metadata.items()]
-    lines.append(header)
-    for row in rows:
-        lines.append(",".join(
-            str(cell) if isinstance(cell, (int, np.integer)) else _sig9(float(cell))
-            for cell in row
-        ))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    def __init__(self, scenario: Scenario, out: Path, quiet: bool) -> None:
+        self.scenario = scenario
+        self.out = out
+        self.quiet = quiet
+        self.names: list[str] = []
 
+    def _tagged(self, fields: dict) -> dict:
+        scenario = self.scenario
+        return {"scenario": scenario.name, "scenario_hash": scenario.scenario_hash, **fields}
 
-def _write_json(path, payload: dict) -> None:
-    Path(path).write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    def _commit(self, name: str, write) -> None:
+        path = self.out / name
+        tmp = self.out / f".{name}.{os.getpid()}.tmp"
+        try:
+            write(tmp)
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        finally:
+            tmp.unlink(missing_ok=True)
+        self.names.append(name)
 
+    def _text(self, name: str, text: str) -> None:
+        self._commit(name, lambda tmp: tmp.write_text(text, encoding="utf-8"))
 
-def _file_sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    def waveform(self, name: str, w: SampledWaveform, kind: str) -> None:
+        self._commit(name, lambda tmp: write_csv(tmp, w, self._tagged({"kind": kind})))
 
+    def table(self, name: str, header: str, rows, **metadata) -> None:
+        lines = [f"# {key}={value}" for key, value in self._tagged(metadata).items()] + [header]
+        lines += [
+            ",".join(str(c) if isinstance(c, (int, np.integer)) else f"{float(c):.9g}" for c in row)
+            for row in rows
+        ]
+        self._text(name, "\n".join(lines) + "\n")
 
-def _manifest(scenario: Scenario, stage: int, config: dict, content_files: dict) -> dict:
-    return {
-        "scenario": scenario.name,
-        "scenario_hash": scenario.scenario_hash,
-        "seed": scenario.seed,
-        "stage_seed": derive_stage_seed(scenario.seed, stage),
-        "rng_scheme": "pcg64 via SeedSequence(entropy=seed, spawn_key=(point_index,))",
-        "model_versions": _MODEL_VERSIONS,
-        "config": config,
-        "content_sha256": {name: _file_sha256(p) for name, p in content_files.items()},
-        "generated_utc": datetime.now(timezone.utc).isoformat(),
-    }
+    def json(self, name: str, payload: dict) -> None:
+        self._text(name, json.dumps(self._tagged(payload), sort_keys=True, indent=2) + "\n")
 
+    def manifest(self, name: str, stage: int, content: list, config: dict) -> None:
+        self.json(name, {
+            "seed": self.scenario.seed,
+            "stage_seed": derive_stage_seed(self.scenario.seed, stage),
+            "rng_scheme": RNG_SCHEME,
+            "model_versions": _MODEL_VERSIONS,
+            "config": config,
+            "content_sha256": {
+                c: hashlib.sha256((self.out / c).read_bytes()).hexdigest() for c in content
+            },
+            "generated_utc": datetime.now(timezone.utc).isoformat(),
+        })
 
-def _meta(scenario: Scenario, **extra) -> dict:
-    base = {"scenario": scenario.name, "scenario_hash": scenario.scenario_hash}
-    base.update(extra)
-    return base
-
-
-def _plot(quiet: bool, *args, **kwargs) -> None:
-    # plotting failures must never fail the numeric run
-    try:
-        line_plot(*args, **kwargs)
-    except Exception as exc:  # noqa: BLE001
-        if not quiet:
-            print(f"ucspd: plot skipped: {exc}", file=sys.stderr)
+    def plot(self, name: str, series, title: str, x_label: str, y_label: str) -> None:
+        # plotting failures must never fail the numeric run
+        comment = f"scenario_hash={self.scenario.scenario_hash}"
+        try:
+            self._commit(name, lambda tmp: line_plot(
+                tmp, series, title=title, x_label=x_label, y_label=y_label, comment=comment
+            ))
+        except Exception as exc:  # noqa: BLE001
+            if not self.quiet:
+                print(f"ucspd: plot skipped: {exc}", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -276,25 +296,25 @@ def _run_sweep(scenario: Scenario):
     return phases, result
 
 
-def _scan_rows(result) -> list:
-    return [
-        (coord, int(count), expected)
-        for coord, count, expected in zip(result.coordinates, result.counts, result.expected)
-    ]
+def _write_counts(files: _Artifacts, name: str, result, **metadata) -> None:
+    rows = zip(result.coordinates, result.counts, result.expected)
+    files.table(name, "coord,counts,expected", rows, **metadata, stage_seed=result.config.seed)
+
+
+def _write_delay_scan(files: _Artifacts, name: str, scenario: Scenario, result) -> None:
+    _write_counts(files, name, result, kind="delay_scan", signal=scenario.scan.signal,
+                  dwell_s=scenario.scan.dwell_s)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_resolve(scenario: Scenario, out: Path, quiet: bool) -> dict:
+def _cmd_resolve(scenario: Scenario, files: _Artifacts) -> dict:
     kernel = _resolution_kernel(scenario, scenario.dt_fs)
     fwhm_fs = fwhm(kernel)
-    csv_path = out / "resolution.csv"
-    write_csv(csv_path, kernel, _meta(scenario, kind="resolution"))
-    summary = {
-        "scenario": scenario.name,
-        "scenario_hash": scenario.scenario_hash,
+    files.waveform("resolution.csv", kernel, kind="resolution")
+    files.json("resolution.json", {
         "L_mm": scenario.crystal.length_mm,
         "tau_g": scenario.crystal.tau_g_fs_per_mm,
         "label": scenario.crystal.label,
@@ -305,167 +325,85 @@ def _cmd_resolve(scenario: Scenario, out: Path, quiet: bool) -> dict:
         "eta_internal": scenario.internal_eta_at(),
         "eta_external": scenario.external_eta_at(),
         "noise_cps": scenario.noise_cps_at(),
-    }
-    _write_json(out / "resolution.json", summary)
-    _plot(
-        quiet,
-        out / "resolution.svg",
+    })
+    files.plot(
+        "resolution.svg",
         [(kernel.times(), kernel.samples, scenario.crystal.label or "T(t)")],
-        title=f"resolution function, FWHM {fwhm_fs:.1f} fs",
-        x_label="t (fs)",
-        y_label="T(t)",
-        comment=f"scenario_hash={scenario.scenario_hash}",
+        f"resolution function, FWHM {fwhm_fs:.1f} fs", "t (fs)", "T(t)",
     )
-    return {
-        "artifacts": ["resolution.csv", "resolution.json", "resolution.svg"],
-        "summary": {"fwhm_fs": fwhm_fs, "gate_width_fs": scenario.crystal.gate_width_fs},
-    }
+    return {"fwhm_fs": fwhm_fs, "gate_width_fs": scenario.crystal.gate_width_fs}
 
 
-def _cmd_scan(scenario: Scenario, out: Path, quiet: bool) -> dict:
+def _cmd_scan(scenario: Scenario, files: _Artifacts) -> dict:
     result = _run_delay_scan(scenario, _STAGE_SCAN, scenario.noise_cps_at())
-    csv_path = out / "scan.csv"
-    _write_table(
-        csv_path,
-        "coord,counts,expected",
-        _scan_rows(result),
-        _meta(
-            scenario,
-            kind="delay_scan",
-            signal=scenario.scan.signal,
-            dwell_s=scenario.scan.dwell_s,
-            stage_seed=result.config.seed,
-        ),
+    _write_delay_scan(files, "scan.csv", scenario, result)
+    files.manifest("scan_manifest.json", _STAGE_SCAN, ["scan.csv"], {
+        "kind": "delay",
+        "signal": scenario.scan.signal,
+        "start_fs": scenario.scan.start_fs,
+        "stop_fs": scenario.scan.stop_fs,
+        "step_fs": scenario.scan.step_fs,
+        "dwell_s": scenario.scan.dwell_s,
+        "noise_cps": scenario.noise_cps_at(),
+    })
+    files.plot(
+        "scan.svg",
+        [(result.coordinates, result.counts, "counts"),
+         (result.coordinates, result.expected, "expected")],
+        f"delay scan ({scenario.scan.signal})", "delay (fs)", "counts",
     )
-    manifest = _manifest(
-        scenario,
-        _STAGE_SCAN,
-        config={
-            "kind": "delay",
-            "signal": scenario.scan.signal,
-            "start_fs": scenario.scan.start_fs,
-            "stop_fs": scenario.scan.stop_fs,
-            "step_fs": scenario.scan.step_fs,
-            "dwell_s": scenario.scan.dwell_s,
-            "noise_cps": scenario.noise_cps_at(),
-        },
-        content_files={"scan.csv": csv_path},
-    )
-    _write_json(out / "scan_manifest.json", manifest)
-    _plot(
-        quiet,
-        out / "scan.svg",
-        [
-            (result.coordinates, result.counts, "counts"),
-            (result.coordinates, result.expected, "expected"),
-        ],
-        title=f"delay scan ({scenario.scan.signal})",
-        x_label="delay (fs)",
-        y_label="counts",
-        comment=f"scenario_hash={scenario.scenario_hash}",
-    )
-    return {
-        "artifacts": ["scan.csv", "scan_manifest.json", "scan.svg"],
-        "summary": {
-            "points": int(result.coordinates.size),
-            "peak_counts": int(result.counts.max()),
-        },
-    }
+    return {"points": int(result.coordinates.size), "peak_counts": int(result.counts.max())}
 
 
-def _cmd_sweep(scenario: Scenario, out: Path, quiet: bool) -> dict:
+def _cmd_sweep(scenario: Scenario, files: _Artifacts) -> dict:
     phases, result = _run_sweep(scenario)
-    csv_path = out / "sweep.csv"
-    _write_table(
-        csv_path,
-        "coord,counts,expected",
-        _scan_rows(result),
-        _meta(
-            scenario,
-            kind="phase_sweep",
-            contrast=scenario.timebin.contrast,
-            dwell_s=scenario.sweep.dwell_s,
-            stage_seed=result.config.seed,
-        ),
-    )
-    manifest = _manifest(
-        scenario,
-        _STAGE_SWEEP,
-        config={
-            "kind": "phase",
-            "n_points": scenario.sweep.n_points,
-            "dwell_s": scenario.sweep.dwell_s,
-            "counts_scale": scenario.sweep.counts_scale,
-            "include_noise": scenario.sweep.include_noise,
-            "contrast": scenario.timebin.contrast,
-        },
-        content_files={"sweep.csv": csv_path},
-    )
-    _write_json(out / "sweep_manifest.json", manifest)
-    _plot(
-        quiet,
-        out / "sweep.svg",
+    _write_counts(files, "sweep.csv", result, kind="phase_sweep",
+                  contrast=scenario.timebin.contrast, dwell_s=scenario.sweep.dwell_s)
+    files.manifest("sweep_manifest.json", _STAGE_SWEEP, ["sweep.csv"], {
+        "kind": "phase",
+        "n_points": scenario.sweep.n_points,
+        "dwell_s": scenario.sweep.dwell_s,
+        "counts_scale": scenario.sweep.counts_scale,
+        "include_noise": scenario.sweep.include_noise,
+        "contrast": scenario.timebin.contrast,
+    })
+    files.plot(
+        "sweep.svg",
         [(phases, result.counts, "counts"), (phases, result.expected, "expected")],
-        title="phase sweep of the center bin",
-        x_label="phase (rad)",
-        y_label="counts",
-        comment=f"scenario_hash={scenario.scenario_hash}",
+        "phase sweep of the center bin", "phase (rad)", "counts",
     )
-    return {
-        "artifacts": ["sweep.csv", "sweep_manifest.json", "sweep.svg"],
-        "summary": {
-            "points": int(phases.size),
-            "peak_counts": int(result.counts.max()),
-        },
-    }
+    return {"points": int(phases.size), "peak_counts": int(result.counts.max())}
 
 
-def _cmd_timebin(scenario: Scenario, out: Path, quiet: bool) -> dict:
-    state = _timebin_state(scenario)
-    probabilities = slot_probabilities(state)
+def _cmd_timebin(scenario: Scenario, files: _Artifacts) -> dict:
+    probabilities = [float(p) for p in slot_probabilities(_timebin_state(scenario))]
     section = scenario.timebin
-    payload = {
-        "scenario": scenario.name,
-        "scenario_hash": scenario.scenario_hash,
+    files.json("timebin_probabilities.json", {
         "slot_spacing_fs": section.slot_spacing_fs,
         "phase_rad": section.phase_rad,
         "phase_prime_rad": section.phase_prime_rad,
         "contrast": section.contrast,
-        "probabilities": [float(p) for p in probabilities],
+        "probabilities": probabilities,
         "center_bin_expectation": center_bin_expectation(
             section.phase_rad - section.phase_prime_rad, section.contrast
         ),
-    }
-    _write_json(out / "timebin_probabilities.json", payload)
+    })
     signal = _timebin_waveform(scenario, scenario.dt_fs)
-    kernel = _resolution_kernel(scenario, scenario.dt_fs)
-    measured = predict_measured(signal, kernel)
-    write_csv(out / "timebin_state.csv", signal, _meta(scenario, kind="timebin_state"))
-    write_csv(out / "timebin_measured.csv", measured, _meta(scenario, kind="timebin_measured"))
-    _plot(
-        quiet,
-        out / "timebin.svg",
+    measured = predict_measured(signal, _resolution_kernel(scenario, scenario.dt_fs))
+    files.waveform("timebin_state.csv", signal, kind="timebin_state")
+    files.waveform("timebin_measured.csv", measured, kind="timebin_measured")
+    files.plot(
+        "timebin.svg",
         [
             (signal.times(), signal.peak_normalized().samples, "input"),
             (measured.times(), measured.peak_normalized().samples, "through gate"),
         ],
-        title="time-bin pulse train",
-        x_label="t (fs)",
-        y_label="normalized intensity",
-        comment=f"scenario_hash={scenario.scenario_hash}",
+        "time-bin pulse train", "t (fs)", "normalized intensity",
     )
-    return {
-        "artifacts": [
-            "timebin_probabilities.json",
-            "timebin_state.csv",
-            "timebin_measured.csv",
-            "timebin.svg",
-        ],
-        "summary": {"probabilities": payload["probabilities"]},
-    }
+    return {"probabilities": probabilities}
 
 
-def _cmd_limits(scenario: Scenario, out: Path, quiet: bool) -> dict:
+def _cmd_limits(scenario: Scenario, files: _Artifacts) -> dict:
     section = scenario.limits
     rows = []
     for power in section.powers_mw():
@@ -474,78 +412,47 @@ def _cmd_limits(scenario: Scenario, out: Path, quiet: bool) -> dict:
         noise = scenario.noise_cps_at(power)
         limit = detection_limit(noise, section.integration_s, eta_ext, scenario.rep_rate_hz)
         rows.append((power, eta_int, eta_ext, noise, limit))
-    csv_path = out / "limits.csv"
-    _write_table(
-        csv_path,
+    files.table(
+        "limits.csv",
         "power_mw,eta_internal,eta_external,noise_cps,limit_per_pulse",
         rows,
-        _meta(scenario, kind="limits", integration_s=section.integration_s),
+        kind="limits",
+        integration_s=section.integration_s,
     )
     limits = [row[4] for row in rows]
     best = int(np.argmin(limits))
-    summary = {
-        "scenario": scenario.name,
-        "scenario_hash": scenario.scenario_hash,
+    summary = {"best_power_mw": rows[best][0], "min_limit_per_pulse": rows[best][4]}
+    files.json("limits.json", {
+        **summary,
         "integration_s": section.integration_s,
-        "best_power_mw": rows[best][0],
-        "min_limit_per_pulse": rows[best][4],
         "limit_at_scenario_power": detection_limit(
             scenario.noise_cps_at(),
             section.integration_s,
             scenario.external_eta_at(),
             scenario.rep_rate_hz,
         ),
-    }
-    _write_json(out / "limits.json", summary)
-    _plot(
-        quiet,
-        out / "limits.svg",
+    })
+    files.plot(
+        "limits.svg",
         [([row[0] for row in rows], limits, "limit")],
-        title="detection limit vs pump power",
-        x_label="pump power (mW)",
-        y_label="photons per pulse",
-        comment=f"scenario_hash={scenario.scenario_hash}",
+        "detection limit vs pump power", "pump power (mW)", "photons per pulse",
     )
-    return {
-        "artifacts": ["limits.csv", "limits.json", "limits.svg"],
-        "summary": {
-            "best_power_mw": summary["best_power_mw"],
-            "min_limit_per_pulse": summary["min_limit_per_pulse"],
-        },
-    }
+    return summary
 
 
-def _cmd_deconv(scenario: Scenario, out: Path, quiet: bool) -> dict:
+def _cmd_deconv(scenario: Scenario, files: _Artifacts) -> dict:
     noise = scenario.noise_cps_at()
     result = _run_delay_scan(scenario, _STAGE_DECONV, noise)
     step = scenario.scan.step_fs
-    scan_csv = out / "deconv_scan.csv"
-    _write_table(
-        scan_csv,
-        "coord,counts,expected",
-        _scan_rows(result),
-        _meta(
-            scenario,
-            kind="delay_scan",
-            signal=scenario.scan.signal,
-            dwell_s=scenario.scan.dwell_s,
-            stage_seed=result.config.seed,
-        ),
-    )
+    _write_delay_scan(files, "deconv_scan.csv", scenario, result)
     # subtract the known flat background before the nonnegative inversion
     background = noise * scenario.scan.dwell_s
     samples = np.maximum(result.counts.astype(np.float64) - background, 0.0)
     measured = SampledWaveform(float(result.coordinates[0]), step, samples)
     kernel = _resolution_kernel(scenario, step)
     deconv = deconvolve(measured, kernel)
-    write_csv(
-        out / "deconv_recovered.csv",
-        deconv.estimate,
-        _meta(scenario, kind="deconv_recovered"),
-    )
-    report = {
-        "scenario": scenario.name,
-        "scenario_hash": scenario.scenario_hash,
+    files.waveform("deconv_recovered.csv", deconv.estimate, kind="deconv_recovered")
+    files.json("deconv_report.json", {
         "stage_seed": result.config.seed,
         "background_cps": noise,
         "iterations_run": deconv.iterations_run,
@@ -553,48 +460,26 @@ def _cmd_deconv(scenario: Scenario, out: Path, quiet: bool) -> dict:
         "residual": deconv.residual,
         "max_flux_drift": deconv.max_flux_drift,
         "settings": {
-            "algorithm": deconv.settings.algorithm,
+            "algorithm": "richardson-lucy",
             "iterations": deconv.settings.iterations,
             "stop_threshold": deconv.settings.stop_threshold,
         },
-    }
-    _write_json(out / "deconv_report.json", report)
-    _plot(
-        quiet,
-        out / "deconv.svg",
+    })
+    files.plot(
+        "deconv.svg",
         [
             (measured.times(), measured.peak_normalized().samples, "measured"),
-            (
-                deconv.estimate.times(),
-                deconv.estimate.peak_normalized().samples,
-                "recovered",
-            ),
+            (deconv.estimate.times(), deconv.estimate.peak_normalized().samples, "recovered"),
         ],
-        title="deconvolution of the delay scan",
-        x_label="t (fs)",
-        y_label="normalized intensity",
-        comment=f"scenario_hash={scenario.scenario_hash}",
+        "deconvolution of the delay scan", "t (fs)", "normalized intensity",
     )
-    return {
-        "artifacts": [
-            "deconv_scan.csv",
-            "deconv_recovered.csv",
-            "deconv_report.json",
-            "deconv.svg",
-        ],
-        "summary": {
-            "iterations_run": deconv.iterations_run,
-            "residual": deconv.residual,
-        },
-    }
+    return {"iterations_run": deconv.iterations_run, "residual": deconv.residual}
 
 
-def _cmd_fitvis(scenario: Scenario, out: Path, quiet: bool) -> dict:
+def _cmd_fitvis(scenario: Scenario, files: _Artifacts) -> dict:
     phases, result = _run_sweep(scenario)
     fit = fit_sine(phases, result.counts, dwell_s=scenario.sweep.dwell_s)
-    report = {
-        "scenario": scenario.name,
-        "scenario_hash": scenario.scenario_hash,
+    files.json("fitvis_report.json", {
         "stage_seed": result.config.seed,
         "n_points": fit.n_points,
         "dwell_s": fit.dwell_s,
@@ -608,26 +493,16 @@ def _cmd_fitvis(scenario: Scenario, out: Path, quiet: bool) -> dict:
         "visibility_sigma": fit.visibility_sigma,
         "reduced_chi2": fit.reduced_chi2,
         "true_contrast": scenario.timebin.contrast,
-    }
-    _write_json(out / "fitvis_report.json", report)
+    })
     dense = np.linspace(phases[0], phases[-1], 241)
     model = fit.offset * (1.0 + fit.visibility * np.cos(dense - fit.phase0_rad))
-    _plot(
-        quiet,
-        out / "fitvis.svg",
+    files.plot(
+        "fitvis.svg",
         [(phases, result.counts, "counts"), (dense, model, "fit")],
-        title=f"fringe fit, V = {fit.visibility:.4f} +/- {fit.visibility_sigma:.4f}",
-        x_label="phase (rad)",
-        y_label="counts",
-        comment=f"scenario_hash={scenario.scenario_hash}",
+        f"fringe fit, V = {fit.visibility:.4f} +/- {fit.visibility_sigma:.4f}",
+        "phase (rad)", "counts",
     )
-    return {
-        "artifacts": ["fitvis_report.json", "fitvis.svg"],
-        "summary": {
-            "visibility": fit.visibility,
-            "visibility_sigma": fit.visibility_sigma,
-        },
-    }
+    return {"visibility": fit.visibility, "visibility_sigma": fit.visibility_sigma}
 
 
 def _embedded_hash(path: Path) -> str | None:
@@ -664,8 +539,8 @@ def _refuse_mismatched(out: Path, scenario: Scenario) -> None:
         )
 
 
-def _cmd_report(scenario: Scenario, out: Path, quiet: bool) -> dict:
-    _refuse_mismatched(out, scenario)
+def _cmd_report(scenario: Scenario, files: _Artifacts) -> dict:
+    _refuse_mismatched(files.out, scenario)
     kernel = _resolution_kernel(scenario, scenario.dt_fs)
     fwhm_fs = fwhm(kernel)
 
@@ -685,8 +560,6 @@ def _cmd_report(scenario: Scenario, out: Path, quiet: bool) -> dict:
 
     state = _timebin_state(scenario)
     summary = {
-        "scenario": scenario.name,
-        "scenario_hash": scenario.scenario_hash,
         "seed": scenario.seed,
         "model_versions": _MODEL_VERSIONS,
         "fwhm_fs": fwhm_fs,
@@ -704,15 +577,12 @@ def _cmd_report(scenario: Scenario, out: Path, quiet: bool) -> dict:
         "visibility": {"value": vis.visibility, "sigma": vis.visibility_sigma},
         "timebin_probabilities": [float(p) for p in slot_probabilities(state)],
     }
-    _write_json(out / "report_summary.json", summary)
+    files.json("report_summary.json", summary)
     return {
-        "artifacts": ["report_summary.json"],
-        "summary": {
-            "fwhm_fs": fwhm_fs,
-            "eta_external": summary["eta_external"],
-            "limit_per_pulse": summary["limit_per_pulse"],
-            "visibility": vis.visibility,
-        },
+        "fwhm_fs": fwhm_fs,
+        "eta_external": summary["eta_external"],
+        "limit_per_pulse": summary["limit_per_pulse"],
+        "visibility": vis.visibility,
     }
 
 
@@ -728,41 +598,30 @@ _DISPATCH = {
 }
 
 
-def _emit_success(args, scenario: Scenario, outcome: dict, out: Path) -> None:
+def _emit_success(args, files: _Artifacts, summary: dict) -> None:
     if args.quiet:
         return
     if args.format == "json":
-        print(json.dumps(
-            {
-                "subcommand": args.subcommand,
-                "scenario": scenario.name,
-                "scenario_hash": scenario.scenario_hash,
-                "out": str(out),
-                "artifacts": outcome["artifacts"],
-                "summary": outcome["summary"],
-            },
-            sort_keys=True,
-        ))
+        print(json.dumps({
+            "subcommand": args.subcommand,
+            "scenario": files.scenario.name,
+            "scenario_hash": files.scenario.scenario_hash,
+            "out": str(files.out),
+            "artifacts": files.names,
+            "summary": summary,
+        }, sort_keys=True))
         return
-    for name in outcome["artifacts"]:
-        print(f"wrote,{out / name}")
-    for key, value in outcome["summary"].items():
+    for name in files.names:
+        print(f"wrote,{files.out / name}")
+    for key, value in summary.items():
         print(f"{key},{value}")
 
 
 def _emit_error(args, exc: Exception, exit_code: int) -> None:
     fmt = getattr(args, "format", "csv") if args is not None else "csv"
     if fmt == "json":
-        print(json.dumps(
-            {
-                "error": {
-                    "type": type(exc).__name__,
-                    "message": str(exc),
-                    "exit_code": exit_code,
-                }
-            },
-            sort_keys=True,
-        ))
+        error = {"type": type(exc).__name__, "message": str(exc), "exit_code": exit_code}
+        print(json.dumps({"error": error}, sort_keys=True))
     else:
         print(f"ucspd: error: {exc}", file=sys.stderr)
 
@@ -779,19 +638,17 @@ def main(argv=None) -> int:
         scenario = _resolve_scenario(args)
         out = Path(args.out) if args.out else Path(scenario.output_dir)
         out.mkdir(parents=True, exist_ok=True)
-        outcome = _DISPATCH[args.subcommand](scenario, out, args.quiet)
-        _emit_success(args, scenario, outcome, out)
+        files = _Artifacts(scenario, out, args.quiet)
+        summary = _DISPATCH[args.subcommand](scenario, files)
+        _emit_success(args, files, summary)
         return 0
     except _UsageError as exc:
         print(f"ucspd: error: {exc}", file=sys.stderr)
         return 1
-    except ValidationError as exc:
-        _emit_error(args, exc, 1)
-        return 1
     except NumericalError as exc:
         _emit_error(args, exc, 2)
         return 2
-    except UcspdError as exc:
+    except (UcspdError, OSError) as exc:
         _emit_error(args, exc, 1)
         return 1
 

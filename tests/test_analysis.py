@@ -221,7 +221,7 @@ class TestDeconvolveValidation:
             deconvolve(zero, kernel)
 
     @pytest.mark.parametrize("kwargs", [
-        dict(algorithm="wiener"),
+        dict(iterations=2.5),
         dict(iterations=0),
         dict(iterations=-3),
         dict(stop_threshold=-1e-6),

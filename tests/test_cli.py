@@ -293,6 +293,76 @@ class TestExitCodes:
         assert "limits.csv" in payload["artifacts"]
 
 
+
+SUBCOMMANDS = ("resolve", "scan", "sweep", "timebin", "limits", "deconv", "fitvis", "report")
+
+
+class TestArtifactWriter:
+    @pytest.mark.parametrize("sub", SUBCOMMANDS)
+    def test_artifacts_list_exactly_the_files_written(self, sub, tmp_path, capsys):
+        out = tmp_path / "art"
+        assert run(sub, "l2_300mw", "--out", str(out), "--format", "json") == 0
+        artifacts = json.loads(capsys.readouterr().out)["artifacts"]
+        assert len(artifacts) == len(set(artifacts))
+        assert set(artifacts) == set(os.listdir(out))
+
+    def test_skipped_plot_is_not_reported(self, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("no renderer")
+
+        monkeypatch.setattr("ucspd.cli.line_plot", broken)
+        out = tmp_path / "art"
+        assert run("resolve", "l2_300mw", "--out", str(out), "--format", "json") == 0
+        captured = capsys.readouterr()
+        assert "plot skipped" in captured.err
+        payload = json.loads(captured.out)
+        assert payload["artifacts"] == ["resolution.csv", "resolution.json"]
+        assert sorted(os.listdir(out)) == ["resolution.csv", "resolution.json"]
+
+    def test_failed_plot_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        out = tmp_path / "art"
+        assert run("resolve", "l2_300mw", "--out", str(out), "--quiet") == 0
+        before = (out / "resolution.svg").read_bytes()
+
+        def partial(path, *args, **kwargs):
+            Path(path).write_text("<svg", encoding="utf-8")
+            raise OSError("disk full")
+
+        monkeypatch.setattr("ucspd.cli.line_plot", partial)
+        assert run("resolve", "l2_300mw", "--out", str(out), "--quiet") == 0
+        assert (out / "resolution.svg").read_bytes() == before
+        assert sorted(os.listdir(out)) == ["resolution.csv", "resolution.json", "resolution.svg"]
+
+    def test_out_is_a_file(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory", encoding="utf-8")
+        assert run("resolve", "l2_300mw", "--out", str(taken)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ucspd: error:")
+        assert str(taken) in err
+
+    def test_out_is_a_file_json(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory", encoding="utf-8")
+        assert run("resolve", "l2_300mw", "--out", str(taken), "--format", "json") == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["exit_code"] == 1
+        assert str(taken) in error["message"]
+
+    def test_failed_write_names_the_artifact(self, tmp_path, capsys, monkeypatch):
+        def refused(path, *args, **kwargs):
+            Path(path).write_text("t_fs", encoding="utf-8")
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr("ucspd.cli.write_csv", refused)
+        out = tmp_path / "art"
+        assert run("resolve", "l2_300mw", "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(out / "resolution.csv") in captured.err
+        assert os.listdir(out) == []
+
+
 # Runs in a fresh interpreter: what `import ucspd.cli` loads, then a gate fit.
 IMPORT_PROBE = textwrap.dedent("""
     import json, math, sys
