@@ -4,7 +4,7 @@ A delay scan steps the signal arrival time against the gate and records
 Poisson counts at each step; a phase sweep does the same against an
 interferometer phase.  Counts at every scan point are drawn from a dedicated
 random substream derived from ``(seed, point index)``, so results are
-byte-identical across reruns, evaluation order, and worker thread counts.
+byte-identical across reruns and independent of evaluation order.
 
 Rates are exact expectations built from the model modules; the only
 randomness is the Poisson draw.
@@ -13,7 +13,6 @@ randomness is the Poisson draw.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -122,14 +121,24 @@ def overlap_fraction(signal: SampledWaveform, resolution: SampledWaveform) -> Sa
     return convolve(signal, resolution).peak_normalized()
 
 
-def _rate_from_overlap(
-    overlap: SampledWaveform,
-    delay_fs: float,
+def delay_rate_function(
+    signal: SampledWaveform,
+    resolution: SampledWaveform,
     mean_photons_per_pulse: float,
     external_eta: float,
     rep_rate_hz: float,
-    noise_cps: float,
-) -> float:
+    noise_cps: float = 0.0,
+) -> Callable[[np.ndarray | float], np.ndarray]:
+    """Bind the overlap curve and flux parameters into ``rate(delays_fs)``.
+
+    ``rate`` takes a scalar delay or an array of delays and returns the
+    expected count rate at each, in counts per second:
+    ``rep_rate * mu * eta * O(delay) + noise`` with ``O`` the peak-normalized
+    signal/resolution overlap, so the external efficiency applies at optimal
+    overlap and ``O <= 1`` everywhere.  ``O`` is interpolated linearly and is
+    zero outside the overlap grid.  The flux parameters are validated here,
+    once, and the overlap and its sample times are computed once.
+    """
     if not (math.isfinite(mean_photons_per_pulse) and mean_photons_per_pulse >= 0.0):
         raise ValidationError(
             f"mean photon number must be >= 0, got {mean_photons_per_pulse}"
@@ -140,8 +149,14 @@ def _rate_from_overlap(
         raise ValidationError(f"repetition rate must be positive, got {rep_rate_hz}")
     if not (math.isfinite(noise_cps) and noise_cps >= 0.0):
         raise ValidationError(f"noise rate must be >= 0, got {noise_cps}")
-    frac = float(overlap.sample_at(delay_fs))
-    return rep_rate_hz * mean_photons_per_pulse * external_eta * frac + noise_cps
+    overlap = overlap_fraction(signal, resolution)
+    times, fractions = overlap.times(), overlap.samples
+    flux = rep_rate_hz * mean_photons_per_pulse * external_eta
+
+    def rate(delays_fs: np.ndarray | float) -> np.ndarray:
+        return flux * np.interp(delays_fs, times, fractions, left=0.0, right=0.0) + noise_cps
+
+    return rate
 
 
 def expected_rate(
@@ -155,37 +170,85 @@ def expected_rate(
 ) -> float:
     """Expected count rate at one gate delay, in counts per second.
 
-    ``rep_rate * mu * eta * O(delay) + noise`` with ``O`` the peak-normalized
-    signal/resolution overlap, so the external efficiency applies at optimal
-    overlap and ``O <= 1`` everywhere.  ``O`` is interpolated at the
-    requested delay and is zero outside the overlap grid.
-
-    For scans, precompute the overlap once with :func:`delay_rate_function`
-    instead of calling this per point.
+    The rate of :func:`delay_rate_function` at ``delay_fs``.  For scans, build
+    that function once and pass it all the delays instead of calling this per
+    point.
     """
-    overlap = overlap_fraction(signal, resolution)
-    return _rate_from_overlap(
-        overlap, delay_fs, mean_photons_per_pulse, external_eta, rep_rate_hz, noise_cps
+    rate = delay_rate_function(
+        signal, resolution, mean_photons_per_pulse, external_eta, rep_rate_hz, noise_cps
     )
+    return float(rate(delay_fs))
 
 
-def delay_rate_function(
-    signal: SampledWaveform,
-    resolution: SampledWaveform,
-    mean_photons_per_pulse: float,
-    external_eta: float,
-    rep_rate_hz: float,
-    noise_cps: float = 0.0,
-) -> Callable[[float], float]:
-    """Bind the overlap curve and flux parameters into ``rate(delay_fs)``."""
-    overlap = overlap_fraction(signal, resolution)
-    return lambda delay_fs: _rate_from_overlap(
-        overlap, delay_fs, mean_photons_per_pulse, external_eta, rep_rate_hz, noise_cps
-    )
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
 
 
-def _point_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+def _hashmix(value: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
+    """SeedSequence's hash step on uint32 arrays; also returns the next constant."""
+    value = value ^ np.uint32(const)
+    const = (const * mult) & _MASK32
+    value = value * np.uint32(const)
+    return value ^ (value >> np.uint32(16)), const
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    mixed = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return mixed ^ (mixed >> np.uint32(16))
+
+
+def _poisson_counts(seed: int, means: np.ndarray) -> np.ndarray:
+    """Draw ``default_rng(SeedSequence(entropy=seed, spawn_key=(i,))).poisson(means[i])``.
+
+    Building a ``SeedSequence`` and a ``Generator`` per point costs about
+    20 us, so the points' seed states are derived together instead: the
+    SeedSequence entropy pool and ``generate_state(4, uint64)`` run on uint32
+    arrays over the point index ``i``, and each state becomes the PCG64
+    ``(state, inc)`` that ``PCG64(seed_seq)`` would set.  Each point's stream
+    then draws its one Poisson variate from a single reused generator, so
+    the counts are the same bytes as the per-point construction.
+    """
+    # a seed below 2**64 is two uint32 words, zero-padded to the pool size
+    # of four because a spawn key follows
+    const = _INIT_A
+    pool = []
+    for word in (seed & _MASK32, seed >> 32, 0, 0):
+        value, const = _hashmix(np.array([word], dtype=np.uint32), const, _MULT_A)
+        pool.append(value)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                value, const = _hashmix(pool[src], const, _MULT_A)
+                pool[dst] = _mix(pool[dst], value)
+    index = np.arange(means.size, dtype=np.uint32)
+    for dst in range(4):
+        value, const = _hashmix(index, const, _MULT_A)
+        pool[dst] = _mix(pool[dst], value)
+    const = _INIT_B
+    words = []
+    for k in range(8):
+        value, const = _hashmix(pool[k % 4], const, _MULT_B)
+        words.append(value.astype(np.uint64))
+    # little-endian word pairs: seed high, seed low, increment high, increment low
+    halves = [(words[k] | (words[k + 1] << np.uint64(32))).tolist() for k in range(0, 8, 2)]
+
+    bit_gen = np.random.PCG64(0)
+    gen = np.random.Generator(bit_gen)
+    counts = np.empty(means.size, dtype=np.int64)
+    for i, (s_hi, s_lo, i_hi, i_lo, mean) in enumerate(zip(*halves, means.tolist())):
+        # pcg_setseq_128_srandom_r: two LCG steps from state 0
+        inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        bit_gen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                         "has_uint32": 0, "uinteger": 0}
+        counts[i] = gen.poisson(mean)
+    return counts
 
 
 def derive_stage_seed(seed: int, stage: int) -> int:
@@ -202,46 +265,41 @@ def derive_stage_seed(seed: int, stage: int) -> int:
 
 
 def run_scan(
-    config: ScanConfig,
-    rate_fn: Callable[[float], float],
-    workers: int = 1,
+    config: ScanConfig, rate_fn: Callable[[np.ndarray], np.ndarray | float]
 ) -> ScanResult:
     """Draw Poisson counts at every coordinate of the scan.
 
-    Point ``i`` draws from its own substream seeded by ``(config.seed, i)``,
-    which makes the result independent of evaluation order; ``workers > 1``
-    evaluates points in a thread pool and is guaranteed to return the exact
-    same counts as the serial path.
+    ``rate_fn`` is called once with the whole coordinate array and returns
+    the rate at each coordinate, or one rate for all of them.  Point ``i``
+    draws from its own substream seeded by ``(config.seed, i)``, so its
+    count depends only on the seed, ``i`` and its mean, not on the order in
+    which points are evaluated.
 
     Raises
     ------
+    ValidationError
+        If the rates do not broadcast to the coordinate shape.
     NumericalError
-        If the rate function returns a negative or non-finite value.
+        If a rate is negative or non-finite; the message names the first
+        such coordinate.
     """
-    if not isinstance(workers, int) or workers < 1:
-        raise ValidationError(f"workers must be a positive integer, got {workers!r}")
-
-    def point(i: int) -> tuple[int, float]:
-        coord = float(config.coordinates[i])
-        rate = float(rate_fn(coord))
-        if not math.isfinite(rate) or rate < 0.0:
-            raise NumericalError(
-                f"rate function returned {rate!r} at coordinate {coord:g}; "
-                "expected a finite non-negative rate"
-            )
-        mean = rate * config.dwell_s
-        count = int(_point_rng(config.seed, i).poisson(mean))
-        return count, mean
-
-    indices = range(config.n_points)
-    if workers == 1:
-        results = [point(i) for i in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(point, indices))
-    counts = np.array([r[0] for r in results], dtype=np.int64)
-    expected = np.array([r[1] for r in results], dtype=np.float64)
-    return ScanResult(config.coordinates, counts, expected, config)
+    coords = config.coordinates
+    rates = np.asarray(rate_fn(coords), dtype=np.float64)
+    try:
+        rates = np.broadcast_to(rates, coords.shape)
+    except ValueError:
+        raise ValidationError(
+            f"rate function returned shape {rates.shape} for {coords.size} coordinates"
+        ) from None
+    bad = ~(np.isfinite(rates) & (rates >= 0.0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NumericalError(
+            f"rate function returned {float(rates[i])!r} at coordinate {coords[i]:g}; "
+            "expected a finite non-negative rate"
+        )
+    means = rates * config.dwell_s
+    return ScanResult(coords, _poisson_counts(config.seed, means), means, config)
 
 
 def run_phase_sweep(
@@ -252,7 +310,6 @@ def run_phase_sweep(
     dwell_s: float = 1.0,
     seed: int = 0,
     decode_phase_rad: float = 0.0,
-    workers: int = 1,
 ) -> ScanResult:
     """Sweep the analyzer phase and count the center time bin.
 
@@ -270,9 +327,5 @@ def run_phase_sweep(
         raise ValidationError("decode phase must be finite")
     config = ScanConfig(np.asarray(phases_rad, dtype=np.float64), dwell_s=dwell_s,
                         seed=seed, kind="phase")
-
-    def rate(phi: float) -> float:
-        fringe = center_bin_expectation(phi - decode_phase_rad, contrast)
-        return (counts_scale * fringe) / dwell_s + noise_cps
-
-    return run_scan(config, rate, workers=workers)
+    fringe = center_bin_expectation(config.coordinates - decode_phase_rad, contrast)
+    return run_scan(config, lambda _: (counts_scale * fringe) / dwell_s + noise_cps)

@@ -179,7 +179,7 @@ def synthesize_waveform(
     return SampledWaveform(grid.t0_fs, grid.dt_fs, total)
 
 
-def center_bin_expectation(phase_diff_rad: float, contrast: float = 1.0) -> float:
+def center_bin_expectation(phase_diff_rad, contrast: float = 1.0):
     """Interference fringe model for the center time slot.
 
     The center bin of the double-pass state collects the two single-delay
@@ -190,9 +190,17 @@ def center_bin_expectation(phase_diff_rad: float, contrast: float = 1.0) -> floa
     with the postselected center-slot probability at ``delta = 0`` (2/3) and
     at ``delta = pi`` (0).  Sweeping ``delta`` gives a fringe whose
     visibility ``(max - min) / (max + min)`` equals the contrast exactly.
+
+    ``phase_diff_rad`` is a scalar, giving a float, or a 1-d array, giving
+    the fringe at each phase.  The cosine is taken with ``math.cos`` element
+    by element, so the values are the same bytes on every CPU.
     """
-    if not math.isfinite(phase_diff_rad):
+    phases = np.asarray(phase_diff_rad, dtype=np.float64)
+    if not np.all(np.isfinite(phases)):
         raise ValidationError("phase difference must be finite")
     if not (math.isfinite(contrast) and 0.0 < contrast <= 1.0):
         raise ValidationError(f"contrast must be in (0, 1], got {contrast}")
-    return (1.0 + contrast * math.cos(phase_diff_rad)) / 3.0
+    if phases.ndim == 0:
+        return (1.0 + contrast * math.cos(phase_diff_rad)) / 3.0
+    cos = np.fromiter(map(math.cos, phases.tolist()), np.float64, phases.size)
+    return (1.0 + contrast * cos) / 3.0

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import RATE_AT_PEAK_CPS
 from ucspd.errors import NumericalError, ValidationError
@@ -67,6 +69,10 @@ class TestScanConfig:
             ScanResult(cfg.coordinates, np.array([1, -2]), np.array([1.0, 2.0]), cfg)
 
 
+def point_stream(seed, index):
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+
+
 class TestExpectedRate:
     def test_peak_rate_at_reference_point(self):
         signal, resolution = make_pair()
@@ -102,11 +108,26 @@ class TestExpectedRate:
         with pytest.raises(ValidationError):
             expected_rate(signal, resolution, 0.0, MU, ETA_EXT, REP_RATE, noise_cps=-2.0)
 
+    @settings(max_examples=20, deadline=None)
+    @given(
+        delays=st.lists(st.floats(-2500.0, 2500.0), min_size=1, max_size=12),
+        noise=st.floats(0.0, 1e4),
+    )
+    @example(delays=[-1500.0, 0.0, 1500.0, 1500.5], noise=0.0)
+    def test_array_rate_equals_scalar_rates(self, delays, noise):
+        signal, resolution = make_pair()
+        rate = delay_rate_function(signal, resolution, MU, ETA_EXT, REP_RATE, noise)
+        scalar = np.array([rate(d) for d in delays])
+        assert rate(np.array(delays)).tobytes() == scalar.tobytes()
+        single = [expected_rate(signal, resolution, d, MU, ETA_EXT, REP_RATE, noise)
+                  for d in delays]
+        assert np.array(single).tobytes() == scalar.tobytes()
+
 
 class TestRunScan:
     def test_same_seed_bit_identical(self):
         cfg = ScanConfig(np.linspace(-500.0, 500.0, 101), seed=42)
-        rate = lambda d: 1000.0 * math.exp(-(d / 300.0) ** 2) + 50.0
+        rate = lambda d: 1000.0 * np.exp(-(d / 300.0) ** 2) + 50.0
         a = run_scan(cfg, rate)
         b = run_scan(cfg, rate)
         assert a.counts.tobytes() == b.counts.tobytes()
@@ -119,12 +140,14 @@ class TestRunScan:
         b = run_scan(ScanConfig(coords, seed=2), rate)
         assert not np.array_equal(a.counts, b.counts)
 
-    def test_thread_count_does_not_change_counts(self):
+    def test_counts_do_not_depend_on_evaluation_order(self):
         cfg = ScanConfig(np.linspace(0.0, 1.0, 400), kind="phase", seed=97)
-        rate = lambda p: 5000.0 + 1000.0 * math.cos(p)
-        serial = run_scan(cfg, rate, workers=1)
-        threaded = run_scan(cfg, rate, workers=8)
-        assert serial.counts.tobytes() == threaded.counts.tobytes()
+        out = run_scan(cfg, lambda p: 5000.0 + 1000.0 * np.cos(p))
+        # each point drawn alone from its (seed, index) stream, in shuffled order
+        reference = np.empty(cfg.n_points, dtype=np.int64)
+        for i in np.random.default_rng(4).permutation(cfg.n_points).tolist():
+            reference[i] = point_stream(cfg.seed, i).poisson(out.expected[i])
+        assert out.counts.tobytes() == reference.tobytes()
 
     def test_zero_rate_gives_zero_counts(self):
         cfg = ScanConfig(np.linspace(0.0, 10.0, 11), seed=3)
@@ -141,6 +164,19 @@ class TestRunScan:
         with pytest.raises(NumericalError):
             run_scan(cfg, lambda d: math.nan)
 
+    @pytest.mark.parametrize("bad", [math.nan, -0.5, math.inf])
+    def test_one_bad_rate_in_an_array_names_its_coordinate(self, bad):
+        cfg = ScanConfig(np.array([0.0, 10.0, 25.0, 40.0]))
+        rates = np.array([1.0, 2.0, bad, bad])
+        with pytest.raises(NumericalError, match=r"at coordinate 25;"):
+            run_scan(cfg, lambda d: rates)
+
+    @pytest.mark.parametrize("length", [3, 5])
+    def test_wrong_length_rate_raises(self, length):
+        cfg = ScanConfig(np.array([0.0, 10.0, 25.0, 40.0]))
+        with pytest.raises(ValidationError):
+            run_scan(cfg, lambda d: np.ones(length))
+
     def test_poisson_mean_and_variance(self):
         cfg = ScanConfig(np.linspace(0.0, 1.0, 10000), kind="phase",
                          seed=20260815, dwell_s=1.0)
@@ -150,10 +186,27 @@ class TestRunScan:
         assert 990.0 <= mean <= 1010.0
         assert 0.95 <= ratio <= 1.05
 
-    def test_workers_must_be_positive(self):
-        cfg = ScanConfig(np.array([0.0, 1.0]))
-        with pytest.raises(ValidationError):
-            run_scan(cfg, lambda d: 1.0, workers=0)
+
+class TestBulkSeeding:
+    """Counts equal numpy's own per-point streams, ``SeedSequence(seed, (i,))``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2 ** 64 - 1),
+        means=st.lists(
+            st.one_of(st.just(0.0), st.floats(0.0, 20.0), st.floats(0.0, 1e7)),
+            min_size=1, max_size=200,
+        ),
+    )
+    @example(seed=0, means=[0.0, 3.5, 1000.0])
+    @example(seed=2 ** 32 - 1, means=[9.99, 10.0, 5e6])
+    @example(seed=2 ** 32, means=[1.0] * 200)
+    @example(seed=2 ** 64 - 1, means=[0.5, 0.0, 250.0])
+    def test_counts_match_per_point_generators(self, seed, means):
+        cfg = ScanConfig(np.arange(len(means), dtype=np.float64), kind="phase", seed=seed)
+        out = run_scan(cfg, lambda _: np.array(means))
+        reference = [point_stream(seed, i).poisson(m) for i, m in enumerate(means)]
+        assert out.counts.tolist() == reference
 
 
 class TestPhaseSweep:

@@ -200,3 +200,10 @@ class TestCenterBinExpectation:
             center_bin_expectation(0.0, contrast=0.0)
         with pytest.raises(ValidationError):
             center_bin_expectation(0.0, contrast=1.5)
+
+    def test_array_equals_scalar_fringe(self):
+        deltas = np.linspace(-7.0, 7.0, 301)
+        scalar = np.array([center_bin_expectation(float(d), 0.982) for d in deltas])
+        assert center_bin_expectation(deltas, 0.982).tobytes() == scalar.tobytes()
+        with pytest.raises(ValidationError):
+            center_bin_expectation(np.array([0.0, math.inf]))
