@@ -7,6 +7,13 @@ and the random seed.  Parsing is strict: every key is checked for type and
 range against the owning module's invariants before anything runs, and
 unknown keys are errors that name the offending path.
 
+One field table, ``_SCHEMA``, gives every key with its check and its default
+(or ``_REQUIRED``); a section is optional when every key in it has a default.
+Parsing, defaults and diagnostics all come from one walk over that table,
+and the tree the walk returns, without ``output_dir``, is the effective
+configuration that is hashed and from which the detector, source and
+experiment objects are built.
+
 The scenario hash is the first 12 hex characters of the SHA-256 of the
 effective configuration (defaults filled in, sorted keys, compact JSON).
 The output directory is excluded from the hash, because moving artifacts
@@ -47,31 +54,13 @@ __all__ = [
     "scenario_with_seed",
 ]
 
-_TOP_LEVEL_KEYS = ("name", "seed", "detector", "source", "experiment")
 _HASH_LENGTH = 12
 
 # sentinel distinct from None so explicit nulls are caught as type errors
 _REQUIRED = object()
 
-
-def _as_mapping(node, path):
-    if not isinstance(node, dict):
-        raise ScenarioError(f"{path}: expected a mapping, got {type(node).__name__}")
-    return dict(node)
-
-
-def _take(mapping, key, path, default=_REQUIRED):
-    if key in mapping:
-        return mapping.pop(key)
-    if default is _REQUIRED:
-        raise ScenarioError(f"{path}: missing required key {key!r}")
-    return default
-
-
-def _no_extras(mapping, path):
-    if mapping:
-        extra = ", ".join(sorted(map(str, mapping)))
-        raise ScenarioError(f"{path}: unknown keys: {extra}")
+# libyaml's loader when PyYAML was built with it: same documents, several times faster
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def _real(value, path):
@@ -83,9 +72,30 @@ def _real(value, path):
     return value
 
 
+def _positive(value, path):
+    value = _real(value, path)
+    if value <= 0.0:
+        raise ScenarioError(f"{path}: must be positive, got {value}")
+    return value
+
+
+def _nonnegative(value, path):
+    value = _real(value, path)
+    if value < 0.0:
+        raise ScenarioError(f"{path}: must be >= 0, got {value}")
+    return value
+
+
 def _integer(value, path):
     if isinstance(value, bool) or not isinstance(value, int):
         raise ScenarioError(f"{path}: expected an integer, got {value!r}")
+    return value
+
+
+def _seed(value, path):
+    value = _integer(value, path)
+    if not (0 <= value < 2 ** 64):
+        raise ScenarioError(f"{path}: must be in [0, 2^64), got {value}")
     return value
 
 
@@ -95,10 +105,111 @@ def _string(value, path):
     return value
 
 
+def _label(value, path):
+    if not isinstance(value, str):
+        raise ScenarioError(f"{path}: expected a string, got {value!r}")
+    return value
+
+
 def _boolean(value, path):
     if not isinstance(value, bool):
         raise ScenarioError(f"{path}: expected true or false, got {value!r}")
     return value
+
+
+# The schema: key -> (check, default or _REQUIRED), or key -> nested section.
+_SCHEMA = {
+    "name": (_string, _REQUIRED),
+    "seed": (_seed, _REQUIRED),
+    "output_dir": (_string, "out"),
+    "detector": {
+        "crystal": {
+            "length_mm": (_real, _REQUIRED),
+            "tau_g_fs_per_mm": (_real, DEFAULT_GROUP_DELAY_FS_PER_MM),
+            "label": (_label, ""),
+        },
+        "chain": {
+            "apd_efficiency": (_real, 0.41),
+            "fiber_coupling": (_real, 0.85),
+            "filter_transmittance": (_real, 0.94),
+        },
+        "pump": {
+            "p_sat_mw": (_real, _REQUIRED),
+            "calibration_power_mw": (_real, _REQUIRED),
+            "calibration_eta": (_real, _REQUIRED),
+        },
+        "noise": {
+            "dark_cps": (_real, _REQUIRED),
+            "growth_per_unit_eta": (_real, _REQUIRED),
+            "calibration_eta": (_real, _REQUIRED),
+            "calibration_noise_cps": (_real, _REQUIRED),
+        },
+    },
+    "source": {
+        "pump_fwhm_fs": (_real, _REQUIRED),
+        "signal_fwhm_fs": (_real, _REQUIRED),
+        "mean_photons_per_pulse": (_nonnegative, 0.1),
+        "rep_rate_hz": (_positive, 76.3e6),
+        "pump_power_mw": (_positive, _REQUIRED),
+    },
+    "experiment": {
+        "dt_fs": (_positive, 1.0),
+        "scan": {
+            "start_fs": (_real, _REQUIRED),
+            "stop_fs": (_real, _REQUIRED),
+            "step_fs": (_real, _REQUIRED),
+            "dwell_s": (_real, 1.0),
+            "signal": (_string, "gaussian"),
+        },
+        "sweep": {
+            "n_points": (_integer, 24),
+            "dwell_s": (_real, 1.0),
+            "counts_scale": (_real, _REQUIRED),
+            "include_noise": (_boolean, False),
+        },
+        "timebin": {
+            "slot_spacing_fs": (_real, _REQUIRED),
+            "phase_rad": (_real, 0.0),
+            "phase_prime_rad": (_real, 0.0),
+            "contrast": (_real, 1.0),
+        },
+        "limits": {
+            "power_start_mw": (_real, _REQUIRED),
+            "power_stop_mw": (_real, _REQUIRED),
+            "power_step_mw": (_real, _REQUIRED),
+            "integration_s": (_real, 1.0),
+        },
+    },
+}
+
+
+def _default(spec):
+    """A key's default: ``{}`` for a section whose keys all have defaults."""
+    if isinstance(spec, dict):
+        optional = all(_default(inner) is not _REQUIRED for inner in spec.values())
+        return {} if optional else _REQUIRED
+    return spec[1]
+
+
+def _walk(node, table, path=""):
+    """Check a mapping against a schema table; return it with defaults filled in."""
+    where = path or "scenario"
+    if not isinstance(node, dict):
+        raise ScenarioError(f"{where}: expected a mapping, got {type(node).__name__}")
+    tree = {}
+    for key, spec in table.items():
+        value = node.get(key, _default(spec))
+        if value is _REQUIRED:
+            raise ScenarioError(f"{where}: missing required key {key!r}")
+        key_path = f"{path}.{key}" if path else key
+        if isinstance(spec, dict):
+            tree[key] = _walk(value, spec, key_path)
+        else:
+            tree[key] = spec[0](value, key_path)
+    extra = node.keys() - table.keys()
+    if extra:
+        raise ScenarioError(f"{where}: unknown keys: {', '.join(sorted(map(str, extra)))}")
+    return tree
 
 
 def _build(path, factory, *args, **kwargs):
@@ -292,215 +403,41 @@ def parse_scenario(text: str) -> Scenario:
         module invariant violation; the message names the key path.
     """
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"scenario is not valid YAML: {exc}") from exc
     if doc is None or doc == {}:
-        raise ScenarioError(
-            "scenario is empty; required keys: " + ", ".join(_TOP_LEVEL_KEYS)
-        )
-    root = _as_mapping(doc, "scenario")
-
-    name = _string(_take(root, "name", "scenario"), "name")
-    seed = _integer(_take(root, "seed", "scenario"), "seed")
-    if not (0 <= seed < 2 ** 64):
-        raise ScenarioError(f"seed: must be in [0, 2^64), got {seed}")
-    output_dir = _string(_take(root, "output_dir", "scenario", default="out"), "output_dir")
-
-    detector = _as_mapping(_take(root, "detector", "scenario"), "detector")
-    crystal_map = _as_mapping(_take(detector, "crystal", "detector"), "detector.crystal")
-    length_mm = _real(_take(crystal_map, "length_mm", "detector.crystal"), "detector.crystal.length_mm")
-    tau_g = _real(
-        _take(crystal_map, "tau_g_fs_per_mm", "detector.crystal", default=DEFAULT_GROUP_DELAY_FS_PER_MM),
-        "detector.crystal.tau_g_fs_per_mm",
-    )
-    label = _take(crystal_map, "label", "detector.crystal", default="")
-    if label:
-        label = _string(label, "detector.crystal.label")
-    elif label != "":
-        raise ScenarioError(f"detector.crystal.label: expected a string, got {label!r}")
-    _no_extras(crystal_map, "detector.crystal")
-    crystal = _build(
-        "detector.crystal", CrystalSpec,
-        length_mm=length_mm, tau_g_fs_per_mm=tau_g, label=label,
-    )
-
-    chain_map = _as_mapping(
-        _take(detector, "chain", "detector", default={}), "detector.chain"
-    )
-    apd = _real(_take(chain_map, "apd_efficiency", "detector.chain", default=0.41), "detector.chain.apd_efficiency")
-    fiber = _real(_take(chain_map, "fiber_coupling", "detector.chain", default=0.85), "detector.chain.fiber_coupling")
-    filt = _real(_take(chain_map, "filter_transmittance", "detector.chain", default=0.94), "detector.chain.filter_transmittance")
-    _no_extras(chain_map, "detector.chain")
-
-    pump_map = _as_mapping(_take(detector, "pump", "detector"), "detector.pump")
-    p_sat = _real(_take(pump_map, "p_sat_mw", "detector.pump"), "detector.pump.p_sat_mw")
-    cal_power = _real(_take(pump_map, "calibration_power_mw", "detector.pump"), "detector.pump.calibration_power_mw")
-    cal_eta = _real(_take(pump_map, "calibration_eta", "detector.pump"), "detector.pump.calibration_eta")
-    _no_extras(pump_map, "detector.pump")
-    pump_model = _build(
-        "detector.pump", PumpEfficiencyModel.from_calibration, cal_power, cal_eta, p_sat
-    )
-
-    noise_map = _as_mapping(_take(detector, "noise", "detector"), "detector.noise")
-    dark = _real(_take(noise_map, "dark_cps", "detector.noise"), "detector.noise.dark_cps")
-    growth = _real(_take(noise_map, "growth_per_unit_eta", "detector.noise"), "detector.noise.growth_per_unit_eta")
-    noise_eta = _real(_take(noise_map, "calibration_eta", "detector.noise"), "detector.noise.calibration_eta")
-    noise_ref = _real(_take(noise_map, "calibration_noise_cps", "detector.noise"), "detector.noise.calibration_noise_cps")
-    _no_extras(noise_map, "detector.noise")
-    noise_model = _build(
-        "detector.noise", NoiseModel.from_calibration, dark, growth, noise_eta, noise_ref
-    )
-    _no_extras(detector, "detector")
-
-    source = _as_mapping(_take(root, "source", "scenario"), "source")
-    pump_fwhm = _real(_take(source, "pump_fwhm_fs", "source"), "source.pump_fwhm_fs")
-    signal_fwhm = _real(_take(source, "signal_fwhm_fs", "source"), "source.signal_fwhm_fs")
-    mu = _real(_take(source, "mean_photons_per_pulse", "source", default=0.1), "source.mean_photons_per_pulse")
-    rep_rate = _real(_take(source, "rep_rate_hz", "source", default=76.3e6), "source.rep_rate_hz")
-    pump_power = _real(_take(source, "pump_power_mw", "source"), "source.pump_power_mw")
-    _no_extras(source, "source")
-    _build("source.pump_fwhm_fs", PulseSpec, fwhm_fs=pump_fwhm)
-    _build("source.signal_fwhm_fs", PulseSpec, fwhm_fs=signal_fwhm)
-    if mu < 0.0:
-        raise ScenarioError(f"source.mean_photons_per_pulse: must be >= 0, got {mu}")
-    if rep_rate <= 0.0:
-        raise ScenarioError(f"source.rep_rate_hz: must be positive, got {rep_rate}")
-    if pump_power <= 0.0:
-        raise ScenarioError(f"source.pump_power_mw: must be positive, got {pump_power}")
-
-    experiment = _as_mapping(_take(root, "experiment", "scenario"), "experiment")
-    dt_fs = _real(_take(experiment, "dt_fs", "experiment", default=1.0), "experiment.dt_fs")
-    if dt_fs <= 0.0:
-        raise ScenarioError(f"experiment.dt_fs: must be positive, got {dt_fs}")
-
-    scan_map = _as_mapping(_take(experiment, "scan", "experiment"), "experiment.scan")
-    scan = _build(
-        "experiment.scan", ScanSection,
-        start_fs=_real(_take(scan_map, "start_fs", "experiment.scan"), "experiment.scan.start_fs"),
-        stop_fs=_real(_take(scan_map, "stop_fs", "experiment.scan"), "experiment.scan.stop_fs"),
-        step_fs=_real(_take(scan_map, "step_fs", "experiment.scan"), "experiment.scan.step_fs"),
-        dwell_s=_real(_take(scan_map, "dwell_s", "experiment.scan", default=1.0), "experiment.scan.dwell_s"),
-        signal=_string(_take(scan_map, "signal", "experiment.scan", default="gaussian"), "experiment.scan.signal"),
-    )
-    _no_extras(scan_map, "experiment.scan")
-
-    sweep_map = _as_mapping(_take(experiment, "sweep", "experiment"), "experiment.sweep")
-    sweep = _build(
-        "experiment.sweep", SweepSection,
-        n_points=_integer(_take(sweep_map, "n_points", "experiment.sweep", default=24), "experiment.sweep.n_points"),
-        dwell_s=_real(_take(sweep_map, "dwell_s", "experiment.sweep", default=1.0), "experiment.sweep.dwell_s"),
-        counts_scale=_real(_take(sweep_map, "counts_scale", "experiment.sweep"), "experiment.sweep.counts_scale"),
-        include_noise=_boolean(_take(sweep_map, "include_noise", "experiment.sweep", default=False), "experiment.sweep.include_noise"),
-    )
-    _no_extras(sweep_map, "experiment.sweep")
-
-    timebin_map = _as_mapping(_take(experiment, "timebin", "experiment"), "experiment.timebin")
-    timebin = _build(
-        "experiment.timebin", TimebinSection,
-        slot_spacing_fs=_real(_take(timebin_map, "slot_spacing_fs", "experiment.timebin"), "experiment.timebin.slot_spacing_fs"),
-        phase_rad=_real(_take(timebin_map, "phase_rad", "experiment.timebin", default=0.0), "experiment.timebin.phase_rad"),
-        phase_prime_rad=_real(_take(timebin_map, "phase_prime_rad", "experiment.timebin", default=0.0), "experiment.timebin.phase_prime_rad"),
-        contrast=_real(_take(timebin_map, "contrast", "experiment.timebin", default=1.0), "experiment.timebin.contrast"),
-    )
-    _no_extras(timebin_map, "experiment.timebin")
-
-    limits_map = _as_mapping(_take(experiment, "limits", "experiment"), "experiment.limits")
-    limits = _build(
-        "experiment.limits", LimitsSection,
-        power_start_mw=_real(_take(limits_map, "power_start_mw", "experiment.limits"), "experiment.limits.power_start_mw"),
-        power_stop_mw=_real(_take(limits_map, "power_stop_mw", "experiment.limits"), "experiment.limits.power_stop_mw"),
-        power_step_mw=_real(_take(limits_map, "power_step_mw", "experiment.limits"), "experiment.limits.power_step_mw"),
-        integration_s=_real(_take(limits_map, "integration_s", "experiment.limits", default=1.0), "experiment.limits.integration_s"),
-    )
-    _no_extras(limits_map, "experiment.limits")
-    _no_extras(experiment, "experiment")
-    _no_extras(root, "scenario")
-
-    effective = {
-        "name": name,
-        "seed": seed,
-        "detector": {
-            "crystal": {
-                "length_mm": length_mm,
-                "tau_g_fs_per_mm": tau_g,
-                "label": crystal.label,
-            },
-            "chain": {
-                "apd_efficiency": apd,
-                "fiber_coupling": fiber,
-                "filter_transmittance": filt,
-            },
-            "pump": {
-                "p_sat_mw": p_sat,
-                "calibration_power_mw": cal_power,
-                "calibration_eta": cal_eta,
-            },
-            "noise": {
-                "dark_cps": dark,
-                "growth_per_unit_eta": growth,
-                "calibration_eta": noise_eta,
-                "calibration_noise_cps": noise_ref,
-            },
-        },
-        "source": {
-            "pump_fwhm_fs": pump_fwhm,
-            "signal_fwhm_fs": signal_fwhm,
-            "mean_photons_per_pulse": mu,
-            "rep_rate_hz": rep_rate,
-            "pump_power_mw": pump_power,
-        },
-        "experiment": {
-            "dt_fs": dt_fs,
-            "scan": {
-                "start_fs": scan.start_fs,
-                "stop_fs": scan.stop_fs,
-                "step_fs": scan.step_fs,
-                "dwell_s": scan.dwell_s,
-                "signal": scan.signal,
-            },
-            "sweep": {
-                "n_points": sweep.n_points,
-                "dwell_s": sweep.dwell_s,
-                "counts_scale": sweep.counts_scale,
-                "include_noise": sweep.include_noise,
-            },
-            "timebin": {
-                "slot_spacing_fs": timebin.slot_spacing_fs,
-                "phase_rad": timebin.phase_rad,
-                "phase_prime_rad": timebin.phase_prime_rad,
-                "contrast": timebin.contrast,
-            },
-            "limits": {
-                "power_start_mw": limits.power_start_mw,
-                "power_stop_mw": limits.power_stop_mw,
-                "power_step_mw": limits.power_step_mw,
-                "integration_s": limits.integration_s,
-            },
-        },
-    }
+        required = [key for key, spec in _SCHEMA.items() if _default(spec) is _REQUIRED]
+        raise ScenarioError("scenario is empty; required keys: " + ", ".join(required))
+    tree = _walk(doc, _SCHEMA)
+    output_dir = tree.pop("output_dir")
+    detector, source, experiment = tree["detector"], tree["source"], tree["experiment"]
+    pump, noise = detector["pump"], detector["noise"]
+    for key in ("pump_fwhm_fs", "signal_fwhm_fs"):
+        _build(f"source.{key}", PulseSpec, fwhm_fs=source[key])
 
     scenario = Scenario(
-        name=name,
-        seed=seed,
+        name=tree["name"],
+        seed=tree["seed"],
         output_dir=output_dir,
-        crystal=crystal,
-        apd_efficiency=apd,
-        fiber_coupling=fiber,
-        filter_transmittance=filt,
-        pump_model=pump_model,
-        noise_model=noise_model,
-        pump_fwhm_fs=pump_fwhm,
-        signal_fwhm_fs=signal_fwhm,
-        mean_photons_per_pulse=mu,
-        rep_rate_hz=rep_rate,
-        pump_power_mw=pump_power,
-        dt_fs=dt_fs,
-        scan=scan,
-        sweep=sweep,
-        timebin=timebin,
-        limits=limits,
-        effective_json=_canonical_json(effective),
+        crystal=_build("detector.crystal", CrystalSpec, **detector["crystal"]),
+        **detector["chain"],
+        pump_model=_build(
+            "detector.pump", PumpEfficiencyModel.from_calibration,
+            pump["calibration_power_mw"], pump["calibration_eta"], pump["p_sat_mw"],
+        ),
+        noise_model=_build(
+            "detector.noise", NoiseModel.from_calibration,
+            noise["dark_cps"], noise["growth_per_unit_eta"],
+            noise["calibration_eta"], noise["calibration_noise_cps"],
+        ),
+        **source,
+        dt_fs=experiment["dt_fs"],
+        scan=_build("experiment.scan", ScanSection, **experiment["scan"]),
+        sweep=_build("experiment.sweep", SweepSection, **experiment["sweep"]),
+        timebin=_build("experiment.timebin", TimebinSection, **experiment["timebin"]),
+        limits=_build("experiment.limits", LimitsSection, **experiment["limits"]),
+        effective_json=_canonical_json(tree),
     )
     # fail fast on the composed detector operating point as well
     _build("detector", scenario.chain_at)
@@ -520,8 +457,7 @@ def load_scenario(path) -> Scenario:
 
 def scenario_with_seed(scenario: Scenario, seed: int) -> Scenario:
     """A copy with a different seed (and therefore a different hash)."""
-    if not isinstance(seed, int) or not (0 <= seed < 2 ** 64):
-        raise ScenarioError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+    seed = _seed(seed, "seed")
     effective = scenario.effective()
     effective["seed"] = seed
     return replace(scenario, seed=seed, effective_json=_canonical_json(effective))

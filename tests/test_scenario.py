@@ -1,19 +1,57 @@
 """Scenario documents: schema, validation diagnostics, and hashing."""
 
 import json
+import re
 from importlib import resources
+from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+from ucspd import scenario as scenario_module
 from ucspd.errors import ScenarioError
-from ucspd.scenario import load_scenario, parse_scenario, scenario_with_seed
+from ucspd.scenario import (
+    _REQUIRED, _SCHEMA, _default, load_scenario, parse_scenario, scenario_with_seed,
+)
 
 BUNDLED = resources.files("ucspd") / "scenarios"
+NAMES = ("l1_300mw", "l2_300mw", "l3_300mw")
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def bundled_text(name="l2_300mw"):
     return (BUNDLED / f"{name}.scenario").read_text(encoding="utf-8")
+
+
+def schema_keys(table=_SCHEMA, prefix=()):
+    """(key path, table entry) for every key and section in the schema."""
+    for key, spec in table.items():
+        yield prefix + (key,), spec
+        if isinstance(spec, dict):
+            yield from schema_keys(spec, prefix + (key,))
+
+
+def section_paths():
+    return [()] + [path for path, spec in schema_keys() if isinstance(spec, dict)]
+
+
+def default_valued(doc, table=_SCHEMA, prefix=()):
+    """Key paths in ``doc`` whose value is what the schema fills in anyway."""
+    found = []
+    for key, spec in table.items():
+        if key not in doc:
+            continue
+        path = prefix + (key,)
+        if isinstance(spec, dict):
+            inner = default_valued(doc[key], spec, path)
+            found += inner
+            if _default(spec) == {} and all(path + (k,) in inner for k in doc[key]):
+                found.append(path)
+        elif spec[1] is not _REQUIRED and doc[key] == spec[1]:
+            found.append(path)
+    return found
 
 
 class TestParseBundled:
@@ -83,6 +121,114 @@ class TestHash:
             scenario_with_seed(s, -1)
         with pytest.raises(ScenarioError):
             scenario_with_seed(s, 2 ** 64)
+
+    def test_seed_override_rejects_bool(self):
+        # the parser refuses `seed: true`; the override shares its check
+        with pytest.raises(ScenarioError, match="seed"):
+            scenario_with_seed(parse_scenario(bundled_text()), True)
+
+    @pytest.mark.parametrize("name,digest", [
+        ("l1_300mw", "1c0f53e45628"),
+        ("l2_300mw", "0464bec34131"),
+        ("l3_300mw", "d5ad011af80f"),
+    ])
+    def test_bundled_hashes_are_pinned(self, name, digest):
+        assert parse_scenario(bundled_text(name)).scenario_hash == digest
+
+
+class TestLoader:
+    """Both PyYAML loaders read the same documents (libyaml is used when built)."""
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_pure_python_loader_gives_the_same_tree(self, name, monkeypatch):
+        expected = parse_scenario(bundled_text(name)).effective_json
+        monkeypatch.setattr(scenario_module, "_LOADER", yaml.SafeLoader)
+        assert parse_scenario(bundled_text(name)).effective_json == expected
+
+    def test_pure_python_loader_reports_bad_yaml(self, monkeypatch):
+        monkeypatch.setattr(scenario_module, "_LOADER", yaml.SafeLoader)
+        with pytest.raises(ScenarioError, match="YAML"):
+            parse_scenario("{unbalanced")
+
+
+def _shuffled(node, data):
+    if not isinstance(node, dict):
+        return node
+    return {k: _shuffled(node[k], data) for k in data.draw(st.permutations(list(node)))}
+
+
+class TestProperties:
+    @given(name=st.sampled_from(NAMES), data=st.data())
+    def test_key_order_never_changes_hash(self, name, data):
+        doc = _shuffled(yaml.safe_load(bundled_text(name)), data)
+        again = parse_scenario(yaml.safe_dump(doc, sort_keys=False))
+        assert again.scenario_hash == parse_scenario(bundled_text(name)).scenario_hash
+
+    @given(name=st.sampled_from(NAMES), data=st.data())
+    def test_dropping_default_valued_keys_round_trips(self, name, data):
+        doc = yaml.safe_load(bundled_text(name))
+        full = parse_scenario(bundled_text(name))
+        for path in data.draw(st.sets(st.sampled_from(default_valued(doc)))):
+            parent = doc
+            for key in path[:-1]:
+                parent = parent.get(key, {})
+            parent.pop(path[-1], None)
+        reduced = parse_scenario(yaml.safe_dump(doc))
+        assert reduced.effective_json == full.effective_json
+        echo = dict(reduced.effective(), output_dir=reduced.output_dir)
+        assert parse_scenario(yaml.safe_dump(echo)).effective_json == full.effective_json
+
+    @given(name=st.sampled_from(NAMES), path=st.sampled_from(section_paths()),
+           key=st.from_regex(r"[a-z][a-z0-9_]{0,15}", fullmatch=True))
+    def test_unknown_key_is_reported_by_its_path(self, name, path, key):
+        table = _SCHEMA
+        for part in path:
+            table = table[part]
+        assume(key not in table)
+        doc = yaml.safe_load(bundled_text(name))
+        node = doc
+        for part in path:
+            node = node[part]
+        node[key] = 1
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(yaml.safe_dump(doc))
+        assert str(err.value) == f"{'.'.join(path) or 'scenario'}: unknown keys: {key}"
+
+
+class TestReadme:
+    """The key table under "Scenario files" in README.md matches the schema."""
+
+    @staticmethod
+    def block():
+        section = README.read_text(encoding="utf-8").split("## Scenario files", 1)[1]
+        return section.split("```yaml\n", 1)[1].split("```", 1)[0]
+
+    def test_block_is_the_reference_scenario(self):
+        expected = parse_scenario(bundled_text()).effective_json
+        assert parse_scenario(self.block()).effective_json == expected
+
+    def test_keys_and_defaults_match_the_schema(self):
+        notes, stack = {}, []
+        for line in self.block().splitlines():
+            match = re.match(r"( *)(\w+):[^#]*(?:#\s*(?:\((.*?)\))?.*)?$", line)
+            if match is None:
+                continue
+            indent = len(match.group(1))
+            while stack and stack[-1][0] >= indent:
+                stack.pop()
+            stack.append((indent, match.group(2)))
+            notes[tuple(key for _, key in stack)] = match.group(3)
+        table = dict(schema_keys())
+        assert sorted(notes) == sorted(table)
+        for path, spec in table.items():
+            default = _default(spec)
+            if default is _REQUIRED:
+                assert notes[path] is None, path
+            elif isinstance(spec, dict):
+                assert notes[path] == "whole section optional", path
+            else:
+                note = json.loads(notes[path])
+                assert (type(note), note) == (type(default), default), path
 
 
 class TestDiagnostics:
