@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import FitConvergenceError, GridMismatchError, ValidationError
 from .simulate import ScanResult
@@ -325,6 +324,7 @@ def erf_gate_model(delay_fs, gate_width_fs, amplitude, center_fs, floor, q):
     ``q`` bundles the pump and signal widths, ``sqrt(ln 2 / (dp^2 + ds^2))``,
     and is held fixed during fitting.
     """
+    from scipy.special import erf  # loaded at the first call, not on import
     u1, u2 = _erf_args(delay_fs, gate_width_fs, center_fs, q)
     return amplitude * (erf(u1) - erf(u2)) + floor
 
@@ -335,6 +335,7 @@ def erf_gate_jacobian(delay_fs, gate_width_fs, amplitude, center_fs, floor, q):
     Columns are the partial derivatives with respect to
     ``(gate_width_fs, amplitude, center_fs, floor)`` in that order.
     """
+    from scipy.special import erf
     u1, u2 = _erf_args(delay_fs, gate_width_fs, center_fs, q)
     e1 = np.exp(-u1 ** 2)
     e2 = np.exp(-u2 ** 2)

@@ -2,15 +2,15 @@
 
 Every subcommand takes a scenario (a file path or the name of a bundled
 configuration), derives its own stage seed from the scenario seed, and
-writes CSV/JSON/SVG artifacts into the output directory through one writer,
-``_Artifacts``.  It embeds the scenario hash in every file and writes each
-one to a temporary name before renaming it into place, so a failed write
-never leaves a partial file; the reported ``artifacts`` list names exactly
-the files written (a plot that fails is skipped with a warning and left
-out).  Re-running with the same scenario and seed reproduces every artifact
-byte for byte.  Run manifests additionally carry a wall-clock timestamp in
-a dedicated field that is excluded from every hash and from
-reproducibility comparisons.
+writes CSV/JSON/SVG artifacts through one writer, ``_Artifacts``, which
+tags every file with the scenario hash and renames it into place from a
+temporary name, so a failed write never leaves a partial file; ``artifacts``
+lists exactly the files written (a failed plot is skipped with a warning).
+CSV rows come from ``waveform.csv_text``, JSON payloads from the scenario
+sections and result dataclasses, and ``report`` reuses the helpers of the
+other subcommands.  Re-running with the same scenario and seed reproduces
+every artifact byte for byte, apart from the manifests' wall-clock
+``generated_utc`` field, which no hash or comparison includes.
 
 Exit codes: 0 success, 1 validation or scenario errors and unusable output
 paths, 2 numerical failures (non-convergent fits and the like).
@@ -23,6 +23,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
@@ -48,7 +49,7 @@ from .timebin import (
     slot_probabilities,
     synthesize_waveform,
 )
-from .waveform import SampledWaveform, TimeGrid, fwhm, gaussian_waveform, write_csv
+from .waveform import SampledWaveform, TimeGrid, csv_text, fwhm, gaussian_waveform, write_csv
 
 __all__ = ["main"]
 
@@ -174,13 +175,8 @@ class _Artifacts:
     def waveform(self, name: str, w: SampledWaveform, kind: str) -> None:
         self._commit(name, lambda tmp: write_csv(tmp, w, self._tagged({"kind": kind})))
 
-    def table(self, name: str, header: str, rows, **metadata) -> None:
-        lines = [f"# {key}={value}" for key, value in self._tagged(metadata).items()] + [header]
-        lines += [
-            ",".join(str(c) if isinstance(c, (int, np.integer)) else f"{float(c):.9g}" for c in row)
-            for row in rows
-        ]
-        self._text(name, "\n".join(lines) + "\n")
+    def table(self, name: str, header: str, columns, **metadata) -> None:
+        self._text(name, csv_text(header, columns, self._tagged(metadata)))
 
     def json(self, name: str, payload: dict) -> None:
         self._text(name, json.dumps(self._tagged(payload), sort_keys=True, indent=2) + "\n")
@@ -220,6 +216,17 @@ def _resolution_kernel(scenario: Scenario, dt_fs: float) -> SampledWaveform:
     return resolution_function(scenario.pump_pulse, scenario.crystal, grid)
 
 
+def _kernel_and_fwhm(scenario: Scenario) -> tuple[SampledWaveform, float]:
+    kernel = _resolution_kernel(scenario, scenario.dt_fs)
+    return kernel, fwhm(kernel)
+
+
+def _detection_limit(scenario: Scenario, power_mw: float | None = None) -> float:
+    noise = scenario.noise_cps_at(power_mw)
+    eta = scenario.external_eta_at(power_mw)
+    return detection_limit(noise, scenario.limits.integration_s, eta, scenario.rep_rate_hz)
+
+
 def _timebin_state(scenario: Scenario) -> TimeBinState:
     section = scenario.timebin
     state = TimeBinState.single(section.slot_spacing_fs)
@@ -242,6 +249,10 @@ def _timebin_waveform(scenario: Scenario, dt_fs: float) -> SampledWaveform:
     return synthesized.shifted(-0.5 * (n_slots - 1) * spacing)
 
 
+def _slot_probabilities(scenario: Scenario) -> list[float]:
+    return [float(p) for p in slot_probabilities(_timebin_state(scenario))]
+
+
 def _scan_signal(scenario: Scenario, dt_fs: float) -> SampledWaveform:
     if scenario.scan.signal == "gaussian":
         half = 3.0 * scenario.signal_fwhm_fs + dt_fs
@@ -257,7 +268,7 @@ def _scan_coordinates(scenario: Scenario) -> np.ndarray:
     )
 
 
-def _run_delay_scan(scenario: Scenario, stage: int, noise_cps: float):
+def _run_delay_scan(scenario: Scenario, stage: int):
     dt = scenario.dt_fs
     kernel = _resolution_kernel(scenario, dt)
     signal = _scan_signal(scenario, dt)
@@ -267,7 +278,7 @@ def _run_delay_scan(scenario: Scenario, stage: int, noise_cps: float):
         mean_photons_per_pulse=scenario.mean_photons_per_pulse,
         external_eta=scenario.external_eta_at(),
         rep_rate_hz=scenario.rep_rate_hz,
-        noise_cps=noise_cps,
+        noise_cps=scenario.noise_cps_at(),
     )
     config = ScanConfig(
         coordinates=_scan_coordinates(scenario),
@@ -296,9 +307,14 @@ def _run_sweep(scenario: Scenario):
     return phases, result
 
 
+def _fit_sweep(scenario: Scenario):
+    phases, result = _run_sweep(scenario)
+    return phases, result, fit_sine(phases, result.counts, dwell_s=scenario.sweep.dwell_s)
+
+
 def _write_counts(files: _Artifacts, name: str, result, **metadata) -> None:
-    rows = zip(result.coordinates, result.counts, result.expected)
-    files.table(name, "coord,counts,expected", rows, **metadata, stage_seed=result.config.seed)
+    columns = (result.coordinates, result.counts, result.expected)
+    files.table(name, "coord,counts,expected", columns, **metadata, stage_seed=result.config.seed)
 
 
 def _write_delay_scan(files: _Artifacts, name: str, scenario: Scenario, result) -> None:
@@ -311,8 +327,7 @@ def _write_delay_scan(files: _Artifacts, name: str, scenario: Scenario, result) 
 
 
 def _cmd_resolve(scenario: Scenario, files: _Artifacts) -> dict:
-    kernel = _resolution_kernel(scenario, scenario.dt_fs)
-    fwhm_fs = fwhm(kernel)
+    kernel, fwhm_fs = _kernel_and_fwhm(scenario)
     files.waveform("resolution.csv", kernel, kind="resolution")
     files.json("resolution.json", {
         "L_mm": scenario.crystal.length_mm,
@@ -335,16 +350,10 @@ def _cmd_resolve(scenario: Scenario, files: _Artifacts) -> dict:
 
 
 def _cmd_scan(scenario: Scenario, files: _Artifacts) -> dict:
-    result = _run_delay_scan(scenario, _STAGE_SCAN, scenario.noise_cps_at())
+    result = _run_delay_scan(scenario, _STAGE_SCAN)
     _write_delay_scan(files, "scan.csv", scenario, result)
     files.manifest("scan_manifest.json", _STAGE_SCAN, ["scan.csv"], {
-        "kind": "delay",
-        "signal": scenario.scan.signal,
-        "start_fs": scenario.scan.start_fs,
-        "stop_fs": scenario.scan.stop_fs,
-        "step_fs": scenario.scan.step_fs,
-        "dwell_s": scenario.scan.dwell_s,
-        "noise_cps": scenario.noise_cps_at(),
+        "kind": "delay", **asdict(scenario.scan), "noise_cps": scenario.noise_cps_at(),
     })
     files.plot(
         "scan.svg",
@@ -360,12 +369,7 @@ def _cmd_sweep(scenario: Scenario, files: _Artifacts) -> dict:
     _write_counts(files, "sweep.csv", result, kind="phase_sweep",
                   contrast=scenario.timebin.contrast, dwell_s=scenario.sweep.dwell_s)
     files.manifest("sweep_manifest.json", _STAGE_SWEEP, ["sweep.csv"], {
-        "kind": "phase",
-        "n_points": scenario.sweep.n_points,
-        "dwell_s": scenario.sweep.dwell_s,
-        "counts_scale": scenario.sweep.counts_scale,
-        "include_noise": scenario.sweep.include_noise,
-        "contrast": scenario.timebin.contrast,
+        "kind": "phase", **asdict(scenario.sweep), "contrast": scenario.timebin.contrast,
     })
     files.plot(
         "sweep.svg",
@@ -376,13 +380,10 @@ def _cmd_sweep(scenario: Scenario, files: _Artifacts) -> dict:
 
 
 def _cmd_timebin(scenario: Scenario, files: _Artifacts) -> dict:
-    probabilities = [float(p) for p in slot_probabilities(_timebin_state(scenario))]
+    probabilities = _slot_probabilities(scenario)
     section = scenario.timebin
     files.json("timebin_probabilities.json", {
-        "slot_spacing_fs": section.slot_spacing_fs,
-        "phase_rad": section.phase_rad,
-        "phase_prime_rad": section.phase_prime_rad,
-        "contrast": section.contrast,
+        **asdict(section),
         "probabilities": probabilities,
         "center_bin_expectation": center_bin_expectation(
             section.phase_rad - section.phase_prime_rad, section.contrast
@@ -405,36 +406,29 @@ def _cmd_timebin(scenario: Scenario, files: _Artifacts) -> dict:
 
 def _cmd_limits(scenario: Scenario, files: _Artifacts) -> dict:
     section = scenario.limits
-    rows = []
-    for power in section.powers_mw():
-        eta_int = scenario.internal_eta_at(power)
-        eta_ext = scenario.external_eta_at(power)
-        noise = scenario.noise_cps_at(power)
-        limit = detection_limit(noise, section.integration_s, eta_ext, scenario.rep_rate_hz)
-        rows.append((power, eta_int, eta_ext, noise, limit))
+    powers = section.powers_mw()
+    limits = [_detection_limit(scenario, power) for power in powers]
+    columns = [powers] + [
+        [at(power) for power in powers]
+        for at in (scenario.internal_eta_at, scenario.external_eta_at, scenario.noise_cps_at)
+    ] + [limits]
     files.table(
         "limits.csv",
         "power_mw,eta_internal,eta_external,noise_cps,limit_per_pulse",
-        rows,
+        columns,
         kind="limits",
         integration_s=section.integration_s,
     )
-    limits = [row[4] for row in rows]
     best = int(np.argmin(limits))
-    summary = {"best_power_mw": rows[best][0], "min_limit_per_pulse": rows[best][4]}
+    summary = {"best_power_mw": powers[best], "min_limit_per_pulse": limits[best]}
     files.json("limits.json", {
         **summary,
         "integration_s": section.integration_s,
-        "limit_at_scenario_power": detection_limit(
-            scenario.noise_cps_at(),
-            section.integration_s,
-            scenario.external_eta_at(),
-            scenario.rep_rate_hz,
-        ),
+        "limit_at_scenario_power": _detection_limit(scenario),
     })
     files.plot(
         "limits.svg",
-        [([row[0] for row in rows], limits, "limit")],
+        [(powers, limits, "limit")],
         "detection limit vs pump power", "pump power (mW)", "photons per pulse",
     )
     return summary
@@ -442,7 +436,7 @@ def _cmd_limits(scenario: Scenario, files: _Artifacts) -> dict:
 
 def _cmd_deconv(scenario: Scenario, files: _Artifacts) -> dict:
     noise = scenario.noise_cps_at()
-    result = _run_delay_scan(scenario, _STAGE_DECONV, noise)
+    result = _run_delay_scan(scenario, _STAGE_DECONV)
     step = scenario.scan.step_fs
     _write_delay_scan(files, "deconv_scan.csv", scenario, result)
     # subtract the known flat background before the nonnegative inversion
@@ -459,11 +453,7 @@ def _cmd_deconv(scenario: Scenario, files: _Artifacts) -> dict:
         "converged": deconv.converged,
         "residual": deconv.residual,
         "max_flux_drift": deconv.max_flux_drift,
-        "settings": {
-            "algorithm": "richardson-lucy",
-            "iterations": deconv.settings.iterations,
-            "stop_threshold": deconv.settings.stop_threshold,
-        },
+        "settings": {"algorithm": "richardson-lucy", **asdict(deconv.settings)},
     })
     files.plot(
         "deconv.svg",
@@ -477,21 +467,10 @@ def _cmd_deconv(scenario: Scenario, files: _Artifacts) -> dict:
 
 
 def _cmd_fitvis(scenario: Scenario, files: _Artifacts) -> dict:
-    phases, result = _run_sweep(scenario)
-    fit = fit_sine(phases, result.counts, dwell_s=scenario.sweep.dwell_s)
+    phases, result, fit = _fit_sweep(scenario)
     files.json("fitvis_report.json", {
+        **asdict(fit),
         "stage_seed": result.config.seed,
-        "n_points": fit.n_points,
-        "dwell_s": fit.dwell_s,
-        "offset": fit.offset,
-        "offset_sigma": fit.offset_sigma,
-        "amplitude": fit.amplitude,
-        "amplitude_sigma": fit.amplitude_sigma,
-        "phase0_rad": fit.phase0_rad,
-        "phase0_sigma_rad": fit.phase0_sigma_rad,
-        "visibility": fit.visibility,
-        "visibility_sigma": fit.visibility_sigma,
-        "reduced_chi2": fit.reduced_chi2,
         "true_contrast": scenario.timebin.contrast,
     })
     dense = np.linspace(phases[0], phases[-1], 241)
@@ -525,13 +504,12 @@ def _embedded_hash(path: Path) -> str | None:
 
 def _refuse_mismatched(out: Path, scenario: Scenario) -> None:
     mismatched = []
-    if out.is_dir():
-        for path in sorted(out.iterdir()):
-            if not path.is_file():
-                continue
-            claimed = _embedded_hash(path)
-            if claimed is not None and claimed != scenario.scenario_hash:
-                mismatched.append(f"{path.name} ({claimed})")
+    for path in sorted(out.iterdir()):
+        if not path.is_file():
+            continue
+        claimed = _embedded_hash(path)
+        if claimed is not None and claimed != scenario.scenario_hash:
+            mismatched.append(f"{path.name} ({claimed})")
     if mismatched:
         raise ScenarioError(
             f"output directory {out} holds artifacts from a different scenario "
@@ -541,12 +519,11 @@ def _refuse_mismatched(out: Path, scenario: Scenario) -> None:
 
 def _cmd_report(scenario: Scenario, files: _Artifacts) -> dict:
     _refuse_mismatched(files.out, scenario)
-    kernel = _resolution_kernel(scenario, scenario.dt_fs)
-    fwhm_fs = fwhm(kernel)
+    _, fwhm_fs = _kernel_and_fwhm(scenario)
 
     gate_fit = None
     if scenario.scan.signal == "gaussian":
-        scan = _run_delay_scan(scenario, _STAGE_SCAN, scenario.noise_cps_at())
+        scan = _run_delay_scan(scenario, _STAGE_SCAN)
         fitted = fit_erf_gate(scan, scenario.pump_fwhm_fs, scenario.signal_fwhm_fs)
         gate_fit = {
             "gate_width_fs": fitted.gate_width_fs,
@@ -555,10 +532,7 @@ def _cmd_report(scenario: Scenario, files: _Artifacts) -> dict:
             "residual": fitted.residual,
         }
 
-    phases, sweep_result = _run_sweep(scenario)
-    vis = fit_sine(phases, sweep_result.counts, dwell_s=scenario.sweep.dwell_s)
-
-    state = _timebin_state(scenario)
+    _, _, vis = _fit_sweep(scenario)
     summary = {
         "seed": scenario.seed,
         "model_versions": _MODEL_VERSIONS,
@@ -568,14 +542,9 @@ def _cmd_report(scenario: Scenario, files: _Artifacts) -> dict:
         "eta_internal": scenario.internal_eta_at(),
         "eta_external": scenario.external_eta_at(),
         "noise_cps": scenario.noise_cps_at(),
-        "limit_per_pulse": detection_limit(
-            scenario.noise_cps_at(),
-            scenario.limits.integration_s,
-            scenario.external_eta_at(),
-            scenario.rep_rate_hz,
-        ),
+        "limit_per_pulse": _detection_limit(scenario),
         "visibility": {"value": vis.visibility, "sigma": vis.visibility_sigma},
-        "timebin_probabilities": [float(p) for p in slot_probabilities(state)],
+        "timebin_probabilities": _slot_probabilities(scenario),
     }
     files.json("report_summary.json", summary)
     return {
@@ -618,8 +587,7 @@ def _emit_success(args, files: _Artifacts, summary: dict) -> None:
 
 
 def _emit_error(args, exc: Exception, exit_code: int) -> None:
-    fmt = getattr(args, "format", "csv") if args is not None else "csv"
-    if fmt == "json":
+    if getattr(args, "format", "csv") == "json":
         error = {"type": type(exc).__name__, "message": str(exc), "exit_code": exit_code}
         print(json.dumps({"error": error}, sort_keys=True))
     else:

@@ -160,14 +160,30 @@ class NoiseModel:
             raise ValidationError(
                 f"reference noise {noise_cps_ref} cps is below the dark floor {dark_cps} cps"
             )
-        n0 = (noise_cps_ref - dark_cps) / math.expm1(growth_per_unit_eta * eta_ref)
+        try:
+            scale = math.expm1(growth_per_unit_eta * eta_ref)
+        except OverflowError:
+            scale = math.inf
+        if scale == 0.0 or math.isinf(scale):
+            raise ValidationError(
+                f"growth_per_unit_eta {growth_per_unit_eta} with eta_ref {eta_ref} gives "
+                f"exp(growth * eta_ref) - 1 = {scale}, which cannot fix n0_cps"
+            )
+        n0 = (noise_cps_ref - dark_cps) / scale
         return cls(dark_cps, n0, growth_per_unit_eta)
 
 
 def noise_cps(model: NoiseModel, internal_eta: float) -> float:
     """Noise rate at the given internal efficiency operating point."""
     _check_fraction("internal_eta", internal_eta)
-    return model.dark_cps + model.n0_cps * math.expm1(model.growth_per_unit_eta * internal_eta)
+    try:
+        growth = math.expm1(model.growth_per_unit_eta * internal_eta)
+    except OverflowError:
+        growth = math.inf
+    noise = model.dark_cps + model.n0_cps * growth
+    if not math.isfinite(noise):
+        raise ValidationError(f"noise rate overflows at internal efficiency {internal_eta}")
+    return noise
 
 
 def detection_limit(

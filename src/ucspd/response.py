@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import ValidationError
 from .waveform import (
@@ -146,6 +145,7 @@ def analytic_response(t_fs, pump_fwhm_fs: float, signal_fwhm_fs: float, crystal:
 
     Accepts a scalar or array of delays and returns the same shape.
     """
+    from scipy.special import erf  # loaded at the first call, not on import
     if not (math.isfinite(pump_fwhm_fs) and pump_fwhm_fs > 0.0):
         raise ValidationError(f"pump FWHM must be positive, got {pump_fwhm_fs}")
     if not (math.isfinite(signal_fwhm_fs) and signal_fwhm_fs > 0.0):

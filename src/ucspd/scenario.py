@@ -439,9 +439,10 @@ def parse_scenario(text: str) -> Scenario:
         limits=_build("experiment.limits", LimitsSection, **experiment["limits"]),
         effective_json=_canonical_json(tree),
     )
-    # fail fast on the composed detector operating point as well
+    # fail fast on the composed detector operating point as well; noise grows
+    # with efficiency, and no pump power takes the efficiency beyond eta_max
     _build("detector", scenario.chain_at)
-    _build("detector", scenario.noise_cps_at)
+    _build("detector.noise", noise_cps, scenario.noise_model, scenario.pump_model.eta_max)
     return scenario
 
 

@@ -32,6 +32,7 @@ __all__ = [
     "fast_fft_len",
     "fwhm",
     "resample",
+    "csv_text",
     "write_csv",
     "read_csv",
 ]
@@ -338,8 +339,18 @@ def resample(w: SampledWaveform, grid: TimeGrid, fill: float = 0.0) -> SampledWa
     return SampledWaveform(grid.t0_fs, grid.dt_fs, vals, w.intensity and fill >= 0.0)
 
 
-def _sig9(x: float) -> str:
-    return format(float(x), ".9g")
+def csv_text(header: str, columns, metadata: dict | None = None) -> str:
+    """CSV text: ``# key=value`` comment lines, the header, one row per sample.
+
+    Integer columns are written as they are and every other column with
+    nine significant digits.  Every CSV artifact of the package is
+    formatted here.
+    """
+    lines = [f"# {key}={value}" for key, value in (metadata or {}).items()] + [header]
+    columns = [np.asarray(c) for c in columns]
+    row = ",".join("{}" if c.dtype.kind in "iu" else "{:.9g}" for c in columns)
+    lines += map(row.format, *(c.tolist() for c in columns))
+    return "\n".join(lines) + "\n"
 
 
 def write_csv(path, w: SampledWaveform, metadata: dict | None = None) -> None:
@@ -350,23 +361,16 @@ def write_csv(path, w: SampledWaveform, metadata: dict | None = None) -> None:
     nine-digit time format would distort beyond the reader's uniformity
     tolerance, so that every written file is guaranteed to read back.
     """
-    times = w.times()
-    formatted = [_sig9(t) for t in times]
-    parsed = np.array([float(s) for s in formatted])
-    diffs = np.diff(parsed)
+    text = csv_text(_CSV_HEADER, (w.times(), w.samples), metadata)
+    rows = text.splitlines()[-w.n:]
+    diffs = np.diff([float(row.partition(",")[0]) for row in rows])
     if np.any(np.abs(diffs - w.dt_fs) > CSV_GRID_RTOL * w.dt_fs):
         raise ValidationError(
             "time grid does not survive nine-significant-digit formatting; "
             "choose a grid with representable sample times"
         )
-    lines = []
-    for key, value in (metadata or {}).items():
-        lines.append(f"# {key}={value}")
-    lines.append(_CSV_HEADER)
-    for ts, v in zip(formatted, w.samples):
-        lines.append(f"{ts},{_sig9(v)}")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)
 
 
 def read_csv(path, intensity: bool = False) -> tuple[SampledWaveform, dict]:

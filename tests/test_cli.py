@@ -284,6 +284,23 @@ class TestExitCodes:
         assert run("limits", "l2_300mw", "--out", str(out), "--quiet") == 0
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("growth, cause", [
+        ("0.0", "cannot fix n0_cps"),
+        ("1.0e+300", "cannot fix n0_cps"),
+        ("7000.0", "noise rate overflows"),
+    ])
+    def test_unusable_noise_growth_is_refused(self, growth, cause, tmp_path, capsys):
+        text = (BUNDLED / "l2_300mw.scenario").read_text(encoding="utf-8")
+        edited = tmp_path / "noisy.scenario"
+        edited.write_text(
+            text.replace("growth_per_unit_eta: 40.0", f"growth_per_unit_eta: {growth}"),
+            encoding="utf-8",
+        )
+        assert run("limits", str(edited), "--out", str(tmp_path / "art")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ucspd: error: detector.noise: ")
+        assert cause in err
+
     def test_json_success_output(self, tmp_path, capsys):
         out = tmp_path / "art"
         assert run("limits", "l2_300mw", "--out", str(out), "--format", "json") == 0
@@ -367,7 +384,7 @@ class TestArtifactWriter:
 IMPORT_PROBE = textwrap.dedent("""
     import json, math, sys
     import ucspd.cli
-    heavy = ("scipy.signal", "scipy.optimize")
+    heavy = ("scipy.signal", "scipy.optimize", "scipy.special")
     loaded = sorted(m for m in sys.modules if m.startswith(heavy))
     import numpy as np
     from ucspd.analysis import erf_gate_model, fit_erf_gate
@@ -383,6 +400,66 @@ IMPORT_PROBE = textwrap.dedent("""
         "gate_width_fs": fit.gate_width_fs,
     }))
 """)
+
+
+# top-level keys of every JSON artifact, plus the keys of its "config" or
+# "settings" block, which are built from the scenario sections and results
+JSON_KEYS = {
+    "resolution.json": {
+        "scenario", "scenario_hash", "L_mm", "tau_g", "label", "gate_width_fs", "fwhm_fs",
+        "pump_fwhm_fs", "pump_power_mw", "eta_internal", "eta_external", "noise_cps",
+    },
+    "scan_manifest.json": {
+        "scenario", "scenario_hash", "seed", "stage_seed", "rng_scheme", "model_versions",
+        "config", "content_sha256", "generated_utc", "config.kind", "config.signal",
+        "config.start_fs", "config.stop_fs", "config.step_fs", "config.dwell_s",
+        "config.noise_cps",
+    },
+    "sweep_manifest.json": {
+        "scenario", "scenario_hash", "seed", "stage_seed", "rng_scheme", "model_versions",
+        "config", "content_sha256", "generated_utc", "config.kind", "config.n_points",
+        "config.dwell_s", "config.counts_scale", "config.include_noise", "config.contrast",
+    },
+    "timebin_probabilities.json": {
+        "scenario", "scenario_hash", "slot_spacing_fs", "phase_rad", "phase_prime_rad",
+        "contrast", "probabilities", "center_bin_expectation",
+    },
+    "limits.json": {
+        "scenario", "scenario_hash", "best_power_mw", "min_limit_per_pulse", "integration_s",
+        "limit_at_scenario_power",
+    },
+    "deconv_report.json": {
+        "scenario", "scenario_hash", "stage_seed", "background_cps", "iterations_run",
+        "converged", "residual", "max_flux_drift", "settings", "settings.algorithm",
+        "settings.iterations", "settings.stop_threshold",
+    },
+    "fitvis_report.json": {
+        "scenario", "scenario_hash", "stage_seed", "n_points", "dwell_s", "offset",
+        "offset_sigma", "amplitude", "amplitude_sigma", "phase0_rad", "phase0_sigma_rad",
+        "visibility", "visibility_sigma", "reduced_chi2", "true_contrast",
+    },
+    "report_summary.json": {
+        "scenario", "scenario_hash", "seed", "model_versions", "fwhm_fs", "gate_width_fs",
+        "gate_fit", "eta_internal", "eta_external", "noise_cps", "limit_per_pulse",
+        "visibility", "timebin_probabilities",
+    },
+}
+
+
+class TestJsonKeys:
+    @pytest.mark.parametrize("name", ["l1_300mw", "l2_300mw"])
+    def test_json_artifact_keys_are_pinned(self, name, tmp_path):
+        out = tmp_path / "art"
+        for sub in SUBCOMMANDS:
+            assert run(sub, name, "--out", str(out), "--quiet") == 0
+        assert {p.name for p in out.glob("*.json")} == set(JSON_KEYS)
+        for file, expected in JSON_KEYS.items():
+            payload = json.loads((out / file).read_text(encoding="utf-8"))
+            keys = set(payload) | {
+                f"{block}.{key}" for block in ("config", "settings") if block in payload
+                for key in payload[block]
+            }
+            assert keys == expected, file
 
 
 class TestImportCost:

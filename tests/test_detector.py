@@ -136,6 +136,17 @@ class TestNoiseModel:
         with pytest.raises(ValidationError):
             NoiseModel.from_calibration(100.0, 40.0, 0.1, 50.0)
 
+    @pytest.mark.parametrize("growth", [0.0, 1e300])
+    def test_calibration_without_a_finite_rising_curve_rejected(self, growth):
+        with pytest.raises(ValidationError, match="cannot fix n0_cps"):
+            NoiseModel.from_calibration(100.0, growth, 0.1, 800.0)
+
+    def test_overflowing_noise_rate_rejected(self):
+        model = NoiseModel.from_calibration(100.0, 7000.0, 0.1, 800.0)
+        assert noise_cps(model, 0.1) == pytest.approx(800.0, rel=1e-12)
+        with pytest.raises(ValidationError, match="overflows"):
+            noise_cps(model, 0.2)
+
 
 class TestDetectionLimit:
     @pytest.mark.parametrize("length", [1.0, 2.0, 3.0])

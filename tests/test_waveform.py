@@ -15,6 +15,7 @@ from ucspd.waveform import (
     SampledWaveform,
     TimeGrid,
     convolve,
+    csv_text,
     fast_fft_len,
     fwhm,
     gaussian_waveform,
@@ -375,3 +376,51 @@ class TestCsv:
         write_csv(path, w)
         text = path.read_text()
         assert "0.123456789" in text
+
+
+def _per_cell_rows(columns):
+    """Rows as tables were formatted cell by cell before ``csv_text``."""
+    return [
+        ",".join(str(c) if isinstance(c, (int, np.integer)) else f"{float(c):.9g}" for c in row)
+        for row in zip(*columns)
+    ]
+
+
+_EDGE_FLOATS = [-0.0, math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-300, -1e-300]
+_FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=True))
+_INTS = st.integers(-(2 ** 63), 2 ** 63 - 1)
+
+
+@st.composite
+def _columns(draw):
+    n = draw(st.integers(0, 20))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["int", "float", "list"]), min_size=1, max_size=4)):
+        if kind == "int":
+            columns.append(np.array(draw(st.lists(_INTS, min_size=n, max_size=n)), dtype=np.int64))
+        else:
+            values = draw(st.lists(_FLOATS, min_size=n, max_size=n))
+            columns.append(values if kind == "list" else np.array(values, dtype=np.float64))
+    return columns
+
+
+class TestCsvText:
+    @settings(max_examples=200, deadline=None)
+    @given(columns=_columns())
+    def test_rows_match_per_cell_formatting(self, columns):
+        text = csv_text("h", columns, {"kind": "table", "n": 3})
+        assert text.endswith("\n")
+        assert text.splitlines() == ["# kind=table", "# n=3", "h", *_per_cell_rows(columns)]
+
+    def test_write_csv_uses_the_same_rows(self, tmp_path):
+        w = SampledWaveform(-2.5, 0.5, [0.0, 1.0 / 3.0, 2e-300, 7.0])
+        write_csv(tmp_path / "w.csv", w, {"kind": "x"})
+        expected = csv_text("t_fs,value", (w.times(), w.samples), {"kind": "x"})
+        assert (tmp_path / "w.csv").read_text(encoding="utf-8") == expected
+        assert expected.splitlines()[2:] == _per_cell_rows((w.times(), w.samples))
+
+    def test_time_grid_that_does_not_survive_nine_digits_is_refused(self, tmp_path):
+        w = SampledWaveform(1e9, 1e-3, [1.0, 2.0, 3.0])
+        with pytest.raises(ValidationError, match="nine-significant-digit"):
+            write_csv(tmp_path / "w.csv", w)
+        assert not (tmp_path / "w.csv").exists()
