@@ -49,7 +49,9 @@ from .timebin import (
     slot_probabilities,
     synthesize_waveform,
 )
-from .waveform import SampledWaveform, TimeGrid, csv_text, fwhm, gaussian_waveform, write_csv
+from .waveform import (
+    SampledWaveform, TimeGrid, csv_text, fwhm, gaussian_waveform, resample, write_csv,
+)
 
 __all__ = ["main"]
 
@@ -210,14 +212,23 @@ class _Artifacts:
 # shared model construction
 
 
-def _resolution_kernel(scenario: Scenario, dt_fs: float) -> SampledWaveform:
-    half = 0.5 * scenario.crystal.gate_width_fs + 3.0 * scenario.pump_fwhm_fs + dt_fs
-    grid = TimeGrid.symmetric(half, dt_fs)
-    return resolution_function(scenario.pump_pulse, scenario.crystal, grid)
+def _resolution_kernel(scenario: Scenario, step_fs: float | None = None) -> SampledWaveform:
+    """The resolution function on the model grid, optionally sampled at ``step_fs``.
+
+    It is always built at ``scenario.dt_fs``, the grid the simulator uses:
+    rebuilt on a coarser grid, the rectangular gate would be rounded to
+    whole steps and the function would come out too wide.
+    """
+    dt = scenario.dt_fs
+    half = 0.5 * scenario.crystal.gate_width_fs + 3.0 * scenario.pump_fwhm_fs + dt
+    kernel = resolution_function(
+        scenario.pump_pulse, scenario.crystal, TimeGrid.symmetric(half, dt)
+    )
+    return kernel if step_fs is None else resample(kernel, TimeGrid.symmetric(half, step_fs))
 
 
 def _kernel_and_fwhm(scenario: Scenario) -> tuple[SampledWaveform, float]:
-    kernel = _resolution_kernel(scenario, scenario.dt_fs)
+    kernel = _resolution_kernel(scenario)
     return kernel, fwhm(kernel)
 
 
@@ -270,7 +281,7 @@ def _scan_coordinates(scenario: Scenario) -> np.ndarray:
 
 def _run_delay_scan(scenario: Scenario, stage: int):
     dt = scenario.dt_fs
-    kernel = _resolution_kernel(scenario, dt)
+    kernel = _resolution_kernel(scenario)
     signal = _scan_signal(scenario, dt)
     rate = delay_rate_function(
         signal,
@@ -390,7 +401,7 @@ def _cmd_timebin(scenario: Scenario, files: _Artifacts) -> dict:
         ),
     })
     signal = _timebin_waveform(scenario, scenario.dt_fs)
-    measured = predict_measured(signal, _resolution_kernel(scenario, scenario.dt_fs))
+    measured = predict_measured(signal, _resolution_kernel(scenario))
     files.waveform("timebin_state.csv", signal, kind="timebin_state")
     files.waveform("timebin_measured.csv", measured, kind="timebin_measured")
     files.plot(
@@ -439,18 +450,21 @@ def _cmd_deconv(scenario: Scenario, files: _Artifacts) -> dict:
     result = _run_delay_scan(scenario, _STAGE_DECONV)
     step = scenario.scan.step_fs
     _write_delay_scan(files, "deconv_scan.csv", scenario, result)
-    # subtract the known flat background before the nonnegative inversion
-    background = noise * scenario.scan.dwell_s
-    samples = np.maximum(result.counts.astype(np.float64) - background, 0.0)
-    measured = SampledWaveform(float(result.coordinates[0]), step, samples)
-    kernel = _resolution_kernel(scenario, step)
-    deconv = deconvolve(measured, kernel)
+    # raw counts, with the known flat background in the forward model
+    measured = SampledWaveform(
+        float(result.coordinates[0]), step, result.counts.astype(np.float64)
+    )
+    deconv = deconvolve(
+        measured, _resolution_kernel(scenario, step),
+        background=noise * scenario.scan.dwell_s,
+    )
     files.waveform("deconv_recovered.csv", deconv.estimate, kind="deconv_recovered")
     files.json("deconv_report.json", {
         "stage_seed": result.config.seed,
         "background_cps": noise,
         "iterations_run": deconv.iterations_run,
-        "converged": deconv.converged,
+        "stop_reason": deconv.stop_reason,
+        "deviance_per_point": deconv.deviance_per_point,
         "residual": deconv.residual,
         "max_flux_drift": deconv.max_flux_drift,
         "settings": {"algorithm": "richardson-lucy", **asdict(deconv.settings)},

@@ -31,7 +31,8 @@ def _finite_range(values) -> tuple[float, float]:
         return 0.0, 1.0
     lo, hi = float(arr.min()), float(arr.max())
     if lo == hi:
-        pad = 1.0 if lo == 0.0 else abs(lo) * 0.1
+        # a unit pad where a tenth of the value is zero or underflows to it
+        pad = abs(lo) * 0.1 or 1.0
         return lo - pad, hi + pad
     return lo, hi
 
@@ -64,10 +65,13 @@ def line_plot(
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
-    def px(x: float) -> float:
+    # px and py map single ticks and whole series alike: float64 array
+    # arithmetic rounds as Python float arithmetic does, so the vertices
+    # match the per-vertex expression byte for byte
+    def px(x):
         return _MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
 
-    def py(y: float) -> float:
+    def py(y):
         return _MARGIN_TOP + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
 
     lines = [
@@ -126,10 +130,9 @@ def line_plot(
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         keep = np.isfinite(x) & np.isfinite(y)
-        pts = " ".join(
-            f"{px(float(xi)):.2f},{py(float(yi)):.2f}"
-            for xi, yi in zip(x[keep], y[keep])
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            vertices = px(x[keep]).tolist(), py(y[keep]).tolist()
+        pts = " ".join(map("{:.2f},{:.2f}".format, *vertices))
         lines.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

@@ -1,9 +1,12 @@
 """Deconvolution and fitting: recover pulse shapes and fringe visibility."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
 from ucspd import analysis
@@ -17,7 +20,7 @@ from ucspd.analysis import (
     fit_erf_gate,
     fit_sine,
 )
-from ucspd.errors import FitConvergenceError, GridMismatchError, ValidationError
+from ucspd.errors import FitConvergenceError, GridMismatchError, NumericalError, ValidationError
 from ucspd.response import CrystalSpec, resolution_function
 from ucspd.simulate import (
     ScanConfig,
@@ -154,6 +157,20 @@ class TestDeconvolveThreePulse:
         result = deconvolve(measured, kernel)
         assert result.max_flux_drift < 1e-6
 
+    def test_known_zero_background_stops_at_the_noise_level(self):
+        measured, kernel = self.seeded_three_pulse()
+        result = deconvolve(measured, kernel, background=0.0)
+        assert result.stop_reason == "discrepancy" and result.converged
+        assert result.iterations_run <= 100
+        assert result.deviance_per_point <= 1.0 + 2.0 * math.sqrt(2.0 / measured.n)
+        est = result.estimate
+        idx, _ = find_peaks(est.samples, prominence=0.05 * est.peak_value)
+        assert idx.size == 3
+        assert np.all(np.abs(np.diff(est.times()[idx]) - 800.0) <= 40.0)
+        heights = est.samples[idx]
+        for side in (heights[0], heights[2]):
+            assert heights[1] / side == pytest.approx(4.0, rel=0.10)
+
 
 # FFT_THRESHOLD values that force the direct and the FFT operator path
 PATHS = {"direct": 10 ** 9, "fft": 0}
@@ -191,6 +208,62 @@ class TestDeconvolvePaths:
             assert result.max_flux_drift <= 1e-12
 
 
+@st.composite
+def _poisson_problem(draw):
+    """Random kernel, length and background, with counts drawn from the model."""
+    m = draw(st.integers(2, 25))
+    n = draw(st.integers(2, 120))
+    kernel = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=m, max_size=m)))
+    scale = draw(st.floats(1.0, 1e4))
+    background = draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0))) * scale
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    forward, _ = analysis._rl_operators(kernel / kernel.sum(), n)
+    counts = rng.poisson(forward(scale * rng.random(n)) + background).astype(np.float64)
+    assume(counts.sum() > n * background)
+    return SampledWaveform(0.0, 1.0, counts), SampledWaveform(0.0, 1.0, kernel), background
+
+
+class TestDeconvolveWithBackground:
+    @settings(max_examples=40, deadline=None)
+    @given(problem=_poisson_problem())
+    def test_em_identity_and_stop_agree_on_both_paths(self, problem):
+        measured, kernel, background = problem
+        results = {}
+        for path, threshold in PATHS.items():
+            with mock.patch.object(analysis, "FFT_THRESHOLD", threshold):
+                results[path] = deconvolve(measured, kernel, background=background)
+        noise_level = 1.0 + 2.0 * math.sqrt(2.0 / measured.n)
+        for result in results.values():
+            assert result.max_flux_drift <= 1e-12
+            assert np.all(result.estimate.samples >= 0.0)
+            if result.stop_reason == "discrepancy":
+                assert result.deviance_per_point <= noise_level
+            else:
+                assert result.stop_reason == "cap"
+                assert result.iterations_run == result.settings.iterations
+        direct, fft = results["direct"], results["fft"]
+        assert (direct.stop_reason, direct.iterations_run) == (fft.stop_reason, fft.iterations_run)
+
+    def test_start_holds_the_counts_above_the_background(self):
+        # flat counts at twice the background: the flat start already fits
+        kernel = SampledWaveform(0.0, 1.0, np.ones(5))
+        measured = SampledWaveform(0.0, 1.0, np.full(40, 200.0))
+        result = deconvolve(measured, kernel, background=100.0)
+        assert (result.stop_reason, result.iterations_run) == ("discrepancy", 0)
+        assert result.estimate.area == pytest.approx(40 * 100.0 / 5.0, rel=1e-12)
+
+    @pytest.mark.parametrize("background", [-1.0, math.nan, math.inf])
+    def test_unusable_background_rejected(self, background):
+        measured = SampledWaveform(0.0, 1.0, np.ones(16))
+        with pytest.raises(ValidationError, match="background"):
+            deconvolve(measured, SampledWaveform(0.0, 1.0, np.ones(3)), background=background)
+
+    def test_counts_not_above_the_background_are_a_numerical_error(self):
+        measured = SampledWaveform(0.0, 1.0, np.full(16, 3.0))
+        with pytest.raises(NumericalError, match=r"total 48, not above the background total 48"):
+            deconvolve(measured, SampledWaveform(0.0, 1.0, np.ones(3)), background=3.0)
+
+
 class TestDeconvolveValidation:
     def test_grid_step_must_match(self):
         a = SampledWaveform(0.0, 1.0, np.ones(32))
@@ -224,7 +297,7 @@ class TestDeconvolveValidation:
         dict(iterations=2.5),
         dict(iterations=0),
         dict(iterations=-3),
-        dict(stop_threshold=-1e-6),
+        dict(iterations=True),
     ])
     def test_settings_validation(self, kwargs):
         with pytest.raises(ValidationError):
