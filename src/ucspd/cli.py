@@ -477,7 +477,12 @@ def _cmd_deconv(scenario: Scenario, files: _Artifacts) -> dict:
         ],
         "deconvolution of the delay scan", "t (fs)", "normalized intensity",
     )
-    return {"iterations_run": deconv.iterations_run, "residual": deconv.residual}
+    return {
+        "iterations_run": deconv.iterations_run,
+        "stop_reason": deconv.stop_reason,
+        "deviance_per_point": deconv.deviance_per_point,
+        "residual": deconv.residual,
+    }
 
 
 def _cmd_fitvis(scenario: Scenario, files: _Artifacts) -> dict:

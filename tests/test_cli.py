@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from scipy.signal import find_peaks
 
 import ucspd
@@ -223,6 +224,20 @@ class TestDeconv:
         n = read_table(out / "deconv_scan.csv")[2].shape[0]
         assert report["deviance_per_point"] <= 1.0 + 2.0 * np.sqrt(2.0 / n)
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_summary_names_the_stop(self, fmt, tmp_path, capsys):
+        out = tmp_path / "art"
+        assert run("deconv", "l2_300mw", "--out", str(out), "--format", fmt) == 0
+        stdout = capsys.readouterr().out
+        if fmt == "json":
+            summary = json.loads(stdout)["summary"]
+        else:
+            lines = dict(line.split(",", 1) for line in stdout.splitlines())
+            summary = {key: lines[key] for key in ("stop_reason", "deviance_per_point")}
+        report = json.loads((out / "deconv_report.json").read_text())
+        assert summary["stop_reason"] == report["stop_reason"] == "discrepancy"
+        assert float(summary["deviance_per_point"]) == report["deviance_per_point"]
+
     def test_scan_without_counts_above_the_background_exits_2(self, tmp_path, capsys):
         text = (BUNDLED / "l2_300mw.scenario").read_text(encoding="utf-8")
         dark = tmp_path / "dark.scenario"
@@ -309,6 +324,31 @@ class TestExitCodes:
         code = run("report", str(dark), "--out", str(out))
         assert code == 2
         assert "gate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sub, path, value", [
+        ("scan", ("source", "mean_photons_per_pulse"), 1.0e20),
+        ("scan", ("experiment", "scan", "dwell_s"), 1.0e15),
+        ("sweep", ("experiment", "sweep", "counts_scale"), 1.0e20),
+    ], ids=["scan-mean_photons", "scan-dwell", "sweep-counts_scale"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_mean_above_the_poisson_limit_exits_2(self, sub, path, value, fmt, tmp_path, capsys):
+        doc = yaml.safe_load((BUNDLED / "l2_300mw.scenario").read_text(encoding="utf-8"))
+        section = doc
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+        edited = tmp_path / "huge.scenario"
+        edited.write_text(yaml.safe_dump(doc, sort_keys=False), encoding="utf-8")
+        assert run(sub, str(edited), "--out", str(tmp_path / "art"), "--format", fmt) == 2
+        captured = capsys.readouterr()
+        if fmt == "json":
+            error = json.loads(captured.out)["error"]
+            assert (error["type"], error["exit_code"]) == ("NumericalError", 2)
+            message = error["message"]
+        else:
+            message = captured.err
+        assert "Poisson mean" in message and "at coordinate" in message
+        assert "the largest the count sampler accepts" in message
 
     def test_json_error_output(self, tmp_path, capsys):
         text = (BUNDLED / "l1_300mw.scenario").read_text(encoding="utf-8")

@@ -187,26 +187,83 @@ class TestRunScan:
         assert 0.95 <= ratio <= 1.05
 
 
+# means from every branch of numpy's sampler: 0, the multiplication method
+# below 10 (from the smallest subnormal up to the double just below 10), PTRS
+# from exactly 10, where its slow test and random_loggam's x < 7 loop fire
+# most, up to 1e12
+SAMPLER_MEANS = st.one_of(
+    st.sampled_from([0.0, 5e-324, 10.0, math.nextafter(10.0, 0.0)]),
+    st.floats(0.0, 10.0, exclude_max=True),
+    st.floats(10.0, 30.0),
+    st.floats(30.0, 1e12),
+)
+
+
+def per_point_counts(seed, means):
+    return [point_stream(seed, i).poisson(m) for i, m in enumerate(means)]
+
+
 class TestBulkSeeding:
     """Counts equal numpy's own per-point streams, ``SeedSequence(seed, (i,))``."""
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2 ** 64 - 1),
-        means=st.lists(
-            st.one_of(st.just(0.0), st.floats(0.0, 20.0), st.floats(0.0, 1e7)),
-            min_size=1, max_size=200,
-        ),
+        means=st.lists(SAMPLER_MEANS, min_size=1, max_size=200),
+        # and one point near 1e18, where k * log(lam) and random_loggam are large
+        huge=st.floats(9e17, 1.1e18),
+        at=st.integers(0, 200),
     )
-    @example(seed=0, means=[0.0, 3.5, 1000.0])
-    @example(seed=2 ** 32 - 1, means=[9.99, 10.0, 5e6])
-    @example(seed=2 ** 32, means=[1.0] * 200)
-    @example(seed=2 ** 64 - 1, means=[0.5, 0.0, 250.0])
-    def test_counts_match_per_point_generators(self, seed, means):
+    @example(seed=0, means=[0.0, 3.5, 1000.0], huge=1e18, at=3)
+    @example(seed=2 ** 32 - 1, means=[9.99, 10.0, 5e6], huge=1e18, at=0)
+    @example(seed=2 ** 32, means=[1.0] * 200, huge=1e18, at=100)
+    @example(seed=2 ** 64 - 1, means=[0.5, 0.0, 250.0], huge=1e18, at=1)
+    def test_counts_match_per_point_generators(self, seed, means, huge, at):
+        means = means[:at] + [huge] + means[at:]
         cfg = ScanConfig(np.arange(len(means), dtype=np.float64), kind="phase", seed=seed)
         out = run_scan(cfg, lambda _: np.array(means))
-        reference = [point_stream(seed, i).poisson(m) for i, m in enumerate(means)]
+        assert out.counts.tolist() == per_point_counts(seed, means)
+
+    def test_many_means_where_the_slow_test_decides(self):
+        # PTRS's slow test and random_loggam's small-argument loop run most
+        # often just above 10
+        means = np.random.default_rng(8).uniform(10.0, 12.0, 20000)
+        cfg = ScanConfig(np.arange(means.size, dtype=np.float64), kind="phase", seed=2024)
+        out = run_scan(cfg, lambda _: means)
+        assert out.counts.tolist() == per_point_counts(cfg.seed, means)
+
+    def test_logs_and_exps_come_from_libm(self, monkeypatch):
+        means = np.concatenate([np.linspace(0.0, 9.9, 100), np.linspace(10.0, 1e6, 100)])
+        cfg = ScanConfig(np.arange(means.size, dtype=np.float64), kind="phase", seed=5)
+        reference = per_point_counts(cfg.seed, means)
+        math_exp, exps = math.exp, []
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("numpy's log and exp may differ from libm in the last bit")
+
+        def spy_exp(x):
+            exps.append(x)
+            return math_exp(x)
+
+        monkeypatch.setattr(np, "log", forbidden)
+        monkeypatch.setattr(np, "exp", forbidden)
+        monkeypatch.setattr(math, "exp", spy_exp)
+        out = run_scan(cfg, lambda _: means)
         assert out.counts.tolist() == reference
+        # the multiplication method's exp(-lam), once per point with 0 < lam < 10
+        assert sorted(exps) == sorted((-means[(means > 0.0) & (means < 10.0)]).tolist())
+
+    def test_mean_at_numpys_limit_is_drawn_and_above_it_refused(self):
+        limit = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
+        cfg = ScanConfig(np.array([0.0, 1.0]), kind="phase", seed=3)
+        means = [float(limit), 1e18]
+        out = run_scan(cfg, lambda _: np.array(means))
+        assert out.counts.tolist() == per_point_counts(cfg.seed, means)
+        above = [1e18, math.nextafter(float(limit), math.inf)]
+        with pytest.raises(NumericalError, match=r"Poisson mean .* at coordinate 1 is above"):
+            run_scan(cfg, lambda _: np.array(above))
+        with pytest.raises(NumericalError, match="at coordinate 0 is above"):
+            run_scan(ScanConfig(np.array([0.0]), dwell_s=1e15), lambda _: 1e300)
 
 
 class TestPhaseSweep:
