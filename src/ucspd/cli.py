@@ -467,7 +467,7 @@ def _cmd_deconv(scenario: Scenario, files: _Artifacts) -> dict:
         "deviance_per_point": deconv.deviance_per_point,
         "residual": deconv.residual,
         "max_flux_drift": deconv.max_flux_drift,
-        "settings": {"algorithm": "richardson-lucy", **asdict(deconv.settings)},
+        "settings": {"algorithm": "richardson-lucy-biggs-andrews", **asdict(deconv.settings)},
     })
     files.plot(
         "deconv.svg",

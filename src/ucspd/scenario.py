@@ -27,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from dataclasses import dataclass, replace
 
 import yaml
@@ -59,8 +60,28 @@ _HASH_LENGTH = 12
 # sentinel distinct from None so explicit nulls are caught as type errors
 _REQUIRED = object()
 
+
+def _loader(base):
+    """``base`` that also reads YAML 1.2 exponent floats such as ``1e20``.
+
+    PyYAML follows YAML 1.1, whose floats need a dot in the mantissa and a
+    sign in the exponent, so ``1e20`` and ``1.0e20`` would load as strings.
+    The added resolver is tried after the YAML 1.1 ones and only matches
+    plain scalars that were strings before.
+    """
+    class Loader(base):
+        pass
+
+    Loader.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+        list("-+0123456789."),
+    )
+    return Loader
+
+
 # libyaml's loader when PyYAML was built with it: same documents, several times faster
-_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_LOADER = _loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
 
 
 def _real(value, path):

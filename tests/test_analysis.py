@@ -264,6 +264,91 @@ class TestDeconvolveWithBackground:
             deconvolve(measured, SampledWaveform(0.0, 1.0, np.ones(3)), background=3.0)
 
 
+def plain_em(measured, kernel, iterations):
+    """Unaccelerated Richardson-Lucy on exact data, as the module documents it."""
+    d = measured.samples
+    k_sum = kernel.samples.sum()
+    forward, adjoint = analysis._rl_operators(kernel.samples / k_sum, d.size)
+    u = np.full(d.size, d.sum() / d.size)
+    for _ in range(iterations):
+        u = u * adjoint(d / np.maximum(forward(u), 1e-12 * d.sum()))
+    return np.maximum(u / (k_sum * measured.dt_fs), 0.0)
+
+
+def traced_deconvolve(measured, kernel, background):
+    """Run ``deconvolve`` and record the points the blur is evaluated at.
+
+    Returns the result, the points ``y_k`` handed to the forward operator and
+    the plain EM value ``y_k * K^T(d / (K y_k + b))`` computed from each.
+    """
+    points, em_values = [], []
+    real_operators = analysis._rl_operators
+
+    def operators(kn, n):
+        forward, adjoint = real_operators(kn, n)
+
+        def traced_forward(y):
+            points.append(y.copy())
+            return forward(y)
+
+        def traced_adjoint(r):
+            out = adjoint(r)
+            em_values.append(points[-1] * out)
+            return out
+
+        return traced_forward, traced_adjoint
+
+    with mock.patch.object(analysis, "_rl_operators", operators):
+        result = deconvolve(measured, kernel, background=background)
+    return result, points, em_values
+
+
+class TestAcceleratedPath:
+    """Biggs-Andrews extrapolation on counts; exact data stays plain EM."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(problem=_poisson_problem())
+    def test_reported_deviance_is_that_of_the_returned_estimate(self, problem):
+        measured, kernel, background = problem
+        result = deconvolve(measured, kernel, background=background)
+        d, k = measured.samples, kernel.samples
+        u = result.estimate.samples * k.sum() * measured.dt_fs
+        m = k.size
+        mu = np.convolve(u, k / k.sum())[m // 2:m // 2 + d.size] + background
+        mu = np.maximum(mu, 1e-12 * d.sum())
+        terms = np.where(d > 0.0, d * np.log(np.where(d > 0.0, d, 1.0) / mu), 0.0) - (d - mu)
+        assert 2.0 * terms.sum() / d.size == pytest.approx(result.deviance_per_point, abs=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(problem=_poisson_problem())
+    def test_extrapolation_never_zeroes_a_positive_em_sample(self, problem):
+        measured, kernel, background = problem
+        _, points, em_values = traced_deconvolve(measured, kernel, background)
+        for em, following in zip(em_values, points[1:]):
+            assert np.all(following[em > 0.0] > 0.0)
+
+    def test_extrapolation_moves_ahead_of_em_on_counts(self):
+        measured, kernel = TestDeconvolveThreePulse().seeded_three_pulse()
+        result, points, em_values = traced_deconvolve(measured, kernel, 0.0)
+        assert result.stop_reason == "discrepancy"
+        ahead = [not np.array_equal(y, em) for em, y in zip(em_values, points[1:])]
+        assert ahead[0] is False and any(ahead)
+        for em, following in zip(em_values, points[1:]):
+            assert np.all(following[em > 0.0] > 0.0)
+
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    def test_exact_data_is_plain_em_bit_for_bit(self, monkeypatch, path):
+        monkeypatch.setattr(analysis, "FFT_THRESHOLD", PATHS[path])
+        kernel = reference_kernel()
+        grid = TimeGrid.symmetric(600.0, 1.0)
+        truth = gaussian_waveform(PulseSpec(SIGNAL_FWHM, center_fs=-90.0), grid)
+        measured = convolve(truth, kernel)
+        result = deconvolve(measured, kernel, DeconvolutionSettings(iterations=60))
+        assert (result.stop_reason, result.iterations_run) == ("cap", 60)
+        reference = plain_em(measured, kernel, 60)
+        assert result.estimate.samples.tobytes() == reference.tobytes()
+
+
 class TestDeconvolveValidation:
     def test_grid_step_must_match(self):
         a = SampledWaveform(0.0, 1.0, np.ones(32))

@@ -184,7 +184,7 @@ class TestDeconv:
         assert heights[1] / heights[2] == pytest.approx(4.0, rel=0.15)
         report = json.loads((out / "deconv_report.json").read_text())
         assert report["max_flux_drift"] < 1e-6
-        assert report["settings"]["algorithm"] == "richardson-lucy"
+        assert report["settings"]["algorithm"] == "richardson-lucy-biggs-andrews"
 
     def test_deconv_scan_uses_its_own_stage_seed(self, tmp_path):
         out = tmp_path / "art"
@@ -223,6 +223,23 @@ class TestDeconv:
         assert report["iterations_run"] < report["settings"]["iterations"]
         n = read_table(out / "deconv_scan.csv")[2].shape[0]
         assert report["deviance_per_point"] <= 1.0 + 2.0 * np.sqrt(2.0 / n)
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_dense_l2_scan_stops_inside_the_cap(self, seed, tmp_path):
+        # 6001 points at 1 fs: plain EM needed 562-1002 iterations here
+        doc = yaml.safe_load((BUNDLED / "l2_300mw.scenario").read_text(encoding="utf-8"))
+        doc["seed"] = seed
+        doc["experiment"]["scan"].update({"start_fs": -3000.0, "stop_fs": 3000.0, "step_fs": 1.0})
+        dense = tmp_path / "l2_dense.scenario"
+        dense.write_text(yaml.safe_dump(doc, sort_keys=False), encoding="utf-8")
+        out = tmp_path / "art"
+        assert run("deconv", str(dense), "--out", str(out), "--quiet") == 0
+        report = json.loads((out / "deconv_report.json").read_text())
+        assert report["stop_reason"] == "discrepancy"
+        assert report["iterations_run"] < 500
+        recovered, _ = read_csv(out / "deconv_recovered.csv", intensity=True)
+        assert recovered.n == 6001
+        assert abs(fwhm(recovered) - 240.0) <= 10.0
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_summary_names_the_stop(self, fmt, tmp_path, capsys):

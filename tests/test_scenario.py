@@ -136,19 +136,45 @@ class TestHash:
         assert parse_scenario(bundled_text(name)).scenario_hash == digest
 
 
+# the loader the module picks (libyaml's when PyYAML was built with it) and
+# the pure-Python one, configured the same way
+LOADERS = {
+    "module": scenario_module._LOADER,
+    "pure": scenario_module._loader(yaml.SafeLoader),
+}
+
+
 class TestLoader:
     """Both PyYAML loaders read the same documents (libyaml is used when built)."""
 
     @pytest.mark.parametrize("name", NAMES)
     def test_pure_python_loader_gives_the_same_tree(self, name, monkeypatch):
         expected = parse_scenario(bundled_text(name)).effective_json
-        monkeypatch.setattr(scenario_module, "_LOADER", yaml.SafeLoader)
+        monkeypatch.setattr(scenario_module, "_LOADER", LOADERS["pure"])
         assert parse_scenario(bundled_text(name)).effective_json == expected
 
     def test_pure_python_loader_reports_bad_yaml(self, monkeypatch):
-        monkeypatch.setattr(scenario_module, "_LOADER", yaml.SafeLoader)
+        monkeypatch.setattr(scenario_module, "_LOADER", LOADERS["pure"])
         with pytest.raises(ScenarioError, match="YAML"):
             parse_scenario("{unbalanced")
+
+    @pytest.mark.parametrize("loader", sorted(LOADERS))
+    @pytest.mark.parametrize("text,value", [
+        ("1e20", 1e20), ("1.0e20", 1e20), ("1.0e+20", 1e20), ("2E-1", 0.2), (".5e1", 5.0),
+    ])
+    def test_exponent_floats_are_numbers(self, loader, text, value, monkeypatch):
+        # YAML 1.1 reads the first two as strings; YAML 1.2 and users read numbers
+        monkeypatch.setattr(scenario_module, "_LOADER", LOADERS[loader])
+        edited = bundled_text().replace(
+            "mean_photons_per_pulse: 0.1", f"mean_photons_per_pulse: {text}"
+        )
+        assert edited != bundled_text()
+        assert parse_scenario(edited).mean_photons_per_pulse == value
+
+    @pytest.mark.parametrize("loader", sorted(LOADERS))
+    def test_words_that_look_like_exponents_stay_strings(self, loader):
+        doc = yaml.load("[1e, e5, 1e2.5, 0x10, 1_000, 1.5]", Loader=LOADERS[loader])
+        assert doc == ["1e", "e5", "1e2.5", 16, 1000, 1.5]
 
 
 def _shuffled(node, data):
