@@ -35,7 +35,7 @@ from . import __version__
 from .analysis import deconvolve, fit_erf_gate, fit_sine
 from .detector import detection_limit
 from .errors import NumericalError, ScenarioError, UcspdError
-from .response import predict_measured, resolution_function
+from .response import resolution_function
 from .scenario import Scenario, load_scenario, scenario_with_seed
 from .simulate import (
     RNG_SCHEME, ScanConfig, delay_rate_function, derive_stage_seed, run_phase_sweep, run_scan,
@@ -50,7 +50,8 @@ from .timebin import (
     synthesize_waveform,
 )
 from .waveform import (
-    SampledWaveform, TimeGrid, csv_text, fwhm, gaussian_waveform, resample, write_csv,
+    SampledWaveform, TimeGrid, check_sample_count, convolve, csv_text, fwhm, gaussian_waveform,
+    resample, write_csv,
 )
 
 __all__ = ["main"]
@@ -253,8 +254,9 @@ def _timebin_waveform(scenario: Scenario, dt_fs: float) -> SampledWaveform:
     spacing = scenario.timebin.slot_spacing_fs
     n_slots = state.amplitudes.size
     margin = 3.0 * scenario.signal_fwhm_fs + dt_fs
-    n = int(np.ceil(((n_slots - 1) * spacing + 2.0 * margin) / dt_fs)) + 1
-    grid = TimeGrid(-margin, dt_fs, n)
+    steps = np.ceil(((n_slots - 1) * spacing + 2.0 * margin) / dt_fs)
+    check_sample_count(steps + 1.0, f"a time grid at {dt_fs!r} fs spacing")
+    grid = TimeGrid(-margin, dt_fs, int(steps) + 1)
     synthesized = synthesize_waveform(state, scenario.signal_fwhm_fs, grid)
     # center the pulse train on zero delay
     return synthesized.shifted(-0.5 * (n_slots - 1) * spacing)
@@ -294,8 +296,6 @@ def _run_delay_scan(scenario: Scenario, stage: int):
     config = ScanConfig(
         coordinates=_scan_coordinates(scenario),
         dwell_s=scenario.scan.dwell_s,
-        mean_photons_per_pulse=scenario.mean_photons_per_pulse,
-        rep_rate_hz=scenario.rep_rate_hz,
         seed=derive_stage_seed(scenario.seed, stage),
         kind="delay",
     )
@@ -401,7 +401,7 @@ def _cmd_timebin(scenario: Scenario, files: _Artifacts) -> dict:
         ),
     })
     signal = _timebin_waveform(scenario, scenario.dt_fs)
-    measured = predict_measured(signal, _resolution_kernel(scenario))
+    measured = convolve(signal, _resolution_kernel(scenario))
     files.waveform("timebin_state.csv", signal, kind="timebin_state")
     files.waveform("timebin_measured.csv", measured, kind="timebin_measured")
     files.plot(

@@ -31,10 +31,6 @@ __all__ = [
     "detection_limit",
 ]
 
-#: Largest relative deviation a calibration point may have from its model.
-CALIBRATION_RTOL = 0.05
-
-
 def _check_fraction(name: str, value: float) -> None:
     if not (math.isfinite(value) and 0.0 <= value <= 1.0):
         raise ValidationError(f"{name} must be a fraction in [0, 1], got {value}")
@@ -77,29 +73,16 @@ class PumpEfficiencyModel:
 
     ``eta(P) = eta_max * (1 - exp(-P / p_sat_mw))``: linear at low power,
     flattening once the pump depletes the available conversion bandwidth.
-    Optional ``calibration`` points ``(power_mw, eta)`` are checked against
-    the curve at construction and rejected beyond 5 % relative.
     """
 
     eta_max: float
     p_sat_mw: float
-    calibration: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.eta_max) and 0.0 < self.eta_max <= 1.0):
             raise ValidationError(f"eta_max must be in (0, 1], got {self.eta_max}")
         if not (math.isfinite(self.p_sat_mw) and self.p_sat_mw > 0.0):
             raise ValidationError(f"saturation power must be positive, got {self.p_sat_mw}")
-        for power, eta in self.calibration:
-            if power < 0.0:
-                raise ValidationError(f"calibration power must be >= 0, got {power}")
-            _check_fraction("calibration efficiency", eta)
-            model = self.eta_max * -math.expm1(-power / self.p_sat_mw)
-            if eta > 0.0 and abs(model - eta) > CALIBRATION_RTOL * eta:
-                raise ValidationError(
-                    f"calibration point ({power} mW, {eta}) deviates from the "
-                    f"model value {model:.4g} by more than {CALIBRATION_RTOL:.0%}"
-                )
 
     @classmethod
     def from_calibration(
@@ -114,7 +97,7 @@ class PumpEfficiencyModel:
         if not (math.isfinite(p_sat_mw) and p_sat_mw > 0.0):
             raise ValidationError(f"saturation power must be positive, got {p_sat_mw}")
         eta_max = eta / -math.expm1(-power_mw / p_sat_mw)
-        return cls(eta_max, p_sat_mw, calibration=((power_mw, eta),))
+        return cls(eta_max, p_sat_mw)
 
 
 def efficiency_at_power(model: PumpEfficiencyModel, power_mw: float) -> float:

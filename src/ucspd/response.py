@@ -3,9 +3,9 @@
 Inside a periodically poled crystal the pump and the signal walk off at a
 fixed group-delay difference per unit length, so the crystal acts as a
 rectangular time gate whose full width is ``tau_g * L``.  The detector's
-temporal resolution function is the pump intensity profile convolved with
-that gate, and a measured delay scan is the incoming signal convolved with
-the resolution function.
+temporal resolution function is the peak-normalized pump intensity profile
+convolved with that gate, and a measured delay scan is the incoming signal
+convolved with it (:func:`waveform.convolve`).
 
 For a Gaussian pump and a Gaussian signal the whole chain collapses to a
 difference of error functions, which :func:`analytic_response` evaluates
@@ -35,7 +35,6 @@ __all__ = [
     "DEFAULT_GROUP_DELAY_FS_PER_MM",
     "CrystalSpec",
     "resolution_function",
-    "predict_measured",
     "analytic_response",
 ]
 
@@ -49,14 +48,12 @@ class CrystalSpec:
 
     ``tau_g_fs_per_mm`` is the pump/signal group-delay mismatch per unit
     length; the gate width is that value times the crystal length.  ``label``
-    and ``metadata`` (poling period, temperature, and similar) are
-    informational and never enter any calculation.
+    names the crystal on plots and never enters any calculation.
     """
 
     length_mm: float
     tau_g_fs_per_mm: float = DEFAULT_GROUP_DELAY_FS_PER_MM
     label: str = ""
-    metadata: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.length_mm) and self.length_mm > 0.0):
@@ -76,9 +73,8 @@ def resolution_function(
     pump: PulseSpec,
     crystal: CrystalSpec,
     grid: TimeGrid,
-    normalize: bool = True,
 ) -> SampledWaveform:
-    """Temporal resolution function: pump profile convolved with the gate.
+    """Temporal resolution function: pump profile convolved with the gate, peak-normalized.
 
     Parameters
     ----------
@@ -89,10 +85,6 @@ def resolution_function(
     grid : TimeGrid
         Output grid.  It must extend at least ``gate/2 + 3 * pump.fwhm_fs``
         on both sides of the pump center so the response is not truncated.
-    normalize : bool, optional
-        Peak-normalize the result (default).  With ``normalize=False`` the
-        raw convolution amplitude is kept, which is the right choice when
-        comparing gate lengths against each other.
 
     Raises
     ------
@@ -114,21 +106,10 @@ def resolution_function(
     conv = convolve(pump_wave, gate)
     # the gate grid is symmetric, so dropping half_steps samples on each side
     # puts the result back on the requested grid
-    out = SampledWaveform(
+    return SampledWaveform(
         grid.t0_fs, grid.dt_fs,
         conv.samples[half_steps:half_steps + grid.n],
-    )
-    return out.peak_normalized() if normalize else out
-
-
-def predict_measured(
-    signal: SampledWaveform,
-    resolution: SampledWaveform,
-    normalize: bool = False,
-) -> SampledWaveform:
-    """Delay-scan profile: the signal convolved with the resolution function."""
-    out = convolve(signal, resolution)
-    return out.peak_normalized() if normalize else out
+    ).peak_normalized()
 
 
 def analytic_response(t_fs, pump_fwhm_fs: float, signal_fwhm_fs: float, crystal: CrystalSpec):

@@ -42,7 +42,7 @@ from .detector import (
 )
 from .errors import ScenarioError, ValidationError
 from .response import DEFAULT_GROUP_DELAY_FS_PER_MM, CrystalSpec
-from .waveform import PulseSpec
+from .waveform import MAX_SAMPLES, PulseSpec, check_sample_count
 
 __all__ = [
     "ScanSection",
@@ -258,6 +258,8 @@ class ScanSection:
             )
         if self.step_fs <= 0.0:
             raise ScenarioError(f"scan step must be positive, got {self.step_fs}")
+        steps = (self.stop_fs - self.start_fs) / self.step_fs
+        check_sample_count(steps + 1.0, f"step_fs {self.step_fs}")
         if self.dwell_s <= 0.0:
             raise ScenarioError(f"scan dwell must be positive, got {self.dwell_s}")
         if self.signal not in ("gaussian", "timebin"):
@@ -278,6 +280,10 @@ class SweepSection:
     def __post_init__(self) -> None:
         if self.n_points < 5:
             raise ScenarioError(f"sweep needs at least 5 points, got {self.n_points}")
+        if self.n_points > MAX_SAMPLES:
+            raise ScenarioError(
+                f"sweep has {self.n_points} points, more than the {MAX_SAMPLES} allowed"
+            )
         if self.dwell_s <= 0.0:
             raise ScenarioError(f"sweep dwell must be positive, got {self.dwell_s}")
         if self.counts_scale <= 0.0:
@@ -327,6 +333,8 @@ class LimitsSection:
             raise ScenarioError(
                 f"power sweep step must be positive, got {self.power_step_mw}"
             )
+        steps = (self.power_stop_mw * (1.0 + 1e-12) - self.power_start_mw) / self.power_step_mw
+        check_sample_count(steps + 1.0, f"power_step_mw {self.power_step_mw}")
         if self.integration_s <= 0.0:
             raise ScenarioError(
                 f"integration time must be positive, got {self.integration_s}"

@@ -6,8 +6,9 @@ interferometer phase.  Counts at every scan point are drawn from a dedicated
 random substream derived from ``(seed, point index)``, so results are
 byte-identical across reruns and independent of evaluation order.
 
-Rates are exact expectations built from the model modules; the only
-randomness is the Poisson draw.  Point ``i``'s count is the one
+Rates are exact expectations, from :func:`delay_rate_function` for delay
+scans and the fringe model for sweeps; the only randomness is the Poisson
+draw.  Point ``i``'s count is the one
 ``default_rng(SeedSequence(entropy=seed, spawn_key=(i,))).poisson(mean)``
 returns, computed for a whole scan at once: the SeedSequence hash and
 numpy's PCG64 (a 128-bit LCG with XSL-RR output) run on integer arrays, and
@@ -36,15 +37,13 @@ from .waveform import SampledWaveform, convolve
 __all__ = [
     "ScanConfig",
     "ScanResult",
-    "overlap_fraction",
-    "expected_rate",
     "delay_rate_function",
     "run_scan",
     "run_phase_sweep",
     "derive_stage_seed",
 ]
 
-#: How per-point random substreams are constructed, recorded in results.
+#: How per-point random substreams are constructed, recorded in manifests.
 RNG_SCHEME = "pcg64 via SeedSequence(entropy=seed, spawn_key=(point_index,))"
 
 _MAX_SEED = 2 ** 64
@@ -52,19 +51,16 @@ _MAX_SEED = 2 ** 64
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """One counting scan: coordinates, source parameters, and the RNG seed.
+    """One counting scan: coordinates, dwell time per point, and the RNG seed.
 
     ``kind`` tags the coordinate axis: ``"delay"`` for femtosecond delay
     scans (coordinates must then be strictly increasing) or ``"phase"`` for
-    interferometer phase sweeps in radians.  ``mean_photons_per_pulse`` and
-    ``rep_rate_hz`` describe the source driving the scan; they are carried
-    here so a result echoes the full experiment.
+    interferometer phase sweeps in radians.  The source flux is part of the
+    rate function a scan runs with, not of its configuration.
     """
 
     coordinates: np.ndarray
     dwell_s: float = 1.0
-    mean_photons_per_pulse: float = 0.1
-    rep_rate_hz: float = 76.3e6
     seed: int = 0
     kind: str = "delay"
 
@@ -80,12 +76,6 @@ class ScanConfig:
             raise ValidationError("delay coordinates must be strictly increasing")
         if not (math.isfinite(self.dwell_s) and self.dwell_s > 0.0):
             raise ValidationError(f"dwell time must be positive, got {self.dwell_s}")
-        if not (math.isfinite(self.mean_photons_per_pulse) and self.mean_photons_per_pulse >= 0.0):
-            raise ValidationError(
-                f"mean photon number must be >= 0, got {self.mean_photons_per_pulse}"
-            )
-        if not (math.isfinite(self.rep_rate_hz) and self.rep_rate_hz > 0.0):
-            raise ValidationError(f"repetition rate must be positive, got {self.rep_rate_hz}")
         if not isinstance(self.seed, int) or not (0 <= self.seed < _MAX_SEED):
             raise ValidationError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
         coords.setflags(write=False)
@@ -108,7 +98,6 @@ class ScanResult:
     counts: np.ndarray
     expected: np.ndarray
     config: ScanConfig
-    rng_scheme: str = RNG_SCHEME
 
     def __post_init__(self) -> None:
         counts = np.array(self.counts, dtype=np.int64, copy=True)
@@ -121,15 +110,6 @@ class ScanResult:
         for name, arr in (("coordinates", coords), ("counts", counts), ("expected", expected)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-
-def overlap_fraction(signal: SampledWaveform, resolution: SampledWaveform) -> SampledWaveform:
-    """Peak-normalized convolution of signal and resolution function.
-
-    The value at a given delay is the fraction of the maximum achievable
-    up-conversion rate, so it multiplies directly onto the photon flux.
-    """
-    return convolve(signal, resolution).peak_normalized()
 
 
 def delay_rate_function(
@@ -160,7 +140,7 @@ def delay_rate_function(
         raise ValidationError(f"repetition rate must be positive, got {rep_rate_hz}")
     if not (math.isfinite(noise_cps) and noise_cps >= 0.0):
         raise ValidationError(f"noise rate must be >= 0, got {noise_cps}")
-    overlap = overlap_fraction(signal, resolution)
+    overlap = convolve(signal, resolution).peak_normalized()
     times, fractions = overlap.times(), overlap.samples
     flux = rep_rate_hz * mean_photons_per_pulse * external_eta
 
@@ -168,27 +148,6 @@ def delay_rate_function(
         return flux * np.interp(delays_fs, times, fractions, left=0.0, right=0.0) + noise_cps
 
     return rate
-
-
-def expected_rate(
-    signal: SampledWaveform,
-    resolution: SampledWaveform,
-    delay_fs: float,
-    mean_photons_per_pulse: float,
-    external_eta: float,
-    rep_rate_hz: float,
-    noise_cps: float = 0.0,
-) -> float:
-    """Expected count rate at one gate delay, in counts per second.
-
-    The rate of :func:`delay_rate_function` at ``delay_fs``.  For scans, build
-    that function once and pass it all the delays instead of calling this per
-    point.
-    """
-    rate = delay_rate_function(
-        signal, resolution, mean_photons_per_pulse, external_eta, rep_rate_hz, noise_cps
-    )
-    return float(rate(delay_fs))
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)

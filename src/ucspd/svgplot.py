@@ -9,8 +9,6 @@ shared axes, straight polylines.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 __all__ = ["line_plot"]

@@ -10,7 +10,7 @@ Two passes through such interferometers turn a single occupied slot into
 three, with the center slot carrying the interference of the two
 single-delay paths.  Detection happens slot by slot, so all predictions here
 reduce to slot occupation probabilities; an overall normalization drops out
-through postselection.
+through postselection, so states are never renormalized.
 
 The ``contrast`` parameter scales the delayed amplitude and models reduced
 interference visibility from imperfect mode overlap.  At contrast 1 the
@@ -67,16 +67,6 @@ class TimeBinState:
     def n_slots(self) -> int:
         return int(self.amplitudes.size)
 
-    @property
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
-
-    def normalized(self) -> "TimeBinState":
-        n = self.norm
-        if n <= 0.0:
-            raise ValidationError("cannot normalize a state with zero norm")
-        return TimeBinState(self.amplitudes / n, self.slot_spacing_fs)
-
     @classmethod
     def single(cls, slot_spacing_fs: float) -> "TimeBinState":
         """One photon in one slot, the input of every sequence used here."""
@@ -85,50 +75,38 @@ class TimeBinState:
 
 @dataclass(frozen=True)
 class InterferometerSpec:
-    """Unbalanced interferometer whose path difference is a whole slot count.
+    """Unbalanced interferometer whose path difference is one slot.
 
-    ``phase_rad`` is the relative phase picked up in the long arm,
-    ``contrast`` scales the delayed amplitude (1 means perfect overlap), and
-    ``delay_slots`` is the path difference in slot units (1 throughout the
-    experiments modeled here).
+    ``phase_rad`` is the relative phase picked up in the long arm and
+    ``contrast`` scales the delayed amplitude (1 means perfect overlap).
     """
 
     phase_rad: float
     contrast: float = 1.0
-    delay_slots: int = 1
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.phase_rad):
             raise ValidationError("interferometer phase must be finite")
         if not (math.isfinite(self.contrast) and 0.0 < self.contrast <= 1.0):
             raise ValidationError(f"contrast must be in (0, 1], got {self.contrast}")
-        if not isinstance(self.delay_slots, int) or self.delay_slots < 1:
-            raise ValidationError(f"delay must be a positive slot count, got {self.delay_slots!r}")
 
 
-def apply_interferometer(
-    state: TimeBinState,
-    ifm: InterferometerSpec,
-    postselect_normalize: bool = False,
-) -> TimeBinState:
+def apply_interferometer(state: TimeBinState, ifm: InterferometerSpec) -> TimeBinState:
     """Propagate a state through one interferometer pass.
 
     Each amplitude splits into an undelayed copy and a phase-shifted copy
-    ``delay_slots`` later, both scaled by 1/sqrt(2); the delayed copy is
-    additionally scaled by the contrast.  The output is ``delay_slots``
-    longer than the input.  By default the 1/sqrt(2) factors are kept so
-    splitting losses stay explicit; ``postselect_normalize=True`` rescales
-    the output to unit norm instead.  With contrast 1 a single occupied slot
-    keeps unit total probability either way.
+    one slot later, both scaled by 1/sqrt(2); the delayed copy is
+    additionally scaled by the contrast.  The output is one slot longer
+    than the input.  The 1/sqrt(2) factors are kept so splitting losses stay
+    explicit; with contrast 1 a single occupied slot keeps unit total
+    probability.
     """
     a = state.amplitudes
-    d = ifm.delay_slots
-    out = np.zeros(a.size + d, dtype=np.complex128)
+    out = np.zeros(a.size + 1, dtype=np.complex128)
     shift = ifm.contrast * np.exp(1j * ifm.phase_rad)
-    out[:-d] += a
-    out[d:] += shift * a
-    result = TimeBinState(out / math.sqrt(2.0), state.slot_spacing_fs)
-    return result.normalized() if postselect_normalize else result
+    out[:-1] += a
+    out[1:] += shift * a
+    return TimeBinState(out / math.sqrt(2.0), state.slot_spacing_fs)
 
 
 def slot_probabilities(state: TimeBinState) -> np.ndarray:
@@ -147,7 +125,7 @@ def synthesize_waveform(
 ) -> SampledWaveform:
     """Intensity profile of the state: one Gaussian per occupied slot.
 
-    Slot ``k`` contributes a Gaussian of the given FWHM centered at
+    Slot ``k`` contributes a :func:`gaussian_waveform` of the given FWHM at
     ``k * slot_spacing_fs``, weighted by ``|a_k|^2``.  The slot weights are
     used as-is (no normalization), so the returned area tracks the total
     probability in the state.
@@ -169,13 +147,9 @@ def synthesize_waveform(
         )
     weights = np.abs(state.amplitudes) ** 2
     total = np.zeros(grid.n)
-    coeff = 2.0 * math.sqrt(math.log(2.0)) / pulse_fwhm_fs
-    times = grid.times()
     for center, weight in zip(centers, weights):
-        if weight == 0.0:
-            continue
-        u = coeff * (times - center)
-        total += weight * np.exp(-u * u)
+        if weight > 0.0:
+            total += gaussian_waveform(PulseSpec(pulse_fwhm_fs, center, weight), grid).samples
     return SampledWaveform(grid.t0_fs, grid.dt_fs, total)
 
 

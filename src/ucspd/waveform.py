@@ -23,6 +23,8 @@ import numpy as np
 from .errors import GridMismatchError, NumericalError, ValidationError
 
 __all__ = [
+    "MAX_SAMPLES",
+    "check_sample_count",
     "TimeGrid",
     "PulseSpec",
     "SampledWaveform",
@@ -48,6 +50,17 @@ CSV_GRID_RTOL = 1e-6
 
 _CSV_HEADER = "t_fs,value"
 
+#: Most samples any generated array (grid, scan, sweep, power list) may hold.
+MAX_SAMPLES = 1_000_000
+
+
+def check_sample_count(count: float, what: str) -> None:
+    """Refuse ``count`` samples (possibly inf) beyond :data:`MAX_SAMPLES`, before allocating."""
+    if count > MAX_SAMPLES:
+        raise ValidationError(
+            f"{what} needs {count:.8g} samples, more than the {MAX_SAMPLES} allowed"
+        )
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -64,13 +77,16 @@ class TimeGrid:
             raise ValidationError(f"sample spacing must be positive, got {self.dt_fs}")
         if self.n < 2:
             raise ValidationError(f"a grid needs at least two samples, got n={self.n}")
+        check_sample_count(self.n, f"a time grid at {self.dt_fs!r} fs spacing")
 
     @classmethod
     def symmetric(cls, half_span_fs: float, dt_fs: float) -> "TimeGrid":
         """Grid centered on zero covering at least ``[-half_span, +half_span]``."""
         if not (math.isfinite(half_span_fs) and half_span_fs > 0.0):
             raise ValidationError(f"half span must be positive, got {half_span_fs}")
-        k = max(1, math.ceil(half_span_fs / dt_fs - 1e-12))
+        steps = half_span_fs / dt_fs - 1e-12
+        check_sample_count(2.0 * steps + 1.0, f"a time grid at {dt_fs!r} fs spacing")
+        k = max(1, math.ceil(steps))
         return cls(-k * dt_fs, dt_fs, 2 * k + 1)
 
     @property

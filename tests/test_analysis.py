@@ -491,7 +491,6 @@ class TestErfGateFit:
             counts=np.round(scan.expected).astype(np.int64),
             expected=scan.expected,
             config=scan.config,
-            rng_scheme=scan.rng_scheme,
         )
         fit = fit_erf_gate(exact, PUMP.fwhm_fs, SIGNAL_FWHM)
         assert fit.gate_width_fs == pytest.approx(408.6, rel=0.01)

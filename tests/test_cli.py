@@ -367,6 +367,37 @@ class TestExitCodes:
         assert "Poisson mean" in message and "at coordinate" in message
         assert "the largest the count sampler accepts" in message
 
+    @pytest.mark.parametrize("sub, path, value, cause", [
+        ("limits", ("experiment", "limits", "power_step_mw"), 1.0e-300,
+         "experiment.limits: power_step_mw 1e-300 needs 4.5e+302 samples"),
+        ("scan", ("experiment", "scan", "step_fs"), 1.0e-300,
+         "experiment.scan: step_fs 1e-300 needs 3.6e+303 samples"),
+        ("deconv", ("experiment", "scan", "step_fs"), 5.0e-324,
+         "experiment.scan: step_fs 5e-324 needs inf samples"),
+        ("resolve", ("experiment", "dt_fs"), 1.0e-300,
+         "a time grid at 1e-300 fs spacing needs 1.6086e+303 samples"),
+        ("resolve", ("experiment", "dt_fs"), 5.0e-324,
+         "a time grid at 5e-324 fs spacing needs inf samples"),
+        ("timebin", ("experiment", "dt_fs"), 5.0e-324,
+         "a time grid at 5e-324 fs spacing needs inf samples"),
+        ("sweep", ("experiment", "sweep", "n_points"), 10 ** 12,
+         "experiment.sweep: sweep has 1000000000000 points"),
+    ], ids=["limits-power_step", "scan-step", "deconv-step-subnormal", "resolve-dt",
+            "resolve-dt-subnormal", "timebin-dt-subnormal", "sweep-n_points"])
+    def test_oversized_arrays_are_refused(self, sub, path, value, cause, tmp_path, capsys):
+        doc = yaml.safe_load((BUNDLED / "l2_300mw.scenario").read_text(encoding="utf-8"))
+        section = doc
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+        edited = tmp_path / "oversized.scenario"
+        edited.write_text(yaml.safe_dump(doc, sort_keys=False), encoding="utf-8")
+        assert run(sub, str(edited), "--out", str(tmp_path / "art")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"ucspd: error: {cause}")
+        assert "more than the 1000000 allowed" in err
+        assert "Traceback" not in err
+
     def test_json_error_output(self, tmp_path, capsys):
         text = (BUNDLED / "l1_300mw.scenario").read_text(encoding="utf-8")
         dark = tmp_path / "dark.scenario"

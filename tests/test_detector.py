@@ -82,13 +82,6 @@ class TestPumpEfficiencyModel:
         assert np.all(np.diff(slopes) < 0.0)
         assert np.all(etas <= model.eta_max)
 
-    def test_calibration_points_checked_at_construction(self):
-        good = ((200.0, 0.13 * (1.0 - math.exp(-1.0))),)
-        PumpEfficiencyModel(eta_max=0.13, p_sat_mw=200.0, calibration=good)
-        bad = ((200.0, 0.2),)
-        with pytest.raises(ValidationError):
-            PumpEfficiencyModel(eta_max=0.13, p_sat_mw=200.0, calibration=bad)
-
     def test_parameter_ranges(self):
         with pytest.raises(ValidationError):
             PumpEfficiencyModel(eta_max=0.0, p_sat_mw=200.0)

@@ -12,17 +12,19 @@ from oracles import (
     gauss_rect_fwhm_oracle,
 )
 from ucspd.errors import ValidationError
-from ucspd.response import CrystalSpec, analytic_response, predict_measured, resolution_function
-from ucspd.waveform import PulseSpec, SampledWaveform, TimeGrid, fwhm, gaussian_waveform
+from ucspd.response import CrystalSpec, analytic_response, resolution_function
+from ucspd.waveform import (
+    PulseSpec, SampledWaveform, TimeGrid, convolve, fwhm, gaussian_waveform, rect_waveform,
+)
 
 PUMP = PulseSpec(200.0)
 SIGNAL_FWHM = 240.0
 
 
-def make_resolution(length_mm, dt=1.0, normalize=True):
+def make_resolution(length_mm, dt=1.0):
     crystal = CrystalSpec(length_mm)
     half = 0.5 * crystal.gate_width_fs + 3.0 * PUMP.fwhm_fs
-    return resolution_function(PUMP, crystal, TimeGrid.symmetric(half + 50.0, dt), normalize)
+    return resolution_function(PUMP, crystal, TimeGrid.symmetric(half + 50.0, dt))
 
 
 class TestCrystalSpec:
@@ -35,11 +37,6 @@ class TestCrystalSpec:
             CrystalSpec(0.0)
         with pytest.raises(ValidationError):
             CrystalSpec(2.0, tau_g_fs_per_mm=-1.0)
-
-    def test_metadata_is_inert(self):
-        a = CrystalSpec(2.0)
-        b = CrystalSpec(2.0, label="PPMgSLT", metadata=(("temperature_c", 85.0),))
-        assert a.gate_width_fs == b.gate_width_fs
 
 
 class TestResolutionFunction:
@@ -64,7 +61,10 @@ class TestResolutionFunction:
         assert widths[0] < widths[1] < widths[2]
 
     def test_unnormalized_peak_saturates_with_length(self):
-        peaks = [make_resolution(length, normalize=False).peak_value
+        # the raw pump (x) gate convolution, before resolution_function peak-normalizes it
+        grid = TimeGrid.symmetric(1000.0, 1.0)
+        pump = gaussian_waveform(PUMP, grid)
+        peaks = [convolve(pump, rect_waveform(CrystalSpec(length).gate_width_fs, grid)).peak_value
                  for length in (1.0, 2.0, 3.0)]
         assert peaks[0] < peaks[1] < peaks[2]
         # each extra millimeter of gate adds less peak than the one before
@@ -90,14 +90,14 @@ class TestPredictMeasured:
         spike = np.zeros(21)
         spike[10] = 1.0 / t.dt_fs
         delta = SampledWaveform(-10.0 * t.dt_fs, t.dt_fs, spike)
-        out = predict_measured(delta, t, normalize=True)
+        out = convolve(delta, t).peak_normalized()
         assert fwhm(out) == pytest.approx(fwhm(t), rel=1e-3)
 
     def test_gaussian_scan_width_matches_closed_form(self):
         t = make_resolution(2.0)
         grid = TimeGrid.symmetric(1200.0, 1.0)
         signal = gaussian_waveform(PulseSpec(SIGNAL_FWHM), grid)
-        out = predict_measured(signal, t)
+        out = convolve(signal, t)
         assert fwhm(out) == pytest.approx(SCAN_FWHM_L2_SIGNAL240, rel=0.01)
 
     def test_three_pulse_train_resolved(self):
@@ -108,7 +108,7 @@ class TestPredictMeasured:
         for center, weight in ((-800.0, 0.25), (0.0, 1.0), (800.0, 0.25)):
             u = (2.0 * np.sqrt(np.log(2.0)) / SIGNAL_FWHM) * (tt - center)
             shape += weight * np.exp(-u * u)
-        out = predict_measured(SampledWaveform(grid.t0_fs, grid.dt_fs, shape), t)
+        out = convolve(SampledWaveform(grid.t0_fs, grid.dt_fs, shape), t)
         peaks, _ = find_peaks(out.samples, prominence=0.05 * out.peak_value)
         assert len(peaks) == 3
         locs = out.t0_fs + out.dt_fs * peaks
@@ -152,7 +152,7 @@ class TestAnalyticResponse:
         t = make_resolution(length)
         grid = TimeGrid.symmetric(1500.0, 1.0)
         signal = gaussian_waveform(PulseSpec(SIGNAL_FWHM), grid)
-        sampled = predict_measured(signal, t, normalize=True)
+        sampled = convolve(signal, t).peak_normalized()
         closed = analytic_response(sampled.times(), 200.0, SIGNAL_FWHM, CrystalSpec(length))
         closed /= closed.max()
         assert sampled.n >= 2000

@@ -15,13 +15,11 @@ from ucspd.simulate import (
     ScanResult,
     delay_rate_function,
     derive_stage_seed,
-    expected_rate,
-    overlap_fraction,
     run_phase_sweep,
     run_scan,
 )
 from ucspd.timebin import center_bin_expectation
-from ucspd.waveform import PulseSpec, TimeGrid, gaussian_waveform
+from ucspd.waveform import PulseSpec, TimeGrid, convolve, gaussian_waveform
 
 MU = 0.1
 ETA_EXT = 0.0331
@@ -38,8 +36,7 @@ def make_pair(length_mm=2.0):
 class TestScanConfig:
     def test_defaults_describe_reference_source(self):
         cfg = ScanConfig(np.linspace(-100.0, 100.0, 21))
-        assert cfg.mean_photons_per_pulse == 0.1
-        assert cfg.rep_rate_hz == 76.3e6
+        assert (cfg.dwell_s, cfg.seed, cfg.kind) == (1.0, 0, "delay")
         assert cfg.n_points == 21
 
     def test_delay_coordinates_must_increase(self):
@@ -50,8 +47,8 @@ class TestScanConfig:
 
     @pytest.mark.parametrize("kwargs", [
         dict(dwell_s=0.0),
-        dict(mean_photons_per_pulse=-0.1),
-        dict(rep_rate_hz=0.0),
+        dict(dwell_s=math.inf),
+        dict(dwell_s=math.nan),
         dict(seed=-1),
         dict(seed=2 ** 64),
         dict(seed=1.5),
@@ -76,37 +73,34 @@ def point_stream(seed, index):
 class TestExpectedRate:
     def test_peak_rate_at_reference_point(self):
         signal, resolution = make_pair()
-        overlap = overlap_fraction(signal, resolution)
-        rate = expected_rate(signal, resolution, overlap.peak_time_fs,
-                             MU, ETA_EXT, REP_RATE, noise_cps=800.0)
-        assert rate == pytest.approx(RATE_AT_PEAK_CPS + 800.0, rel=1e-9)
+        overlap = convolve(signal, resolution).peak_normalized()
+        rate = delay_rate_function(signal, resolution, MU, ETA_EXT, REP_RATE, noise_cps=800.0)
+        assert rate(overlap.peak_time_fs) == pytest.approx(RATE_AT_PEAK_CPS + 800.0, rel=1e-9)
 
     def test_zero_photons_leaves_noise_only(self):
         signal, resolution = make_pair()
-        rate = expected_rate(signal, resolution, 0.0, 0.0, ETA_EXT, REP_RATE,
-                             noise_cps=812.5)
-        assert rate == 812.5
+        rate = delay_rate_function(signal, resolution, 0.0, ETA_EXT, REP_RATE, noise_cps=812.5)
+        assert rate(0.0) == 812.5
 
     def test_far_off_gate_noise_within_tenth_percent(self):
         signal, resolution = make_pair()
-        rate = expected_rate(signal, resolution, 10000.0, MU, ETA_EXT, REP_RATE,
-                             noise_cps=800.0)
-        assert rate == pytest.approx(800.0, rel=1e-3)
+        rate = delay_rate_function(signal, resolution, MU, ETA_EXT, REP_RATE, noise_cps=800.0)
+        assert rate(10000.0) == pytest.approx(800.0, rel=1e-3)
 
     def test_overlap_is_peak_normalized(self):
         signal, resolution = make_pair()
-        overlap = overlap_fraction(signal, resolution)
+        overlap = convolve(signal, resolution).peak_normalized()
         assert overlap.peak_value == pytest.approx(1.0, abs=1e-12)
         assert np.all(overlap.samples <= 1.0)
 
     def test_parameter_validation(self):
         signal, resolution = make_pair()
         with pytest.raises(ValidationError):
-            expected_rate(signal, resolution, 0.0, -1.0, ETA_EXT, REP_RATE)
+            delay_rate_function(signal, resolution, -1.0, ETA_EXT, REP_RATE)
         with pytest.raises(ValidationError):
-            expected_rate(signal, resolution, 0.0, MU, 1.5, REP_RATE)
+            delay_rate_function(signal, resolution, MU, 1.5, REP_RATE)
         with pytest.raises(ValidationError):
-            expected_rate(signal, resolution, 0.0, MU, ETA_EXT, REP_RATE, noise_cps=-2.0)
+            delay_rate_function(signal, resolution, MU, ETA_EXT, REP_RATE, noise_cps=-2.0)
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -119,7 +113,7 @@ class TestExpectedRate:
         rate = delay_rate_function(signal, resolution, MU, ETA_EXT, REP_RATE, noise)
         scalar = np.array([rate(d) for d in delays])
         assert rate(np.array(delays)).tobytes() == scalar.tobytes()
-        single = [expected_rate(signal, resolution, d, MU, ETA_EXT, REP_RATE, noise)
+        single = [delay_rate_function(signal, resolution, MU, ETA_EXT, REP_RATE, noise)(d)
                   for d in delays]
         assert np.array(single).tobytes() == scalar.tobytes()
 
