@@ -19,6 +19,7 @@ paths, 2 numerical failures (non-convergent fits and the like).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -75,6 +76,8 @@ class _UsageError(Exception):
     pass
 
 
+# parse_args leaves the parser as it found it, so one parser serves every main()
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="ucspd",

@@ -96,7 +96,13 @@ class PumpEfficiencyModel:
             raise ValidationError("calibration efficiency must be positive")
         if not (math.isfinite(p_sat_mw) and p_sat_mw > 0.0):
             raise ValidationError(f"saturation power must be positive, got {p_sat_mw}")
-        eta_max = eta / -math.expm1(-power_mw / p_sat_mw)
+        saturation = -math.expm1(-power_mw / p_sat_mw)
+        if saturation == 0.0:
+            raise ValidationError(
+                f"calibration power {power_mw} mW against saturation power {p_sat_mw} mW "
+                "gives 1 - exp(-P / p_sat) = 0, which cannot fix eta_max"
+            )
+        eta_max = eta / saturation
         return cls(eta_max, p_sat_mw)
 
 

@@ -5,6 +5,12 @@ can be eyeballed without any plotting stack installed.  Output is plain SVG
 text with deterministic number formatting, so identical data produces
 identical bytes.  This is intentionally not a charting library: one panel,
 shared axes, straight polylines.
+
+A polyline with more than ``4 * plot_w`` (2,152) finite points is reduced per
+pixel column of the plot area: each column keeps its first, last, lowest and
+highest vertex, in their original order (M4; Jugel et al., PVLDB 7(10), 2014).
+That draws the same pixels at the SVG's own width.  The CSV artifacts next to
+each plot carry every sample, and identical data still gives identical bytes.
 """
 
 from __future__ import annotations
@@ -35,6 +41,28 @@ def _finite_range(values) -> tuple[float, float]:
     return lo, hi
 
 
+def _m4(x, y, x_lo: float, x_hi: float, plot_w: int):
+    """Keep the first, last, lowest and highest vertex of each pixel column.
+
+    Returns the kept vertices in their original order.  Keeps every vertex
+    when a column is not finite (an overflowing span) or x decreases
+    anywhere, since a column's vertices then need not form one run.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        col = np.floor((x - x_lo) / (x_hi - x_lo) * plot_w)
+    if not np.isfinite(col).all() or (x[1:] < x[:-1]).any():
+        return x, y
+    col = np.minimum(col, plot_w - 1)
+    # x does not decrease, so each column is one run, at the same positions
+    # in the lexsort order (by column, then y) as in the series itself
+    first = np.flatnonzero(np.r_[True, col[1:] != col[:-1]])
+    last = np.r_[first[1:] - 1, col.size - 1]
+    by_y = np.lexsort((y, col))
+    keep = np.zeros(col.size, dtype=bool)
+    keep[first] = keep[last] = keep[by_y[first]] = keep[by_y[last]] = True
+    return x[keep], y[keep]
+
+
 def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
@@ -50,7 +78,8 @@ def line_plot(
     """Write one SVG panel with the given ``(x, y, label)`` series.
 
     ``comment`` is embedded verbatim as an XML comment (used to tag plots
-    with the scenario hash).  Silently clips non-finite points.  Raises only
+    with the scenario hash).  Silently clips non-finite points and reduces a
+    long series per pixel column (see the module docstring).  Raises only
     on I/O problems; callers that must never fail on plotting should wrap
     this themselves.
     """
@@ -128,8 +157,11 @@ def line_plot(
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         keep = np.isfinite(x) & np.isfinite(y)
+        x, y = x[keep], y[keep]
+        if x.size > 4 * plot_w:
+            x, y = _m4(x, y, x_lo, x_hi, plot_w)
         with np.errstate(over="ignore", invalid="ignore"):
-            vertices = px(x[keep]).tolist(), py(y[keep]).tolist()
+            vertices = px(x).tolist(), py(y).tolist()
         pts = " ".join(map("{:.2f},{:.2f}".format, *vertices))
         lines.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'

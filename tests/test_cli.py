@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -18,6 +19,7 @@ from ucspd.analysis import deconvolve
 from ucspd.cli import main
 from ucspd.detector import detection_limit
 from ucspd.scenario import parse_scenario
+from ucspd import svgplot
 from ucspd.simulate import derive_stage_seed
 from ucspd.waveform import fwhm, read_csv
 
@@ -46,6 +48,17 @@ def read_table(path):
 
 def scenario_hash(name="l2_300mw"):
     return parse_scenario((BUNDLED / f"{name}.scenario").read_text(encoding="utf-8")).scenario_hash
+
+
+def dense_l2_scenario(tmp_path, seed=None):
+    """``l2_300mw`` scanned at 1 fs steps over +/-3000 fs: 6001 points."""
+    doc = yaml.safe_load((BUNDLED / "l2_300mw.scenario").read_text(encoding="utf-8"))
+    if seed is not None:
+        doc["seed"] = seed
+    doc["experiment"]["scan"].update({"start_fs": -3000.0, "stop_fs": 3000.0, "step_fs": 1.0})
+    dense = tmp_path / "l2_dense.scenario"
+    dense.write_text(yaml.safe_dump(doc, sort_keys=False), encoding="utf-8")
+    return dense
 
 
 class TestResolve:
@@ -113,6 +126,31 @@ class TestScan:
         mb, _, tb = read_table(b / "scan.csv")
         assert not np.array_equal(ta[:, 1], tb[:, 1])
         assert mb["scenario_hash"] != scenario_hash()
+
+    def test_dense_scan_plot_keeps_every_row_in_the_csv(self, tmp_path):
+        dense = dense_l2_scenario(tmp_path)
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run("scan", str(dense), "--out", str(a), "--quiet") == 0
+        assert run("scan", str(dense), "--out", str(b), "--quiet") == 0
+        _, _, table = read_table(a / "scan.csv")
+        assert table.shape[0] == 6001
+        svg = (a / "scan.svg").read_text(encoding="utf-8")
+        assert svg == (b / "scan.svg").read_text(encoding="utf-8")
+        # first and last data points, in pixels, within the 0.01 px rounding
+        # of the SVG and the nine digits of the CSV
+        left, top = svgplot._MARGIN_LEFT, svgplot._MARGIN_TOP
+        plot_w = svgplot._WIDTH - left - svgplot._MARGIN_RIGHT
+        plot_h = svgplot._HEIGHT - top - svgplot._MARGIN_BOTTOM
+        y_lo, y_hi = table[:, 1:].min(), table[:, 1:].max()
+        polylines = re.findall(r'<polyline points="([^"]*)"', svg)
+        assert len(polylines) == 2
+        for column, points in zip((1, 2), polylines):
+            vertices = np.array([v.split(",") for v in points.split()], dtype=np.float64)
+            assert len(vertices) <= 4 * plot_w
+            ends = table[[0, -1], column]
+            end_y = top + plot_h - (ends - y_lo) / (y_hi - y_lo) * plot_h
+            assert vertices[[0, -1], 0].tolist() == [left, left + plot_w]
+            np.testing.assert_allclose(vertices[[0, -1], 1], end_y, atol=0.006)
 
 
 class TestSweepAndFit:
@@ -227,11 +265,7 @@ class TestDeconv:
     @pytest.mark.parametrize("seed", [7, 11])
     def test_dense_l2_scan_stops_inside_the_cap(self, seed, tmp_path):
         # 6001 points at 1 fs: plain EM needed 562-1002 iterations here
-        doc = yaml.safe_load((BUNDLED / "l2_300mw.scenario").read_text(encoding="utf-8"))
-        doc["seed"] = seed
-        doc["experiment"]["scan"].update({"start_fs": -3000.0, "stop_fs": 3000.0, "step_fs": 1.0})
-        dense = tmp_path / "l2_dense.scenario"
-        dense.write_text(yaml.safe_dump(doc, sort_keys=False), encoding="utf-8")
+        dense = dense_l2_scenario(tmp_path, seed)
         out = tmp_path / "art"
         assert run("deconv", str(dense), "--out", str(out), "--quiet") == 0
         report = json.loads((out / "deconv_report.json").read_text())
@@ -438,6 +472,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("ucspd: error: detector.noise: ")
         assert cause in err
+
+    def test_underflowing_pump_calibration_is_refused(self, tmp_path, capsys):
+        text = (BUNDLED / "l2_300mw.scenario").read_text(encoding="utf-8")
+        edited = tmp_path / "underflow.scenario"
+        edited.write_text(
+            text.replace("calibration_power_mw: 300.0", "calibration_power_mw: 5.0e-324"),
+            encoding="utf-8",
+        )
+        assert run("resolve", str(edited), "--out", str(tmp_path / "art")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ucspd: error: detector.pump: calibration power 5e-324 mW")
+        assert "Traceback" not in err
+
+    def test_options_do_not_carry_over_between_calls(self, tmp_path, capsys):
+        a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
+        assert run("limits", "l2_300mw", "--out", str(a), "--format", "json", "--seed", "42") == 0
+        first = json.loads(capsys.readouterr().out)
+        assert first["scenario_hash"] != scenario_hash()
+        assert run("limits", "l2_300mw", "--out", str(b), "--quiet") == 0
+        assert capsys.readouterr().out == ""
+        assert read_table(b / "limits.csv")[0]["scenario_hash"] == scenario_hash()
+        assert run("limits", "l2_300mw", "--out", str(c)) == 0
+        assert capsys.readouterr().out.startswith(f"wrote,{c / 'limits.csv'}\n")
 
     def test_json_success_output(self, tmp_path, capsys):
         out = tmp_path / "art"

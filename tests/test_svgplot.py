@@ -1,16 +1,23 @@
-"""SVG plots: polyline vertices formatted as the per-vertex loop did."""
+"""SVG plots: polyline vertices formatted as the per-vertex loop did, and
+long series reduced to each pixel column's first, last, lowest and highest
+vertex."""
 
 import math
 import re
 import tempfile
+from collections import Counter
 from pathlib import Path
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ucspd import svgplot
 from ucspd.svgplot import line_plot
+
+_PLOT_W = svgplot._WIDTH - svgplot._MARGIN_LEFT - svgplot._MARGIN_RIGHT
 
 
 def _per_vertex_points(series):
@@ -37,6 +44,47 @@ def _per_vertex_points(series):
             f"{px(float(xi)):.2f},{py(float(yi)):.2f}" for xi, yi in zip(x[keep], y[keep])
         ))
     return points
+
+
+def _written_points(series):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "plot.svg"
+        line_plot(path, series)
+        return re.findall(r'<polyline points="([^"]*)"', path.read_text(encoding="utf-8"))
+
+
+def _columns(x):
+    """Pixel column of each vertex, one vertex at a time."""
+    x_lo, x_hi = svgplot._finite_range(x)
+    return [
+        min(math.floor((xi - x_lo) / (x_hi - x_lo) * _PLOT_W), _PLOT_W - 1) for xi in x.tolist()
+    ]
+
+
+def _column_summary(x, y):
+    """First, last, lowest and highest y of each pixel column."""
+    summary = {}
+    for column, yi in zip(_columns(x), y.tolist()):
+        first, _, lo, hi = summary.get(column, (yi, yi, yi, yi))
+        summary[column] = (first, yi, min(lo, yi), max(hi, yi))
+    return summary
+
+
+@st.composite
+def _long_series(draw):
+    """More points than M4 keeps: x does not decrease, y is any finite value."""
+    n = draw(st.integers(4 * _PLOT_W + 1, 6000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # repeated x and heavy-tailed gaps: empty columns next to crowded ones
+    gaps = rng.pareto(draw(st.floats(0.5, 5.0)), n) * rng.integers(0, 2, n)
+    x = draw(st.floats(-1e6, 1e6)) + np.cumsum(gaps * draw(st.floats(1e-3, 1e3)))
+    # y on few or many levels, for ties, with arbitrary finite values dropped in
+    y = rng.integers(0, draw(st.integers(1, 1000)), n).astype(np.float64)
+    spikes = draw(hnp.arrays(
+        np.float64, n, elements=st.floats(allow_nan=False, allow_infinity=False),
+        fill=st.just(math.nan),
+    ))
+    return x, np.where(np.isnan(spikes), y, spikes)
 
 
 _EDGE_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-300, 5e-324]
@@ -69,3 +117,31 @@ class TestLinePlot:
             line_plot(path, series, title="t", x_label="x", y_label="y", comment="c")
             text = path.read_text(encoding="utf-8")
         assert re.findall(r'<polyline points="([^"]*)"', text) == _per_vertex_points(series)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=_long_series())
+    def test_long_series_keep_each_columns_first_last_lowest_and_highest(self, data):
+        x, y = data
+        kept_x, kept_y = svgplot._m4(x, y, *svgplot._finite_range(x), _PLOT_W)
+        assert max(Counter(_columns(kept_x)).values()) <= 4
+        assert _column_summary(kept_x, kept_y) == _column_summary(x, y)
+        # the kept vertices span the same axis ranges, so they format alike
+        assert _written_points([(x, y, "s")]) == _per_vertex_points([(kept_x, kept_y, "s")])
+
+    def test_series_at_the_threshold_keeps_every_vertex(self):
+        # eight vertices in each used column: one more point would drop half
+        x = np.repeat(np.arange(4 * _PLOT_W // 8, dtype=np.float64), 8)
+        y = np.random.default_rng(0).normal(size=x.size)
+        assert x.size == 4 * _PLOT_W
+        assert _written_points([(x, y, "s")]) == _per_vertex_points([(x, y, "s")])
+
+    @pytest.mark.parametrize("case", ["x decreases once", "overflowing span"])
+    def test_long_series_that_m4_cannot_split_keep_every_vertex(self, case):
+        n = 3000
+        if case == "x decreases once":
+            x = np.repeat(np.arange(n // 10, dtype=np.float64), 10)
+            x[[1500, 1510]] = x[[1510, 1500]]
+        else:
+            x = np.linspace(-1.0, 1.0, n) * 1e308
+        y = np.random.default_rng(1).normal(size=n)
+        assert _written_points([(x, y, "s")]) == _per_vertex_points([(x, y, "s")])
