@@ -11,10 +11,10 @@ discrepancy principle, once the Poisson deviance per point reaches
 iteration cap is the backstop.  On counts each EM step starts from a
 Biggs-Andrews extrapolation along the previous move, which reaches that
 level in several times fewer iterations; exact data get plain EM.  The blur
-operator and its exact adjoint are built once per call (sliced direct
-convolution for short inputs, kernel spectra computed up front for long
-ones), so each iteration pays for the two convolutions plus one ``log`` and
-three dot products.  ``fit_sine``
+operator and its exact adjoint are built once per call by
+``waveform.convolver``, which owns the choice between direct summation and
+the FFT, so each iteration pays for the two convolutions plus one ``log``
+and three dot products.  ``fit_sine``
 extracts interference visibility from a phase sweep; the fringe model
 ``offset * (1 + V cos(phi - phase0))`` is linear in
 ``(offset, offset*V*cos(phase0), offset*V*sin(phase0))``, so the fit is a
@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import FitConvergenceError, GridMismatchError, NumericalError, ValidationError
 from .simulate import ScanResult
-from .waveform import DT_MATCH_RTOL, FFT_THRESHOLD, SampledWaveform, fast_fft_len
+from .waveform import DT_MATCH_RTOL, SampledWaveform, convolver
 
 __all__ = [
     "DeconvolutionSettings",
@@ -99,30 +99,9 @@ def _rl_operators(kn: np.ndarray, n: int):
     center the kernel (index ``m // 2`` of an ``m``-sample kernel lands on
     each output sample); the adjoint is the correlation with ``kn`` cut the
     matching way, so ``<K u, v> == <u, K^T v>`` for odd and even ``m``.
-    Short problems use direct summation and long ones multiply by kernel
-    spectra computed here once, with the same threshold as ``convolve``.
     """
     m = kn.size
-    lo_fwd, lo_adj = m // 2, (m - 1) // 2
-    full = n + m - 1
-    kn_rev = kn[::-1]
-    if full < FFT_THRESHOLD:
-        def forward(u):
-            return np.convolve(u, kn)[lo_fwd:lo_fwd + n]
-
-        def adjoint(r):
-            return np.convolve(r, kn_rev)[lo_adj:lo_adj + n]
-    else:
-        nfft = fast_fft_len(full)
-        k_hat = np.fft.rfft(kn, nfft)
-        k_rev_hat = np.fft.rfft(kn_rev, nfft)
-
-        def forward(u):
-            return np.fft.irfft(np.fft.rfft(u, nfft) * k_hat, nfft)[lo_fwd:lo_fwd + n]
-
-        def adjoint(r):
-            return np.fft.irfft(np.fft.rfft(r, nfft) * k_rev_hat, nfft)[lo_adj:lo_adj + n]
-    return forward, adjoint
+    return convolver(kn, n, m // 2, n), convolver(kn[::-1], n, (m - 1) // 2, n)
 
 
 def deconvolve(
@@ -180,8 +159,8 @@ def deconvolve(
     Raises
     ------
     ValidationError
-        On mismatched sample spacings, negative inputs, an all-zero kernel
-        or measurement, or a background that is negative or not finite.
+        On mismatched sample spacings, an all-zero kernel or measurement,
+        or a background that is negative or not finite.
     NumericalError
         If the measured counts do not exceed the background's total, so
         there is no signal left to deconvolve.
@@ -194,8 +173,6 @@ def deconvolve(
         )
     d = np.asarray(measured.samples, dtype=np.float64)
     k = np.asarray(kernel.samples, dtype=np.float64)
-    if d.min() < 0.0 or k.min() < 0.0:
-        raise ValidationError("deconvolution inputs must be nonnegative")
     k_sum = k.sum()
     if k_sum <= 0.0:
         raise ValidationError("deconvolution kernel is all zero")

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 
 __all__ = [
     "EfficiencyChain",
@@ -199,4 +199,10 @@ def detection_limit(
     if not (math.isfinite(rep_rate_hz) and rep_rate_hz > 0.0):
         raise ValidationError(f"repetition rate must be positive, got {rep_rate_hz}")
     sigma = math.sqrt(noise_rate_cps * integration_s)
-    return 3.0 * sigma / (integration_s * rep_rate_hz * external_eta)
+    pulses_detected = integration_s * rep_rate_hz * external_eta
+    if pulses_detected == 0.0:
+        raise NumericalError(
+            f"integration_s * rep_rate_hz * external_eta = {integration_s} * {rep_rate_hz} * "
+            f"{external_eta} underflows to 0, so the limit per pulse is undefined"
+        )
+    return 3.0 * sigma / pulses_detected

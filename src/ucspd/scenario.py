@@ -167,8 +167,8 @@ _SCHEMA = {
         },
     },
     "source": {
-        "pump_fwhm_fs": (_real, _REQUIRED),
-        "signal_fwhm_fs": (_real, _REQUIRED),
+        "pump_fwhm_fs": (_positive, _REQUIRED),
+        "signal_fwhm_fs": (_positive, _REQUIRED),
         "mean_photons_per_pulse": (_nonnegative, 0.1),
         "rep_rate_hz": (_positive, 76.3e6),
         "pump_power_mw": (_positive, _REQUIRED),
@@ -178,27 +178,27 @@ _SCHEMA = {
         "scan": {
             "start_fs": (_real, _REQUIRED),
             "stop_fs": (_real, _REQUIRED),
-            "step_fs": (_real, _REQUIRED),
-            "dwell_s": (_real, 1.0),
+            "step_fs": (_positive, _REQUIRED),
+            "dwell_s": (_positive, 1.0),
             "signal": (_string, "gaussian"),
         },
         "sweep": {
             "n_points": (_integer, 24),
-            "dwell_s": (_real, 1.0),
-            "counts_scale": (_real, _REQUIRED),
+            "dwell_s": (_positive, 1.0),
+            "counts_scale": (_positive, _REQUIRED),
             "include_noise": (_boolean, False),
         },
         "timebin": {
-            "slot_spacing_fs": (_real, _REQUIRED),
+            "slot_spacing_fs": (_positive, _REQUIRED),
             "phase_rad": (_real, 0.0),
             "phase_prime_rad": (_real, 0.0),
             "contrast": (_real, 1.0),
         },
         "limits": {
-            "power_start_mw": (_real, _REQUIRED),
+            "power_start_mw": (_positive, _REQUIRED),
             "power_stop_mw": (_real, _REQUIRED),
-            "power_step_mw": (_real, _REQUIRED),
-            "integration_s": (_real, 1.0),
+            "power_step_mw": (_positive, _REQUIRED),
+            "integration_s": (_positive, 1.0),
         },
     },
 }
@@ -256,12 +256,8 @@ class ScanSection:
             raise ScenarioError(
                 f"scan stop {self.stop_fs} must exceed start {self.start_fs}"
             )
-        if self.step_fs <= 0.0:
-            raise ScenarioError(f"scan step must be positive, got {self.step_fs}")
         steps = (self.stop_fs - self.start_fs) / self.step_fs
         check_sample_count(steps + 1.0, f"step_fs {self.step_fs}")
-        if self.dwell_s <= 0.0:
-            raise ScenarioError(f"scan dwell must be positive, got {self.dwell_s}")
         if self.signal not in ("gaussian", "timebin"):
             raise ScenarioError(
                 f"scan signal must be 'gaussian' or 'timebin', got {self.signal!r}"
@@ -284,12 +280,6 @@ class SweepSection:
             raise ScenarioError(
                 f"sweep has {self.n_points} points, more than the {MAX_SAMPLES} allowed"
             )
-        if self.dwell_s <= 0.0:
-            raise ScenarioError(f"sweep dwell must be positive, got {self.dwell_s}")
-        if self.counts_scale <= 0.0:
-            raise ScenarioError(
-                f"sweep counts scale must be positive, got {self.counts_scale}"
-            )
 
 
 @dataclass(frozen=True)
@@ -302,10 +292,6 @@ class TimebinSection:
     contrast: float
 
     def __post_init__(self) -> None:
-        if self.slot_spacing_fs <= 0.0:
-            raise ScenarioError(
-                f"slot spacing must be positive, got {self.slot_spacing_fs}"
-            )
         if not (0.0 < self.contrast <= 1.0):
             raise ScenarioError(f"contrast must be in (0, 1], got {self.contrast}")
 
@@ -320,25 +306,13 @@ class LimitsSection:
     integration_s: float
 
     def __post_init__(self) -> None:
-        if self.power_start_mw <= 0.0:
-            raise ScenarioError(
-                f"power sweep start must be positive, got {self.power_start_mw}"
-            )
         if self.power_stop_mw <= self.power_start_mw:
             raise ScenarioError(
                 f"power sweep stop {self.power_stop_mw} must exceed start "
                 f"{self.power_start_mw}"
             )
-        if self.power_step_mw <= 0.0:
-            raise ScenarioError(
-                f"power sweep step must be positive, got {self.power_step_mw}"
-            )
         steps = (self.power_stop_mw * (1.0 + 1e-12) - self.power_start_mw) / self.power_step_mw
         check_sample_count(steps + 1.0, f"power_step_mw {self.power_step_mw}")
-        if self.integration_s <= 0.0:
-            raise ScenarioError(
-                f"integration time must be positive, got {self.integration_s}"
-            )
 
     def powers_mw(self) -> list:
         out = []
@@ -442,8 +416,6 @@ def parse_scenario(text: str) -> Scenario:
     output_dir = tree.pop("output_dir")
     detector, source, experiment = tree["detector"], tree["source"], tree["experiment"]
     pump, noise = detector["pump"], detector["noise"]
-    for key in ("pump_fwhm_fs", "signal_fwhm_fs"):
-        _build(f"source.{key}", PulseSpec, fwhm_fs=source[key])
 
     scenario = Scenario(
         name=tree["name"],

@@ -2,15 +2,17 @@
 
 Everything downstream (gate response models, delay scans, deconvolution) works
 on the same representation: a read-only array of real samples attached to a
-uniform grid ``t_k = t0 + k * dt``.  Construction validates the grid and, for
-intensity-like data, non-negativity, so later stages can assume both.
+uniform grid ``t_k = t0 + k * dt``.  Every waveform is intensity-like data:
+construction validates the grid and non-negativity, so later stages can
+assume both.
 
-Discrete convolution here approximates the continuous integral: the raw
-convolution sum is scaled by ``dt`` so that results are grid-resolution
-independent.  Direct summation and FFT evaluation are both available and must
-agree; ``method="auto"`` switches to the FFT at or above 1024 output samples.
-The FFT path is numpy's real FFT, zero-padded to the next 5-smooth length
-(:func:`fast_fft_len`) so that no transform hits a slow large prime factor.
+This module owns how a convolution is evaluated.  :func:`convolver` is the
+one place that chooses: direct summation below ``FFT_THRESHOLD`` (1024)
+full-output samples, and at or above it numpy's real FFT, zero-padded to the
+next 5-smooth length (:func:`fast_fft_len`) so that no transform hits a slow
+large prime factor.  :func:`convolve` scales that sum by ``dt`` so it
+approximates the continuous integral independently of grid resolution, and
+Richardson-Lucy deconvolution builds its blur and adjoint from it.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ __all__ = [
     "SampledWaveform",
     "gaussian_waveform",
     "rect_waveform",
+    "convolver",
     "convolve",
     "fast_fft_len",
     "fwhm",
@@ -39,7 +42,7 @@ __all__ = [
     "read_csv",
 ]
 
-#: Output length at or above which ``convolve(method="auto")`` uses the FFT.
+#: Full-output length at or above which :func:`convolver` uses the FFT.
 FFT_THRESHOLD = 1024
 
 #: Relative tolerance used when comparing the sample spacings of two grids.
@@ -125,10 +128,7 @@ class SampledWaveform:
     dt_fs : float
         Sample spacing, strictly positive.
     samples : array_like
-        Sample values; stored as a read-only float64 copy.
-    intensity : bool, optional
-        When true (the default) the samples represent an intensity-like
-        quantity and must be non-negative everywhere.
+        Sample values, non-negative; stored as a read-only float64 copy.
 
     Notes
     -----
@@ -139,7 +139,6 @@ class SampledWaveform:
     t0_fs: float
     dt_fs: float
     samples: np.ndarray
-    intensity: bool = True
 
     def __post_init__(self) -> None:
         arr = np.array(self.samples, dtype=np.float64, copy=True)
@@ -153,7 +152,7 @@ class SampledWaveform:
             raise ValidationError("waveform start time must be finite")
         if not (math.isfinite(self.dt_fs) and self.dt_fs > 0.0):
             raise ValidationError(f"sample spacing must be positive, got {self.dt_fs}")
-        if self.intensity and arr.min() < 0.0:
+        if arr.min() < 0.0:
             raise ValidationError(
                 f"intensity waveforms cannot be negative (min sample {arr.min():g})"
             )
@@ -188,30 +187,22 @@ class SampledWaveform:
         """Integral of the waveform approximated as ``sum(samples) * dt``."""
         return float(self.samples.sum() * self.dt_fs)
 
-    def sample_at(self, t_fs, fill: float = 0.0):
-        """Linear interpolation at arbitrary times; ``fill`` outside the grid."""
-        return np.interp(t_fs, self.times(), self.samples, left=fill, right=fill)
+    def sample_at(self, t_fs):
+        """Linear interpolation at arbitrary times; zero outside the grid."""
+        return np.interp(t_fs, self.times(), self.samples, left=0.0, right=0.0)
 
     def peak_normalized(self) -> "SampledWaveform":
         """Return a copy scaled so the largest sample equals one."""
         peak = self.peak_value
         if peak <= 0.0:
             raise ValidationError("cannot peak-normalize a waveform with no positive samples")
-        return SampledWaveform(self.t0_fs, self.dt_fs, self.samples / peak, self.intensity)
-
-    def scaled(self, factor: float) -> "SampledWaveform":
-        if not math.isfinite(factor):
-            raise ValidationError("scale factor must be finite")
-        return SampledWaveform(
-            self.t0_fs, self.dt_fs, self.samples * factor,
-            self.intensity and factor >= 0.0,
-        )
+        return SampledWaveform(self.t0_fs, self.dt_fs, self.samples / peak)
 
     def shifted(self, offset_fs: float) -> "SampledWaveform":
         """Return the same samples with the grid translated by ``offset_fs``."""
         if not math.isfinite(offset_fs):
             raise ValidationError("time offset must be finite")
-        return SampledWaveform(self.t0_fs + offset_fs, self.dt_fs, self.samples, self.intensity)
+        return SampledWaveform(self.t0_fs + offset_fs, self.dt_fs, self.samples)
 
 
 def gaussian_waveform(spec: PulseSpec, grid: TimeGrid) -> SampledWaveform:
@@ -265,50 +256,49 @@ def fast_fft_len(n: int) -> int:
     return best
 
 
-def convolve(a: SampledWaveform, b: SampledWaveform, method: str = "auto") -> SampledWaveform:
+def convolver(kernel: np.ndarray, n: int, start: int, size: int):
+    """``u -> (u * kernel)[start:start + size]`` for length-``n`` arrays ``u``.
+
+    Below :data:`FFT_THRESHOLD` full-output samples (``n + kernel.size - 1``)
+    this is ``np.convolve``; at or above it, numpy's real FFT zero-padded to
+    :func:`fast_fft_len`, with the kernel's spectrum computed once here.  The
+    two paths agree to round-off.
+    """
+    full = n + kernel.size - 1
+    if full < FFT_THRESHOLD:
+        def apply(u):
+            return np.convolve(u, kernel)[start:start + size]
+    else:
+        nfft = fast_fft_len(full)
+        kernel_hat = np.fft.rfft(kernel, nfft)
+
+        def apply(u):
+            return np.fft.irfft(np.fft.rfft(u, nfft) * kernel_hat, nfft)[start:start + size]
+    return apply
+
+
+def convolve(a: SampledWaveform, b: SampledWaveform) -> SampledWaveform:
     """Convolve two waveforms sampled with the same spacing.
 
-    The discrete convolution sum is multiplied by ``dt`` so the result
-    approximates the continuous convolution integral; convolving with a
-    unit-area waveform therefore preserves area.  The output grid starts at
-    ``a.t0_fs + b.t0_fs`` and has ``a.n + b.n - 1`` samples.
-
-    Parameters
-    ----------
-    a, b : SampledWaveform
-        Inputs; their ``dt_fs`` must agree to within 1e-9 relative.
-    method : {"auto", "direct", "fft"}
-        Evaluation path.  ``"auto"`` uses direct summation below 1024 output
-        samples and the FFT at or above it.  Both paths compute the same
-        quantity and agree to better than 1e-9 relative.
+    The discrete convolution sum (evaluated by :func:`convolver`) is
+    multiplied by ``dt`` so the result approximates the continuous
+    convolution integral; convolving with a unit-area waveform therefore
+    preserves area.  The output grid starts at ``a.t0_fs + b.t0_fs`` and has
+    ``a.n + b.n - 1`` samples.
 
     Raises
     ------
     GridMismatchError
-        If the sample spacings differ beyond tolerance.
+        If the sample spacings differ by more than 1e-9 relative.
     """
     if abs(a.dt_fs - b.dt_fs) > DT_MATCH_RTOL * max(a.dt_fs, b.dt_fs):
         raise GridMismatchError(
             f"convolution requires equal sample spacings, got {a.dt_fs!r} and {b.dt_fs!r}"
         )
-    out_len = a.n + b.n - 1
-    if method == "auto":
-        method = "direct" if out_len < FFT_THRESHOLD else "fft"
-    if method == "direct":
-        raw = np.convolve(a.samples, b.samples)
-    elif method == "fft":
-        nfft = fast_fft_len(out_len)
-        spectrum = np.fft.rfft(a.samples, nfft) * np.fft.rfft(b.samples, nfft)
-        raw = np.fft.irfft(spectrum, nfft)[:out_len]
-    else:
-        raise ValidationError(f"unknown convolution method {method!r}")
-    out = raw * a.dt_fs
-    is_intensity = a.intensity and b.intensity
-    if is_intensity:
-        # FFT round-off can leave tiny negative samples; both inputs are
-        # non-negative so the exact result is too.
-        out = np.maximum(out, 0.0)
-    return SampledWaveform(a.t0_fs + b.t0_fs, a.dt_fs, out, is_intensity)
+    raw = convolver(b.samples, a.n, 0, a.n + b.n - 1)(a.samples)
+    # FFT round-off can leave tiny negative samples; both inputs are
+    # non-negative so the exact result is too
+    return SampledWaveform(a.t0_fs + b.t0_fs, a.dt_fs, np.maximum(raw * a.dt_fs, 0.0))
 
 
 def fwhm(w: SampledWaveform) -> float:
@@ -349,10 +339,9 @@ def fwhm(w: SampledWaveform) -> float:
     return float(t_right - t_left)
 
 
-def resample(w: SampledWaveform, grid: TimeGrid, fill: float = 0.0) -> SampledWaveform:
-    """Linearly interpolate ``w`` onto ``grid``; ``fill`` outside its span."""
-    vals = np.interp(grid.times(), w.times(), w.samples, left=fill, right=fill)
-    return SampledWaveform(grid.t0_fs, grid.dt_fs, vals, w.intensity and fill >= 0.0)
+def resample(w: SampledWaveform, grid: TimeGrid) -> SampledWaveform:
+    """Linearly interpolate ``w`` onto ``grid``; zero outside its span."""
+    return SampledWaveform(grid.t0_fs, grid.dt_fs, w.sample_at(grid.times()))
 
 
 def csv_text(header: str, columns, metadata: dict | None = None) -> str:
@@ -389,7 +378,7 @@ def write_csv(path, w: SampledWaveform, metadata: dict | None = None) -> None:
         fh.write(text)
 
 
-def read_csv(path, intensity: bool = False) -> tuple[SampledWaveform, dict]:
+def read_csv(path) -> tuple[SampledWaveform, dict]:
     """Read a waveform written by :func:`write_csv`.
 
     Returns the waveform and a dict of the ``# key=value`` comment lines.
@@ -441,4 +430,4 @@ def read_csv(path, intensity: bool = False) -> tuple[SampledWaveform, dict]:
             f"{path}: time grid is not uniform within {CSV_GRID_RTOL:g} relative"
         )
     dt = float((t[-1] - t[0]) / (len(t) - 1))
-    return SampledWaveform(float(t[0]), dt, v, intensity), metadata
+    return SampledWaveform(float(t[0]), dt, v), metadata

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
+from convolution_paths import PATHS, both_paths, forced_path
 from ucspd import analysis
 from ucspd.analysis import (
     DeconvolutionSettings,
@@ -80,7 +81,7 @@ class TestDeconvolveRoundTrip:
         # the estimate carries physical units, not just shape
         kernel = reference_kernel()
         grid = TimeGrid.symmetric(1500.0, 1.0)
-        truth = gaussian_waveform(PulseSpec(SIGNAL_FWHM), grid).scaled(3.7e4)
+        truth = gaussian_waveform(PulseSpec(SIGNAL_FWHM, amplitude=3.7e4), grid)
         measured = convolve(truth, kernel)
         result = deconvolve(measured, kernel)
         assert result.estimate.peak_value == pytest.approx(truth.peak_value, rel=5e-3)
@@ -172,19 +173,15 @@ class TestDeconvolveThreePulse:
             assert heights[1] / side == pytest.approx(4.0, rel=0.10)
 
 
-# FFT_THRESHOLD values that force the direct and the FFT operator path
-PATHS = {"direct": 10 ** 9, "fft": 0}
-
-
 class TestDeconvolvePaths:
-    @pytest.mark.parametrize("path", sorted(PATHS))
+    @pytest.mark.parametrize("path", PATHS)
     @pytest.mark.parametrize("n,m", [(50, 7), (50, 8), (145, 69), (145, 70), (30, 41), (30, 40)])
-    def test_operators_are_an_exact_adjoint_pair(self, monkeypatch, path, n, m):
-        monkeypatch.setattr(analysis, "FFT_THRESHOLD", PATHS[path])
+    def test_operators_are_an_exact_adjoint_pair(self, path, n, m):
         rng = np.random.default_rng(n * 1000 + m)
         kn = rng.random(m)
         kn /= kn.sum()
-        forward, adjoint = analysis._rl_operators(kn, n)
+        with forced_path(path):
+            forward, adjoint = analysis._rl_operators(kn, n)
         u = rng.random(n)
         v = rng.random(n)
         lhs = float(np.dot(forward(u), v))
@@ -193,17 +190,14 @@ class TestDeconvolvePaths:
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
     @pytest.mark.parametrize("trim", [0, 1])
-    def test_direct_and_fft_paths_give_the_same_estimate(self, monkeypatch, trim):
+    def test_direct_and_fft_paths_give_the_same_estimate(self, trim):
         measured, kernel = TestDeconvolveThreePulse().seeded_three_pulse()
         kernel = SampledWaveform(kernel.t0_fs, kernel.dt_fs, kernel.samples[trim:])
-        results = {}
-        for path, threshold in PATHS.items():
-            monkeypatch.setattr(analysis, "FFT_THRESHOLD", threshold)
-            results[path] = deconvolve(measured, kernel, DeconvolutionSettings(iterations=100))
-        direct, fft = results["direct"].estimate, results["fft"].estimate
+        results = both_paths(deconvolve, measured, kernel, DeconvolutionSettings(iterations=100))
+        direct, fft = (result.estimate for result in results)
         assert fft.t0_fs == direct.t0_fs
         assert np.abs(fft.samples - direct.samples).max() <= 1e-12 * direct.peak_value
-        for result in results.values():
+        for result in results:
             assert result.iterations_run == 100
             assert result.max_flux_drift <= 1e-12
 
@@ -228,12 +222,9 @@ class TestDeconvolveWithBackground:
     @given(problem=_poisson_problem())
     def test_em_identity_and_stop_agree_on_both_paths(self, problem):
         measured, kernel, background = problem
-        results = {}
-        for path, threshold in PATHS.items():
-            with mock.patch.object(analysis, "FFT_THRESHOLD", threshold):
-                results[path] = deconvolve(measured, kernel, background=background)
+        results = both_paths(deconvolve, measured, kernel, background=background)
         noise_level = 1.0 + 2.0 * math.sqrt(2.0 / measured.n)
-        for result in results.values():
+        for result in results:
             assert result.max_flux_drift <= 1e-12
             assert np.all(result.estimate.samples >= 0.0)
             if result.stop_reason == "discrepancy":
@@ -241,7 +232,7 @@ class TestDeconvolveWithBackground:
             else:
                 assert result.stop_reason == "cap"
                 assert result.iterations_run == result.settings.iterations
-        direct, fft = results["direct"], results["fft"]
+        direct, fft = results
         assert (direct.stop_reason, direct.iterations_run) == (fft.stop_reason, fft.iterations_run)
 
     def test_start_holds_the_counts_above_the_background(self):
@@ -336,16 +327,16 @@ class TestAcceleratedPath:
         for em, following in zip(em_values, points[1:]):
             assert np.all(following[em > 0.0] > 0.0)
 
-    @pytest.mark.parametrize("path", sorted(PATHS))
-    def test_exact_data_is_plain_em_bit_for_bit(self, monkeypatch, path):
-        monkeypatch.setattr(analysis, "FFT_THRESHOLD", PATHS[path])
+    @pytest.mark.parametrize("path", PATHS)
+    def test_exact_data_is_plain_em_bit_for_bit(self, path):
         kernel = reference_kernel()
         grid = TimeGrid.symmetric(600.0, 1.0)
         truth = gaussian_waveform(PulseSpec(SIGNAL_FWHM, center_fs=-90.0), grid)
         measured = convolve(truth, kernel)
-        result = deconvolve(measured, kernel, DeconvolutionSettings(iterations=60))
+        with forced_path(path):
+            result = deconvolve(measured, kernel, DeconvolutionSettings(iterations=60))
+            reference = plain_em(measured, kernel, 60)
         assert (result.stop_reason, result.iterations_run) == ("cap", 60)
-        reference = plain_em(measured, kernel, 60)
         assert result.estimate.samples.tobytes() == reference.tobytes()
 
 
@@ -357,14 +348,13 @@ class TestDeconvolveValidation:
             deconvolve(a, b)
 
     def test_negative_samples_rejected(self):
-        # field-amplitude waveforms may go negative; the deconvolution is a
-        # counts algorithm and must refuse them
+        # the deconvolution is a counts algorithm; the waveform type refuses
+        # negative samples before either input can reach it
         good = SampledWaveform(0.0, 1.0, np.ones(3))
-        bad = SampledWaveform(0.0, 1.0, np.array([1.0, -0.5, 1.0]), intensity=False)
-        with pytest.raises(ValidationError):
-            deconvolve(bad, good)
-        with pytest.raises(ValidationError):
-            deconvolve(good, bad)
+        with pytest.raises(ValidationError, match="cannot be negative"):
+            deconvolve(SampledWaveform(0.0, 1.0, [1.0, -0.5, 1.0]), good)
+        with pytest.raises(ValidationError, match="cannot be negative"):
+            deconvolve(good, SampledWaveform(0.0, 1.0, [1.0, -0.5, 1.0]))
 
     def test_zero_kernel_rejected(self):
         measured = SampledWaveform(0.0, 1.0, np.ones(16))

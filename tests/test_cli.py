@@ -70,7 +70,7 @@ class TestResolve:
         assert summary["tau_g"] == 204.3
         assert summary["fwhm_fs"] == pytest.approx(412.0, rel=0.05)
         assert summary["scenario_hash"] == scenario_hash()
-        waveform, metadata = read_csv(out / "resolution.csv", intensity=True)
+        waveform, metadata = read_csv(out / "resolution.csv")
         assert metadata["scenario_hash"] == scenario_hash()
         assert waveform.peak_value == pytest.approx(1.0, rel=1e-9)
         svg = (out / "resolution.svg").read_text()
@@ -180,8 +180,8 @@ class TestTimebin:
         c = 0.982
         weights = np.array([1.0, (2.0 * c) ** 2, c ** 4])
         assert probs == pytest.approx(list(weights / weights.sum()), rel=1e-9)
-        state, _ = read_csv(out / "timebin_state.csv", intensity=True)
-        measured, _ = read_csv(out / "timebin_measured.csv", intensity=True)
+        state, _ = read_csv(out / "timebin_state.csv")
+        measured, _ = read_csv(out / "timebin_measured.csv")
         assert state.peak_time_fs == pytest.approx(0.0, abs=1.0)
         # gate blur widens the train but keeps its center
         assert measured.peak_time_fs == pytest.approx(0.0, abs=5.0)
@@ -210,7 +210,7 @@ class TestDeconv:
     def test_recovers_pulse_train(self, tmp_path):
         out = tmp_path / "art"
         assert run("deconv", "l2_300mw", "--out", str(out), "--quiet") == 0
-        recovered, metadata = read_csv(out / "deconv_recovered.csv", intensity=True)
+        recovered, metadata = read_csv(out / "deconv_recovered.csv")
         assert metadata["scenario_hash"] == scenario_hash()
         idx, _ = find_peaks(recovered.samples, prominence=0.05 * recovered.peak_value)
         assert idx.size == 3
@@ -245,7 +245,7 @@ class TestDeconv:
         assert run("resolve", name, "--out", str(out), "--quiet") == 0
         assert run("deconv", name, "--out", str(out), "--quiet") == 0
         [(measured, kernel)] = seen
-        resolve, _ = read_csv(out / "resolution.csv", intensity=True)
+        resolve, _ = read_csv(out / "resolution.csv")
         assert kernel.dt_fs == measured.dt_fs > resolve.dt_fs
         sampled = np.interp(kernel.times(), resolve.times(), resolve.samples, left=0.0, right=0.0)
         assert np.abs(kernel.samples - sampled).max() <= 1e-8
@@ -271,7 +271,7 @@ class TestDeconv:
         report = json.loads((out / "deconv_report.json").read_text())
         assert report["stop_reason"] == "discrepancy"
         assert report["iterations_run"] < 500
-        recovered, _ = read_csv(out / "deconv_recovered.csv", intensity=True)
+        recovered, _ = read_csv(out / "deconv_recovered.csv")
         assert recovered.n == 6001
         assert abs(fwhm(recovered) - 240.0) <= 10.0
 
@@ -483,6 +483,21 @@ class TestExitCodes:
         assert run("resolve", str(edited), "--out", str(tmp_path / "art")) == 1
         err = capsys.readouterr().err
         assert err.startswith("ucspd: error: detector.pump: calibration power 5e-324 mW")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("sub", ["limits", "report"])
+    def test_underflowing_detected_pulse_count_is_a_numerical_error(self, sub, tmp_path, capsys):
+        text = (BUNDLED / "l2_300mw.scenario").read_text(encoding="utf-8")
+        edited = tmp_path / "slow.scenario"
+        edited.write_text(
+            text.replace("rep_rate_hz: 76300000.0", "rep_rate_hz: 5.0e-324"), encoding="utf-8"
+        )
+        assert run(sub, str(edited), "--out", str(tmp_path / "art")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "ucspd: error: integration_s * rep_rate_hz * external_eta = 1.0 * 5e-324 * "
+        )
+        assert "underflows to 0" in err
         assert "Traceback" not in err
 
     def test_options_do_not_carry_over_between_calls(self, tmp_path, capsys):

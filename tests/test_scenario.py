@@ -304,6 +304,25 @@ class TestDiagnostics:
         ("power_stop_mw: 500.0", "power_stop_mw: 10.0", "power"),
         ("signal: timebin", "signal: chirped", "signal"),
         ("calibration_noise_cps: 800.0", "calibration_noise_cps: 10.0", "noise"),
+        # a key's own range is checked by the schema, which names the key
+        ("step_fs: 25.0", "step_fs: 0.0", r"experiment\.scan\.step_fs: must be positive"),
+        ("dwell_s: 1.0\n    signal", "dwell_s: -1.0\n    signal",
+         r"experiment\.scan\.dwell_s: must be positive"),
+        ("dwell_s: 1.0\n    counts", "dwell_s: 0.0\n    counts",
+         r"experiment\.sweep\.dwell_s: must be positive"),
+        ("counts_scale: 2000000.0", "counts_scale: -5.0",
+         r"experiment\.sweep\.counts_scale: must be positive"),
+        ("slot_spacing_fs: 800.0", "slot_spacing_fs: 0.0",
+         r"experiment\.timebin\.slot_spacing_fs: must be positive"),
+        ("power_start_mw: 50.0", "power_start_mw: -50.0",
+         r"experiment\.limits\.power_start_mw: must be positive"),
+        ("power_step_mw: 25.0", "power_step_mw: 0.0",
+         r"experiment\.limits\.power_step_mw: must be positive"),
+        ("integration_s: 1.0", "integration_s: 0.0",
+         r"experiment\.limits\.integration_s: must be positive"),
+        ("pump_fwhm_fs: 200.0", "pump_fwhm_fs: 0.0", r"source\.pump_fwhm_fs: must be positive"),
+        ("signal_fwhm_fs: 240.0", "signal_fwhm_fs: -240.0",
+         r"source\.signal_fwhm_fs: must be positive"),
     ])
     def test_section_invariants_enforced(self, old, new, path):
         text = bundled_text().replace(old, new)

@@ -1,6 +1,8 @@
-"""Source hygiene: every name a package module imports is used there."""
+"""Source hygiene: every name a package module imports is used there, and
+only ``waveform`` decides how a convolution is evaluated."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -37,3 +39,13 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# what choosing between direct summation and the FFT takes
+CONVOLUTION_ENGINE = re.compile(r"\bnp\.convolve\b|\bnp\.fft\b|\bFFT_THRESHOLD\b|\bfast_fft_len\b")
+
+
+def test_only_waveform_evaluates_convolutions():
+    owners = [path.name for path in sorted(SRC.glob("*.py"))
+              if CONVOLUTION_ENGINE.search(path.read_text(encoding="utf-8"))]
+    assert owners == ["waveform.py"]

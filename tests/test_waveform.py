@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from convolution_paths import PATHS, both_paths, forced_path
 from oracles import GATE_FWHM_BY_LENGTH, GAUSS312_RECT408_PEAK, gauss_rect_fwhm_oracle
 from ucspd.errors import GridMismatchError, NumericalError, ValidationError
 from ucspd.waveform import (
@@ -15,6 +16,7 @@ from ucspd.waveform import (
     SampledWaveform,
     TimeGrid,
     convolve,
+    convolver,
     csv_text,
     fast_fft_len,
     fwhm,
@@ -63,9 +65,6 @@ class TestSampledWaveform:
     def test_intensity_rejects_negative_samples(self):
         with pytest.raises(ValidationError):
             SampledWaveform(0.0, 1.0, [0.0, -0.5, 1.0])
-        # but plain signal waveforms may go negative
-        w = SampledWaveform(0.0, 1.0, [0.0, -0.5, 1.0], intensity=False)
-        assert w.samples[1] == -0.5
 
     def test_rejects_nonfinite_and_short(self):
         with pytest.raises(ValidationError):
@@ -176,7 +175,7 @@ class TestConvolve:
         grid = TimeGrid.symmetric(1000.0, 1.0)
         f = gaussian_waveform(PulseSpec(313.0, center_fs=40.0), grid)
         kern = gaussian_waveform(PulseSpec(150.0), grid)
-        kern = kern.scaled(1.0 / kern.area)
+        kern = SampledWaveform(kern.t0_fs, kern.dt_fs, kern.samples / kern.area)
         assert convolve(f, kern).area == pytest.approx(f.area, rel=1e-3)
 
     def test_mismatched_spacing_raises(self):
@@ -190,8 +189,7 @@ class TestConvolve:
         for n in (64, 700, 1500):
             a = SampledWaveform(0.0, 1.0, rng.random(n) + 0.1)
             b = SampledWaveform(-5.0, 1.0, rng.random(n // 2 + 3) + 0.1)
-            direct = convolve(a, b, method="direct")
-            fft = convolve(a, b, method="fft")
+            direct, fft = both_paths(convolve, a, b)
             scale = np.abs(direct.samples).max()
             assert np.abs(direct.samples - fft.samples).max() <= 1e-9 * scale
 
@@ -212,10 +210,9 @@ class TestConvolve:
     @example(n_a=1400, n_b=602, seed=6)
     def test_direct_and_fft_agree_for_any_lengths(self, n_a, n_b, seed):
         rng = np.random.default_rng(seed)
-        a = SampledWaveform(0.0, 1.0, rng.standard_normal(n_a), intensity=False)
-        b = SampledWaveform(3.0, 1.0, rng.standard_normal(n_b), intensity=False)
-        direct = convolve(a, b, method="direct")
-        fft = convolve(a, b, method="fft")
+        a = SampledWaveform(0.0, 1.0, rng.random(n_a))
+        b = SampledWaveform(3.0, 1.0, rng.random(n_b))
+        direct, fft = both_paths(convolve, a, b)
         assert fft.n == direct.n == n_a + n_b - 1
         assert fft.t0_fs == direct.t0_fs
         scale = np.abs(direct.samples).max()
@@ -223,16 +220,15 @@ class TestConvolve:
 
     def test_commutative_and_linear(self):
         rng = np.random.default_rng(7)
-        a = SampledWaveform(1.0, 0.5, rng.standard_normal(40), intensity=False)
-        b = SampledWaveform(-2.0, 0.5, rng.standard_normal(25), intensity=False)
-        c = SampledWaveform(-2.0, 0.5, rng.standard_normal(25), intensity=False)
+        a = SampledWaveform(1.0, 0.5, rng.random(40))
+        b = SampledWaveform(-2.0, 0.5, rng.random(25))
+        c = SampledWaveform(-2.0, 0.5, rng.random(25))
         ab = convolve(a, b)
         ba = convolve(b, a)
         assert ab.t0_fs == ba.t0_fs
         assert np.allclose(ab.samples, ba.samples, rtol=1e-12, atol=1e-12)
-        lin = convolve(a, SampledWaveform(-2.0, 0.5, 2.0 * b.samples - 3.0 * c.samples,
-                                          intensity=False))
-        ref = 2.0 * convolve(a, b).samples - 3.0 * convolve(a, c).samples
+        lin = convolve(a, SampledWaveform(-2.0, 0.5, 2.0 * b.samples + 3.0 * c.samples))
+        ref = 2.0 * convolve(a, b).samples + 3.0 * convolve(a, c).samples
         assert np.allclose(lin.samples, ref, rtol=1e-10, atol=1e-10)
 
     def test_intensity_output_stays_nonnegative(self):
@@ -240,13 +236,19 @@ class TestConvolve:
         a = gaussian_waveform(PulseSpec(50.0), grid)
         b = rect_waveform(10.0, grid)
         c = convolve(a, b)
-        assert c.intensity
         assert c.samples.min() >= 0.0
 
-    def test_unknown_method_rejected(self):
-        a = SampledWaveform(0.0, 1.0, np.ones(4))
-        with pytest.raises(ValidationError):
-            convolve(a, a, method="magic")
+    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize("n,m,start,size", [(50, 7, 0, 56), (50, 8, 4, 50), (30, 41, 20, 30),
+                                                (1000, 30, 15, 1000), (1200, 5, 1203, 1)])
+    def test_convolver_is_a_slice_of_the_full_sum(self, path, n, m, start, size):
+        rng = np.random.default_rng(n + m)
+        kernel, u = rng.random(m), rng.random(n)
+        with forced_path(path):
+            out = convolver(kernel, n, start, size)(u)
+        full = np.convolve(u, kernel)
+        assert out.shape == (size,)
+        assert np.allclose(out, full[start:start + size], rtol=1e-12, atol=1e-12 * full.max())
 
 
 class TestFastFftLen:
@@ -286,7 +288,8 @@ class TestFwhm:
         base = convolve(gaussian_waveform(PulseSpec(150.0), grid),
                         rect_waveform(300.0, grid))
         ref = fwhm(base)
-        assert fwhm(base.scaled(123.4)) == pytest.approx(ref, rel=1e-12)
+        scaled = SampledWaveform(base.t0_fs, base.dt_fs, 123.4 * base.samples)
+        assert fwhm(scaled) == pytest.approx(ref, rel=1e-12)
         assert fwhm(base.shifted(517.0)) == pytest.approx(ref, rel=1e-12)
 
     def test_monotone_in_gate_width(self):
@@ -339,7 +342,7 @@ class TestCsv:
         w = gaussian_waveform(PulseSpec(240.0, center_fs=12.0), grid)
         path = tmp_path / "wave.csv"
         write_csv(path, w, metadata={"scenario_hash": "abc123def456"})
-        back, meta = read_csv(path, intensity=True)
+        back, meta = read_csv(path)
         assert meta["scenario_hash"] == "abc123def456"
         assert back.n == w.n
         assert back.t0_fs == pytest.approx(w.t0_fs, abs=1e-6)
