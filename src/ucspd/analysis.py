@@ -46,6 +46,7 @@ __all__ = [
     "fit_sine",
     "ErfGateFit",
     "fit_erf_gate",
+    "erf_gate_q",
     "erf_gate_model",
     "erf_gate_jacobian",
 ]
@@ -269,14 +270,6 @@ class SineFit:
     n_points: int
     dwell_s: float
 
-    def __post_init__(self) -> None:
-        if not (self.offset > 0.0):
-            raise ValidationError(f"fitted offset must be positive, got {self.offset}")
-        if self.visibility < 0.0 or self.visibility > 1.0 + 3.0 * self.visibility_sigma + 1e-12:
-            raise ValidationError(
-                f"fitted visibility {self.visibility} outside [0, 1 + 3 sigma]"
-            )
-
 
 def fit_sine(phases_rad, counts, dwell_s: float = 1.0) -> SineFit:
     """Weighted least-squares fringe fit with Poisson count weights.
@@ -308,8 +301,6 @@ def fit_sine(phases_rad, counts, dwell_s: float = 1.0) -> SineFit:
         raise ValidationError("phases and counts must be finite")
     if y.min() < 0.0:
         raise ValidationError("counts must be nonnegative")
-    if not (math.isfinite(dwell_s) and dwell_s > 0.0):
-        raise ValidationError(f"dwell time must be positive, got {dwell_s}")
     span = phases.max() - phases.min()
     if span < math.pi:
         raise ValidationError(
@@ -383,11 +374,16 @@ def _erf_args(delay_fs, gate_width_fs, center_fs, q):
     return q * (gate_width_fs - 2.0 * tau), q * (-gate_width_fs - 2.0 * tau)
 
 
+def erf_gate_q(pump_fwhm_fs: float, signal_fwhm_fs: float) -> float:
+    """The fixed ``q = sqrt(ln 2 / (dp^2 + ds^2))`` of :func:`erf_gate_model`."""
+    return math.sqrt(math.log(2.0) / (pump_fwhm_fs ** 2 + signal_fwhm_fs ** 2))
+
+
 def erf_gate_model(delay_fs, gate_width_fs, amplitude, center_fs, floor, q):
     """Delay-scan model: scaled erf-difference of the gated Gaussian pair.
 
-    ``q`` bundles the pump and signal widths, ``sqrt(ln 2 / (dp^2 + ds^2))``,
-    and is held fixed during fitting.
+    ``q`` bundles the pump and signal widths (:func:`erf_gate_q`) and is
+    held fixed during fitting.
     """
     from scipy.special import erf  # loaded at the first call, not on import
     u1, u2 = _erf_args(delay_fs, gate_width_fs, center_fs, q)
@@ -444,17 +440,11 @@ def fit_erf_gate(
         fitted amplitude is not significant at three sigma (a scan of pure
         noise has no gate to measure); the message includes the residual.
     """
-    if not (math.isfinite(pump_fwhm_fs) and pump_fwhm_fs > 0.0):
-        raise ValidationError(f"pump FWHM must be positive, got {pump_fwhm_fs}")
-    if not (math.isfinite(signal_fwhm_fs) and signal_fwhm_fs > 0.0):
-        raise ValidationError(f"signal FWHM must be positive, got {signal_fwhm_fs}")
-    if scan.config.kind != "delay":
-        raise ValidationError(f"gate fit needs a delay scan, got kind {scan.config.kind!r}")
     delays = scan.coordinates
     y = scan.counts.astype(np.float64)
     if delays.size < 8:
         raise ValidationError(f"need at least 8 scan points, got {delays.size}")
-    q = math.sqrt(math.log(2.0) / (pump_fwhm_fs ** 2 + signal_fwhm_fs ** 2))
+    q = erf_gate_q(pump_fwhm_fs, signal_fwhm_fs)
 
     floor0 = float(y.min())
     peak = float(y.max())

@@ -300,7 +300,6 @@ def _run_delay_scan(scenario: Scenario, stage: int):
         coordinates=_scan_coordinates(scenario),
         dwell_s=scenario.scan.dwell_s,
         seed=derive_stage_seed(scenario.seed, stage),
-        kind="delay",
     )
     return run_scan(config, rate)
 

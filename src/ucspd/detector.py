@@ -11,7 +11,8 @@ The detection limit follows counting statistics: with a noise rate N over an
 integration time T the count fluctuation is sqrt(N T), and a signal is
 called detectable at three such standard deviations.  Expressed per incident
 pulse that is ``3 sqrt(N T) / (T R eta)`` for repetition rate R and external
-efficiency eta.
+efficiency eta.  The scenario schema checks the arguments; this module
+refuses only what it computes from them.
 """
 
 from __future__ import annotations
@@ -31,10 +32,6 @@ __all__ = [
     "detection_limit",
 ]
 
-def _check_fraction(name: str, value: float) -> None:
-    if not (math.isfinite(value) and 0.0 <= value <= 1.0):
-        raise ValidationError(f"{name} must be a fraction in [0, 1], got {value}")
-
 
 @dataclass(frozen=True)
 class EfficiencyChain:
@@ -49,12 +46,6 @@ class EfficiencyChain:
     apd_efficiency: float = 0.41
     fiber_coupling: float = 0.85
     filter_transmittance: float = 0.94
-
-    def __post_init__(self) -> None:
-        _check_fraction("internal_upconversion", self.internal_upconversion)
-        _check_fraction("apd_efficiency", self.apd_efficiency)
-        _check_fraction("fiber_coupling", self.fiber_coupling)
-        _check_fraction("filter_transmittance", self.filter_transmittance)
 
 
 def external_efficiency(chain: EfficiencyChain) -> float:
@@ -81,21 +72,12 @@ class PumpEfficiencyModel:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.eta_max) and 0.0 < self.eta_max <= 1.0):
             raise ValidationError(f"eta_max must be in (0, 1], got {self.eta_max}")
-        if not (math.isfinite(self.p_sat_mw) and self.p_sat_mw > 0.0):
-            raise ValidationError(f"saturation power must be positive, got {self.p_sat_mw}")
 
     @classmethod
     def from_calibration(
         cls, power_mw: float, eta: float, p_sat_mw: float
     ) -> "PumpEfficiencyModel":
         """Anchor the curve so it passes exactly through one measured point."""
-        if not (math.isfinite(power_mw) and power_mw > 0.0):
-            raise ValidationError(f"calibration power must be positive, got {power_mw}")
-        _check_fraction("calibration efficiency", eta)
-        if eta <= 0.0:
-            raise ValidationError("calibration efficiency must be positive")
-        if not (math.isfinite(p_sat_mw) and p_sat_mw > 0.0):
-            raise ValidationError(f"saturation power must be positive, got {p_sat_mw}")
         saturation = -math.expm1(-power_mw / p_sat_mw)
         if saturation == 0.0:
             raise ValidationError(
@@ -108,8 +90,6 @@ class PumpEfficiencyModel:
 
 def efficiency_at_power(model: PumpEfficiencyModel, power_mw: float) -> float:
     """Internal conversion efficiency at the given average pump power."""
-    if not (math.isfinite(power_mw) and power_mw >= 0.0):
-        raise ValidationError(f"pump power must be >= 0, got {power_mw}")
     return model.eta_max * -math.expm1(-power_mw / model.p_sat_mw)
 
 
@@ -128,10 +108,9 @@ class NoiseModel:
     growth_per_unit_eta: float
 
     def __post_init__(self) -> None:
-        for name in ("dark_cps", "n0_cps", "growth_per_unit_eta"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValidationError(f"{name} must be >= 0, got {value}")
+        # from_calibration's n0 overflows when the term it divides by is subnormal
+        if not (math.isfinite(self.n0_cps) and self.n0_cps >= 0.0):
+            raise ValidationError(f"n0_cps must be >= 0, got {self.n0_cps}")
 
     @classmethod
     def from_calibration(
@@ -142,9 +121,6 @@ class NoiseModel:
         noise_cps_ref: float,
     ) -> "NoiseModel":
         """Fix ``n0`` so the curve passes through one measured noise rate."""
-        _check_fraction("eta_ref", eta_ref)
-        if eta_ref <= 0.0:
-            raise ValidationError("reference efficiency must be positive")
         if noise_cps_ref < dark_cps:
             raise ValidationError(
                 f"reference noise {noise_cps_ref} cps is below the dark floor {dark_cps} cps"
@@ -164,7 +140,6 @@ class NoiseModel:
 
 def noise_cps(model: NoiseModel, internal_eta: float) -> float:
     """Noise rate at the given internal efficiency operating point."""
-    _check_fraction("internal_eta", internal_eta)
     try:
         growth = math.expm1(model.growth_per_unit_eta * internal_eta)
     except OverflowError:
@@ -186,18 +161,9 @@ def detection_limit(
     Three standard deviations of the integrated noise counts, referred back
     to the source through the external efficiency and repetition rate:
     ``3 sqrt(noise * T) / (T * R * eta)``.  Scales as ``1 / sqrt(T)`` and as
-    ``1 / eta``, so halving the efficiency doubles the limit.
+    ``1 / eta``, so halving the efficiency doubles the limit.  When
+    ``T * R * eta`` is 0 no pulse is detected and NumericalError says so.
     """
-    if not (math.isfinite(noise_rate_cps) and noise_rate_cps >= 0.0):
-        raise ValidationError(f"noise rate must be >= 0, got {noise_rate_cps}")
-    if not (math.isfinite(integration_s) and integration_s > 0.0):
-        raise ValidationError(f"integration time must be positive, got {integration_s}")
-    if not (math.isfinite(external_eta) and 0.0 < external_eta <= 1.0):
-        raise ValidationError(
-            f"external efficiency must be in (0, 1], got {external_eta}"
-        )
-    if not (math.isfinite(rep_rate_hz) and rep_rate_hz > 0.0):
-        raise ValidationError(f"repetition rate must be positive, got {rep_rate_hz}")
     sigma = math.sqrt(noise_rate_cps * integration_s)
     pulses_detected = integration_s * rep_rate_hz * external_eta
     if pulses_detected == 0.0:

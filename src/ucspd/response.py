@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import erf_gate_model, erf_gate_q
 from .errors import ValidationError
 from .waveform import (
     PulseSpec,
@@ -54,14 +55,6 @@ class CrystalSpec:
     length_mm: float
     tau_g_fs_per_mm: float = DEFAULT_GROUP_DELAY_FS_PER_MM
     label: str = ""
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.length_mm) and self.length_mm > 0.0):
-            raise ValidationError(f"crystal length must be positive, got {self.length_mm}")
-        if not (math.isfinite(self.tau_g_fs_per_mm) and self.tau_g_fs_per_mm > 0.0):
-            raise ValidationError(
-                f"group delay must be positive, got {self.tau_g_fs_per_mm}"
-            )
 
     @property
     def gate_width_fs(self) -> float:
@@ -122,19 +115,17 @@ def analytic_response(t_fs, pump_fwhm_fs: float, signal_fwhm_fs: float, crystal:
     with ``w`` the gate width and ``q = sqrt(ln 2 / (dp^2 + ds^2))`` built
     from the two FWHM values.  The result is symmetric in ``t`` and peaks at
     zero delay; it carries the natural amplitude of the erf difference (peak
-    ``2 erf(q w)``), not a normalized one.
+    ``2 erf(q w)``), not a normalized one: it is
+    :func:`analysis.erf_gate_model` at amplitude 1, center 0 and floor 0.
 
     Accepts a scalar or array of delays and returns the same shape.
     """
-    from scipy.special import erf  # loaded at the first call, not on import
     if not (math.isfinite(pump_fwhm_fs) and pump_fwhm_fs > 0.0):
         raise ValidationError(f"pump FWHM must be positive, got {pump_fwhm_fs}")
     if not (math.isfinite(signal_fwhm_fs) and signal_fwhm_fs > 0.0):
         raise ValidationError(f"signal FWHM must be positive, got {signal_fwhm_fs}")
-    q = math.sqrt(math.log(2.0) / (pump_fwhm_fs ** 2 + signal_fwhm_fs ** 2))
-    w = crystal.gate_width_fs
-    t = np.asarray(t_fs, dtype=np.float64)
-    out = erf(q * (w - 2.0 * t)) - erf(q * (-w - 2.0 * t))
+    q = erf_gate_q(pump_fwhm_fs, signal_fwhm_fs)
+    out = erf_gate_model(t_fs, crystal.gate_width_fs, 1.0, 0.0, 0.0, q)
     if np.ndim(t_fs) == 0:
         return float(out)
     return out

@@ -3,16 +3,18 @@
 A scenario file is the reproducibility contract: it pins the detector
 (crystal, efficiency chain, pump saturation, noise model), the source
 (pulse widths, photon flux), the experiment parameters for each subcommand,
-and the random seed.  Parsing is strict: every key is checked for type and
-range against the owning module's invariants before anything runs, and
-unknown keys are errors that name the offending path.
+and the random seed.
 
-One field table, ``_SCHEMA``, gives every key with its check and its default
-(or ``_REQUIRED``); a section is optional when every key in it has a default.
-Parsing, defaults and diagnostics all come from one walk over that table,
-and the tree the walk returns, without ``output_dir``, is the effective
-configuration that is hashed and from which the detector, source and
-experiment objects are built.
+This module is the one boundary where scenario values are checked.  One
+field table, ``_SCHEMA``, gives every key with its check and its default
+(or ``_REQUIRED``); a section is optional when every key in it has a
+default.  A key's own range is its check there (the sweep's point count and
+the scan's signal are checked by their sections), and what involves several
+keys is checked after the walk; every refusal, unknown keys included, names
+a key or section path.  The model code checks only what it computes from
+these values.  The tree the walk returns, without ``output_dir``, is the
+effective configuration that is hashed and from which the detector, source
+and experiment objects are built.
 
 The scenario hash is the first 12 hex characters of the SHA-256 of the
 effective configuration (defaults filled in, sorted keys, compact JSON).
@@ -107,6 +109,20 @@ def _nonnegative(value, path):
     return value
 
 
+def _fraction(value, path):
+    value = _real(value, path)
+    if not 0.0 <= value <= 1.0:
+        raise ScenarioError(f"{path}: must be in [0, 1], got {value}")
+    return value
+
+
+def _positive_fraction(value, path):
+    value = _real(value, path)
+    if not 0.0 < value <= 1.0:
+        raise ScenarioError(f"{path}: must be in (0, 1], got {value}")
+    return value
+
+
 def _integer(value, path):
     if isinstance(value, bool) or not isinstance(value, int):
         raise ScenarioError(f"{path}: expected an integer, got {value!r}")
@@ -145,24 +161,24 @@ _SCHEMA = {
     "output_dir": (_string, "out"),
     "detector": {
         "crystal": {
-            "length_mm": (_real, _REQUIRED),
-            "tau_g_fs_per_mm": (_real, DEFAULT_GROUP_DELAY_FS_PER_MM),
+            "length_mm": (_positive, _REQUIRED),
+            "tau_g_fs_per_mm": (_positive, DEFAULT_GROUP_DELAY_FS_PER_MM),
             "label": (_label, ""),
         },
         "chain": {
-            "apd_efficiency": (_real, 0.41),
-            "fiber_coupling": (_real, 0.85),
-            "filter_transmittance": (_real, 0.94),
+            "apd_efficiency": (_fraction, 0.41),
+            "fiber_coupling": (_fraction, 0.85),
+            "filter_transmittance": (_fraction, 0.94),
         },
         "pump": {
-            "p_sat_mw": (_real, _REQUIRED),
-            "calibration_power_mw": (_real, _REQUIRED),
-            "calibration_eta": (_real, _REQUIRED),
+            "p_sat_mw": (_positive, _REQUIRED),
+            "calibration_power_mw": (_positive, _REQUIRED),
+            "calibration_eta": (_positive_fraction, _REQUIRED),
         },
         "noise": {
-            "dark_cps": (_real, _REQUIRED),
-            "growth_per_unit_eta": (_real, _REQUIRED),
-            "calibration_eta": (_real, _REQUIRED),
+            "dark_cps": (_nonnegative, _REQUIRED),
+            "growth_per_unit_eta": (_nonnegative, _REQUIRED),
+            "calibration_eta": (_positive_fraction, _REQUIRED),
             "calibration_noise_cps": (_real, _REQUIRED),
         },
     },
@@ -192,7 +208,7 @@ _SCHEMA = {
             "slot_spacing_fs": (_positive, _REQUIRED),
             "phase_rad": (_real, 0.0),
             "phase_prime_rad": (_real, 0.0),
-            "contrast": (_real, 1.0),
+            "contrast": (_positive_fraction, 1.0),
         },
         "limits": {
             "power_start_mw": (_positive, _REQUIRED),
@@ -234,7 +250,7 @@ def _walk(node, table, path=""):
 
 
 def _build(path, factory, *args, **kwargs):
-    """Construct a module object, reporting its invariant under the key path."""
+    """Construct a module object, reporting a cross-field refusal under the section path."""
     try:
         return factory(*args, **kwargs)
     except ValidationError as exc:
@@ -291,10 +307,6 @@ class TimebinSection:
     phase_prime_rad: float
     contrast: float
 
-    def __post_init__(self) -> None:
-        if not (0.0 < self.contrast <= 1.0):
-            raise ScenarioError(f"contrast must be in (0, 1], got {self.contrast}")
-
 
 @dataclass(frozen=True)
 class LimitsSection:
@@ -329,10 +341,10 @@ class LimitsSection:
 class Scenario:
     """A fully validated run configuration.
 
-    All detector and source objects are constructed (and therefore
-    validated) at parse time; the sections below carry the per-subcommand
-    experiment parameters.  ``effective_json`` is the canonical serialized
-    form that the scenario hash is computed from.
+    All detector and source objects are constructed at parse time from
+    values the schema has already checked; the sections below carry the
+    per-subcommand experiment parameters.  ``effective_json`` is the
+    canonical serialized form that the scenario hash is computed from.
     """
 
     name: str
@@ -402,8 +414,8 @@ def parse_scenario(text: str) -> Scenario:
     Raises
     ------
     ScenarioError
-        Malformed YAML, missing or unknown keys, type mismatches, or any
-        module invariant violation; the message names the key path.
+        Malformed YAML, missing or unknown keys, or values out of range alone
+        or together; the message names the key or section path.
     """
     try:
         doc = yaml.load(text, Loader=_LOADER)
@@ -416,6 +428,11 @@ def parse_scenario(text: str) -> Scenario:
     output_dir = tree.pop("output_dir")
     detector, source, experiment = tree["detector"], tree["source"], tree["experiment"]
     pump, noise = detector["pump"], detector["noise"]
+    # every pulse is sampled on the model grid, which must resolve the narrower one
+    narrower = min(("pump_fwhm_fs", "signal_fwhm_fs"), key=source.__getitem__)
+    if experiment["dt_fs"] > 0.5 * source[narrower]:
+        raise ScenarioError(f"experiment.dt_fs: must be at most half of source.{narrower} "
+                            f"({source[narrower]} fs), got {experiment['dt_fs']}")
 
     scenario = Scenario(
         name=tree["name"],
@@ -440,9 +457,8 @@ def parse_scenario(text: str) -> Scenario:
         limits=_build("experiment.limits", LimitsSection, **experiment["limits"]),
         effective_json=_canonical_json(tree),
     )
-    # fail fast on the composed detector operating point as well; noise grows
-    # with efficiency, and no pump power takes the efficiency beyond eta_max
-    _build("detector", scenario.chain_at)
+    # noise grows with efficiency, and no pump power takes the efficiency
+    # beyond eta_max, so a noise rate that is finite there is finite everywhere
     _build("detector.noise", noise_cps, scenario.noise_model, scenario.pump_model.eta_max)
     return scenario
 

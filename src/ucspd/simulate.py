@@ -46,23 +46,19 @@ __all__ = [
 #: How per-point random substreams are constructed, recorded in manifests.
 RNG_SCHEME = "pcg64 via SeedSequence(entropy=seed, spawn_key=(point_index,))"
 
-_MAX_SEED = 2 ** 64
-
 
 @dataclass(frozen=True)
 class ScanConfig:
     """One counting scan: coordinates, dwell time per point, and the RNG seed.
 
-    ``kind`` tags the coordinate axis: ``"delay"`` for femtosecond delay
-    scans (coordinates must then be strictly increasing) or ``"phase"`` for
-    interferometer phase sweeps in radians.  The source flux is part of the
+    The coordinates are femtosecond delays or interferometer phases in
+    radians, strictly increasing either way.  The source flux is part of the
     rate function a scan runs with, not of its configuration.
     """
 
     coordinates: np.ndarray
     dwell_s: float = 1.0
     seed: int = 0
-    kind: str = "delay"
 
     def __post_init__(self) -> None:
         coords = np.array(self.coordinates, dtype=np.float64, copy=True)
@@ -70,14 +66,9 @@ class ScanConfig:
             raise ValidationError("scan coordinates must be a non-empty 1-d sequence")
         if not np.all(np.isfinite(coords)):
             raise ValidationError("scan coordinates must be finite")
-        if self.kind not in ("delay", "phase"):
-            raise ValidationError(f"unknown scan kind {self.kind!r}")
-        if self.kind == "delay" and coords.size > 1 and not np.all(np.diff(coords) > 0.0):
-            raise ValidationError("delay coordinates must be strictly increasing")
-        if not (math.isfinite(self.dwell_s) and self.dwell_s > 0.0):
-            raise ValidationError(f"dwell time must be positive, got {self.dwell_s}")
-        if not isinstance(self.seed, int) or not (0 <= self.seed < _MAX_SEED):
-            raise ValidationError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
+        # a step below the spacing of floats near the start repeats a coordinate
+        if coords.size > 1 and not np.all(np.diff(coords) > 0.0):
+            raise ValidationError("scan coordinates must be strictly increasing")
         coords.setflags(write=False)
         object.__setattr__(self, "coordinates", coords)
 
@@ -127,19 +118,9 @@ def delay_rate_function(
     ``rep_rate * mu * eta * O(delay) + noise`` with ``O`` the peak-normalized
     signal/resolution overlap, so the external efficiency applies at optimal
     overlap and ``O <= 1`` everywhere.  ``O`` is interpolated linearly and is
-    zero outside the overlap grid.  The flux parameters are validated here,
-    once, and the overlap and its sample times are computed once.
+    zero outside the overlap grid.  The overlap, its sample times and the
+    flux are computed once.
     """
-    if not (math.isfinite(mean_photons_per_pulse) and mean_photons_per_pulse >= 0.0):
-        raise ValidationError(
-            f"mean photon number must be >= 0, got {mean_photons_per_pulse}"
-        )
-    if not (math.isfinite(external_eta) and 0.0 <= external_eta <= 1.0):
-        raise ValidationError(f"external efficiency must be in [0, 1], got {external_eta}")
-    if not (math.isfinite(rep_rate_hz) and rep_rate_hz > 0.0):
-        raise ValidationError(f"repetition rate must be positive, got {rep_rate_hz}")
-    if not (math.isfinite(noise_cps) and noise_cps >= 0.0):
-        raise ValidationError(f"noise rate must be >= 0, got {noise_cps}")
     overlap = convolve(signal, resolution).peak_normalized()
     times, fractions = overlap.times(), overlap.samples
     flux = rep_rate_hz * mean_photons_per_pulse * external_eta
@@ -436,8 +417,6 @@ def derive_stage_seed(seed: int, stage: int) -> int:
     not share count noise, so each draws its seed from a fixed substream of
     the scenario seed.  Deterministic in both arguments.
     """
-    if not isinstance(seed, int) or not (0 <= seed < _MAX_SEED):
-        raise ValidationError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(0xFFFF, stage))
     return int(ss.generate_state(1, np.uint64)[0])
 
@@ -507,13 +486,9 @@ def run_phase_sweep(
     the fringe (rate times dwell), so the noiseless fringe maximum is
     ``counts_scale * (1 + contrast) / 3``.
     """
-    if not (math.isfinite(counts_scale) and counts_scale > 0.0):
-        raise ValidationError(f"counts scale must be positive, got {counts_scale}")
-    if not (math.isfinite(noise_cps) and noise_cps >= 0.0):
-        raise ValidationError(f"noise rate must be >= 0, got {noise_cps}")
-    if not math.isfinite(decode_phase_rad):
-        raise ValidationError("decode phase must be finite")
-    config = ScanConfig(np.asarray(phases_rad, dtype=np.float64), dwell_s=dwell_s,
-                        seed=seed, kind="phase")
+    config = ScanConfig(np.asarray(phases_rad, dtype=np.float64), dwell_s=dwell_s, seed=seed)
     fringe = center_bin_expectation(config.coordinates - decode_phase_rad, contrast)
-    return run_scan(config, lambda _: (counts_scale * fringe) / dwell_s + noise_cps)
+    # a rate that overflows to inf is refused by run_scan, with its coordinate
+    with np.errstate(over="ignore"):
+        rates = (counts_scale * fringe) / dwell_s + noise_cps
+    return run_scan(config, lambda _: rates)

@@ -56,10 +56,6 @@ class TimeBinState:
             raise ValidationError("amplitudes must be a non-empty one-dimensional sequence")
         if not np.all(np.isfinite(arr)):
             raise ValidationError("amplitudes must be finite")
-        if not (math.isfinite(self.slot_spacing_fs) and self.slot_spacing_fs > 0.0):
-            raise ValidationError(
-                f"slot spacing must be positive, got {self.slot_spacing_fs}"
-            )
         arr.setflags(write=False)
         object.__setattr__(self, "amplitudes", arr)
 
@@ -83,12 +79,6 @@ class InterferometerSpec:
 
     phase_rad: float
     contrast: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.phase_rad):
-            raise ValidationError("interferometer phase must be finite")
-        if not (math.isfinite(self.contrast) and 0.0 < self.contrast <= 1.0):
-            raise ValidationError(f"contrast must be in (0, 1], got {self.contrast}")
 
 
 def apply_interferometer(state: TimeBinState, ifm: InterferometerSpec) -> TimeBinState:
@@ -136,8 +126,6 @@ def synthesize_waveform(
         If the grid does not cover every slot center with a three-FWHM
         margin on both sides; a narrower grid would clip the profile.
     """
-    if not (math.isfinite(pulse_fwhm_fs) and pulse_fwhm_fs > 0.0):
-        raise ValidationError(f"pulse FWHM must be positive, got {pulse_fwhm_fs}")
     centers = state.slot_spacing_fs * np.arange(state.n_slots)
     margin = 3.0 * pulse_fwhm_fs
     if grid.t0_fs > centers.min() - margin or grid.t_max_fs < centers.max() + margin:
@@ -170,10 +158,9 @@ def center_bin_expectation(phase_diff_rad, contrast: float = 1.0):
     by element, so the values are the same bytes on every CPU.
     """
     phases = np.asarray(phase_diff_rad, dtype=np.float64)
+    # a difference of two finite phases can overflow, and math.cos refuses inf
     if not np.all(np.isfinite(phases)):
         raise ValidationError("phase difference must be finite")
-    if not (math.isfinite(contrast) and 0.0 < contrast <= 1.0):
-        raise ValidationError(f"contrast must be in (0, 1], got {contrast}")
     if phases.ndim == 0:
         return (1.0 + contrast * math.cos(phase_diff_rad)) / 3.0
     cos = np.fromiter(map(math.cos, phases.tolist()), np.float64, phases.size)

@@ -1,24 +1,32 @@
 """Command line: artifacts, reproducibility, hash policing, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import textwrap
+import warnings
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
 import ucspd
+from scenario_edits import edited
 from ucspd.analysis import deconvolve
 from ucspd.cli import main
 from ucspd.detector import detection_limit
-from ucspd.scenario import parse_scenario
+from ucspd.errors import ScenarioError
+from ucspd.scenario import _SCHEMA, parse_scenario
 from ucspd import svgplot
 from ucspd.simulate import derive_stage_seed
 from ucspd.waveform import fwhm, read_csv
@@ -500,6 +508,54 @@ class TestExitCodes:
         assert "underflows to 0" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("path, value", [
+        ("experiment.limits.power_start_mw", 5.0e-324),
+        ("detector.chain.apd_efficiency", 0.0),
+    ], ids=["power_start-underflow", "apd-zero"])
+    def test_zero_external_efficiency_is_a_numerical_error(self, path, value, tmp_path, capsys):
+        scenario = tmp_path / "dim.scenario"
+        scenario.write_text(edited({path: value}), encoding="utf-8")
+        assert run("limits", str(scenario), "--out", str(tmp_path / "art")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "ucspd: error: integration_s * rep_rate_hz * external_eta = 1.0 * 76300000.0 * 0.0 "
+        )
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("sub", ["sweep", "fitvis"])
+    def test_overflowing_sweep_rate_is_a_numerical_error(self, sub, tmp_path, capsys):
+        scenario = tmp_path / "brief.scenario"
+        scenario.write_text(edited({"experiment.sweep.dwell_s": 5.0e-324}), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(sub, str(scenario), "--out", str(tmp_path / "art")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ucspd: error: rate function returned inf at coordinate 0; ")
+        assert "Traceback" not in err
+
+    # values the code computes from checked scenario values are checked where
+    # they are computed
+    @pytest.mark.parametrize("sub, edits, cause", [
+        ("limits", {"detector.noise.growth_per_unit_eta": 1.0e-308},
+         "detector.noise: n0_cps must be >= 0, got inf"),
+        ("scan", {"experiment.scan.start_fs": 1.0e16,
+                  "experiment.scan.stop_fs": 1.00000000000001e16,
+                  "experiment.scan.step_fs": 1.0},
+         "scan coordinates must be strictly increasing"),
+        ("report", {"experiment.scan.signal": "gaussian", "experiment.scan.stop_fs": -1700.0},
+         "need at least 8 scan points, got 5"),
+        ("timebin", {"experiment.timebin.phase_rad": 1.0e308,
+                     "experiment.timebin.phase_prime_rad": -1.0e308},
+         "phase difference must be finite"),
+    ], ids=["noise-n0", "scan-rounded-coordinates", "report-short-scan", "timebin-phases"])
+    def test_computed_values_are_refused(self, sub, edits, cause, tmp_path, capsys):
+        scenario = tmp_path / "edge.scenario"
+        scenario.write_text(edited(edits), encoding="utf-8")
+        assert run(sub, str(scenario), "--out", str(tmp_path / "art")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"ucspd: error: {cause}")
+        assert "Traceback" not in err
+
     def test_options_do_not_carry_over_between_calls(self, tmp_path, capsys):
         a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
         assert run("limits", "l2_300mw", "--out", str(a), "--format", "json", "--seed", "42") == 0
@@ -522,6 +578,58 @@ class TestExitCodes:
 
 
 SUBCOMMANDS = ("resolve", "scan", "sweep", "timebin", "limits", "deconv", "fitvis", "report")
+
+
+def _leaf_checks(table=_SCHEMA, prefix=""):
+    """(dotted key path, check) for every key of the scenario schema."""
+    for key, spec in table.items():
+        path = f"{prefix}.{key}" if prefix else key
+        if isinstance(spec, dict):
+            yield from _leaf_checks(spec, path)
+        else:
+            yield path, spec[0]
+
+
+def _passes(check, path, value) -> bool:
+    try:
+        check(value, path)
+    except ScenarioError:
+        return False
+    return True
+
+
+# every edge value each key's own check accepts
+EDGE_EDITS = [
+    (path, value)
+    for path, check in _leaf_checks()
+    for value in (0, 5.0e-324, 1.0e-300, 1.0e300, 2 ** 64 - 1)
+    if _passes(check, path, value)
+]
+# a refusal names a key path, or (exit 1) the size or values of an array the
+# scenario generates; exit 2 is a numerical failure by the CLI's contract
+KEY_PATH = re.compile(r"\b(detector|source|experiment)\.[a-z_.]+|\bseed\b")
+ARRAY_CAUSE = re.compile(r"\bsamples\b|\bscan points\b|\ball zero\b")
+
+
+class TestEdgeValues:
+    @settings(max_examples=100, deadline=None)
+    @given(edit=st.sampled_from(EDGE_EDITS), sub=st.sampled_from(SUBCOMMANDS),
+           name=st.sampled_from(("l1_300mw", "l2_300mw", "l3_300mw")))
+    def test_every_accepted_value_runs_or_fails_by_name(self, edit, name, sub):
+        path, value = edit
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            scenario = Path(tmp) / "edge.scenario"
+            scenario.write_text(edited({path: value}, name), encoding="utf-8")
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = run(sub, str(scenario), "--out", str(Path(tmp) / "art"), "--quiet")
+        message = err.getvalue()
+        assert code in (0, 1, 2)
+        assert "Traceback" not in message
+        if code == 1:
+            assert KEY_PATH.search(message) or ARRAY_CAUSE.search(message), message
+        if code == 2:
+            assert message.startswith("ucspd: error: "), message
 
 
 class TestArtifactWriter:

@@ -1,6 +1,7 @@
 """Efficiency chain, pump saturation, noise growth, and detection limits."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from oracles import (
     NOISE_CPS_BY_LENGTH,
     PUBLISHED_LIMIT_BY_LENGTH,
 )
+from scenario_edits import edited
 from ucspd.detector import (
     EfficiencyChain,
     NoiseModel,
@@ -21,7 +23,8 @@ from ucspd.detector import (
     external_efficiency,
     noise_cps,
 )
-from ucspd.errors import ValidationError
+from ucspd.errors import NumericalError, ScenarioError, ValidationError
+from ucspd.scenario import parse_scenario
 
 REP_RATE_HZ = 76.3e6
 
@@ -46,13 +49,14 @@ class TestEfficiencyChain:
         "internal_upconversion", "apd_efficiency", "fiber_coupling", "filter_transmittance",
     ])
     def test_factors_must_be_fractions(self, field):
-        kwargs = dict(internal_upconversion=0.1)
-        kwargs[field] = 1.5
-        with pytest.raises(ValidationError):
-            EfficiencyChain(**kwargs)
-        kwargs[field] = -0.1
-        with pytest.raises(ValidationError):
-            EfficiencyChain(**kwargs)
+        # each factor is held to its range where it enters, by the scenario
+        # schema: the chain keys directly, the internal efficiency through
+        # its pump calibration (the pump model then keeps eta_max <= 1)
+        path = ("detector.pump.calibration_eta" if field == "internal_upconversion"
+                else f"detector.chain.{field}")
+        for value in (1.5, -0.1):
+            with pytest.raises(ScenarioError, match=re.escape(f"{path}: must be in ")):
+                parse_scenario(edited({path: value}))
 
 
 class TestPumpEfficiencyModel:
@@ -61,9 +65,10 @@ class TestPumpEfficiencyModel:
         assert efficiency_at_power(model, 0.0) == 0.0
 
     def test_negative_power_rejected(self):
-        model = PumpEfficiencyModel(eta_max=0.13, p_sat_mw=200.0)
-        with pytest.raises(ValidationError):
-            efficiency_at_power(model, -1.0)
+        # every power the model is evaluated at comes from these two keys
+        for path in ("source.pump_power_mw", "experiment.limits.power_start_mw"):
+            with pytest.raises(ScenarioError, match=re.escape(f"{path}: must be positive")):
+                parse_scenario(edited({path: -1.0}))
 
     def test_calibrated_curve_reproduces_anchor(self):
         model = PumpEfficiencyModel.from_calibration(300.0, 0.101, p_sat_mw=200.0)
@@ -87,8 +92,8 @@ class TestPumpEfficiencyModel:
             PumpEfficiencyModel(eta_max=0.0, p_sat_mw=200.0)
         with pytest.raises(ValidationError):
             PumpEfficiencyModel(eta_max=1.2, p_sat_mw=200.0)
-        with pytest.raises(ValidationError):
-            PumpEfficiencyModel(eta_max=0.1, p_sat_mw=0.0)
+        with pytest.raises(ScenarioError, match=r"detector\.pump\.p_sat_mw: must be positive"):
+            parse_scenario(edited({"detector.pump.p_sat_mw": 0.0}))
 
 
 class TestNoiseModel:
@@ -119,11 +124,12 @@ class TestNoiseModel:
         assert np.all(rates >= model.dark_cps)
 
     def test_eta_outside_unit_interval_rejected(self):
-        model = self.make_model()
-        with pytest.raises(ValidationError):
-            noise_cps(model, -0.1)
-        with pytest.raises(ValidationError):
-            noise_cps(model, 1.1)
+        # the model is evaluated at its calibration efficiency and at pump
+        # efficiencies up to eta_max <= 1; the schema refuses the former
+        path = "detector.noise.calibration_eta"
+        for value in (0.0, 1.1):
+            with pytest.raises(ScenarioError, match=re.escape(f"{path}: must be in (0, 1]")):
+                parse_scenario(edited({path: value}))
 
     def test_reference_below_dark_rejected(self):
         with pytest.raises(ValidationError):
@@ -165,13 +171,13 @@ class TestDetectionLimit:
         assert detection_limit(800.0, 1.0, 0.04, REP_RATE_HZ) == pytest.approx(base / 2.0)
 
     def test_zero_efficiency_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(NumericalError, match="underflows to 0"):
             detection_limit(800.0, 1.0, 0.0, REP_RATE_HZ)
 
     def test_nonpositive_time_and_rate_rejected(self):
-        with pytest.raises(ValidationError):
+        # the schema refuses both keys at 0; the product of positive values
+        # can still be 0, which leaves no detected pulse
+        with pytest.raises(NumericalError, match="underflows to 0"):
             detection_limit(800.0, 0.0, 0.033, REP_RATE_HZ)
-        with pytest.raises(ValidationError):
-            detection_limit(800.0, 1.0, 0.033, 0.0)
-        with pytest.raises(ValidationError):
-            detection_limit(-5.0, 1.0, 0.033, REP_RATE_HZ)
+        with pytest.raises(NumericalError, match="underflows to 0"):
+            detection_limit(800.0, 1.0e-300, 0.033, 1.0e-30)

@@ -11,8 +11,10 @@ from oracles import (
     SCAN_FWHM_L2_SIGNAL240,
     gauss_rect_fwhm_oracle,
 )
-from ucspd.errors import ValidationError
+from scenario_edits import edited
+from ucspd.errors import ScenarioError, ValidationError
 from ucspd.response import CrystalSpec, analytic_response, resolution_function
+from ucspd.scenario import parse_scenario
 from ucspd.waveform import (
     PulseSpec, SampledWaveform, TimeGrid, convolve, fwhm, gaussian_waveform, rect_waveform,
 )
@@ -33,10 +35,11 @@ class TestCrystalSpec:
         assert CrystalSpec(1.5, tau_g_fs_per_mm=100.0).gate_width_fs == pytest.approx(150.0)
 
     def test_rejects_nonpositive_parameters(self):
-        with pytest.raises(ValidationError):
-            CrystalSpec(0.0)
-        with pytest.raises(ValidationError):
-            CrystalSpec(2.0, tau_g_fs_per_mm=-1.0)
+        # the scenario schema refuses them, naming the key
+        for key, value in (("length_mm", 0.0), ("tau_g_fs_per_mm", -1.0)):
+            with pytest.raises(ScenarioError,
+                               match=rf"detector\.crystal\.{key}: must be positive"):
+                parse_scenario(edited({f"detector.crystal.{key}": value}))
 
 
 class TestResolutionFunction:

@@ -323,6 +323,20 @@ class TestDiagnostics:
         ("pump_fwhm_fs: 200.0", "pump_fwhm_fs: 0.0", r"source\.pump_fwhm_fs: must be positive"),
         ("signal_fwhm_fs: 240.0", "signal_fwhm_fs: -240.0",
          r"source\.signal_fwhm_fs: must be positive"),
+        ("calibration_power_mw: 300.0", "calibration_power_mw: -300.0",
+         r"detector\.pump\.calibration_power_mw: must be positive"),
+        ("dark_cps: 100.0", "dark_cps: -1.0", r"detector\.noise\.dark_cps: must be >= 0"),
+        ("mean_photons_per_pulse: 0.1", "mean_photons_per_pulse: -0.1",
+         r"source\.mean_photons_per_pulse: must be >= 0"),
+        ("growth_per_unit_eta: 40.0", "growth_per_unit_eta: -40.0",
+         r"detector\.noise\.growth_per_unit_eta: must be >= 0"),
+        # the model grid must resolve the narrower pulse
+        ("dt_fs: 1.0", "dt_fs: 1.0e+300",
+         r"experiment\.dt_fs: must be at most half of source\.pump_fwhm_fs \(200\.0 fs\)"),
+        ("pump_fwhm_fs: 200.0", "pump_fwhm_fs: 1.0e-300",
+         r"experiment\.dt_fs: must be at most half of source\.pump_fwhm_fs \(1e-300 fs\)"),
+        ("signal_fwhm_fs: 240.0", "signal_fwhm_fs: 5.0e-324",
+         r"experiment\.dt_fs: must be at most half of source\.signal_fwhm_fs \(5e-324 fs\)"),
     ])
     def test_section_invariants_enforced(self, old, new, path):
         text = bundled_text().replace(old, new)
