@@ -160,11 +160,11 @@ def deconvolve(
     Raises
     ------
     ValidationError
-        On mismatched sample spacings, an all-zero kernel or measurement,
-        or a background that is negative or not finite.
+        On mismatched sample spacings, an all-zero kernel, all-zero exact
+        data, or a background that is negative or not finite.
     NumericalError
-        If the measured counts do not exceed the background's total, so
-        there is no signal left to deconvolve.
+        If the measured counts (all zero included) do not exceed the
+        background's total, so there is no signal left to deconvolve.
     """
     settings = settings or DeconvolutionSettings()
     if abs(measured.dt_fs - kernel.dt_fs) > DT_MATCH_RTOL * max(measured.dt_fs, kernel.dt_fs):
@@ -177,12 +177,14 @@ def deconvolve(
     k_sum = k.sum()
     if k_sum <= 0.0:
         raise ValidationError("deconvolution kernel is all zero")
-    total = float(d.sum())
-    if total <= 0.0:
-        raise ValidationError("measured waveform is all zero")
     b = 0.0 if background is None else float(background)
     if not (math.isfinite(b) and b >= 0.0):
         raise ValidationError(f"background must be finite and nonnegative, got {background!r}")
+    total = float(d.sum())
+    # zero counts are a numerical outcome, reported against the background
+    # below; exact data that are all zero are bad input
+    if background is None and total <= 0.0:
+        raise ValidationError("measured waveform is all zero")
     n = d.size
     if total <= n * b:
         raise NumericalError(

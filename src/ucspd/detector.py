@@ -162,13 +162,16 @@ def detection_limit(
     to the source through the external efficiency and repetition rate:
     ``3 sqrt(noise * T) / (T * R * eta)``.  Scales as ``1 / sqrt(T)`` and as
     ``1 / eta``, so halving the efficiency doubles the limit.  When
-    ``T * R * eta`` is 0 no pulse is detected and NumericalError says so.
+    ``T * R * eta`` is 0 (a factor is 0, or the product underflows) no pulse
+    is detected and NumericalError says which.
     """
     sigma = math.sqrt(noise_rate_cps * integration_s)
     pulses_detected = integration_s * rep_rate_hz * external_eta
     if pulses_detected == 0.0:
+        zero = 0.0 in (integration_s, rep_rate_hz, external_eta)
         raise NumericalError(
             f"integration_s * rep_rate_hz * external_eta = {integration_s} * {rep_rate_hz} * "
-            f"{external_eta} underflows to 0, so the limit per pulse is undefined"
+            f"{external_eta} {'is 0' if zero else 'underflows to 0'}, "
+            "so the limit per pulse is undefined"
         )
     return 3.0 * sigma / pulses_detected

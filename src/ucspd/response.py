@@ -93,7 +93,8 @@ def resolution_function(
             f"need at least +/-{margin:g} fs around the pump center {pump.center_fs:g} fs"
         )
     pump_wave = gaussian_waveform(pump, grid)
-    half_steps = math.ceil(0.5 * gate_fs / grid.dt_fs)
+    # when half the gate width underflows to 0 steps, the gate is one sample wide
+    half_steps = max(1, math.ceil(0.5 * gate_fs / grid.dt_fs))
     gate_grid = TimeGrid(-half_steps * grid.dt_fs, grid.dt_fs, 2 * half_steps + 1)
     gate = rect_waveform(gate_fs, gate_grid)
     conv = convolve(pump_wave, gate)

@@ -344,15 +344,31 @@ def resample(w: SampledWaveform, grid: TimeGrid) -> SampledWaveform:
     return SampledWaveform(grid.t0_fs, grid.dt_fs, w.sample_at(grid.times()))
 
 
+def _written_column(c: np.ndarray) -> np.ndarray:
+    """``c`` as int64 if ``{:.9g}`` prints each value as its integer digits, else ``c``.
+
+    That is a float column of whole numbers below 1e9 in magnitude (from 1e9
+    on ``{:.9g}`` writes an exponent) with no ``-0.0`` (written ``-0``), and
+    ``{}`` on an int costs a third of ``{:.9g}`` on a float.
+    """
+    # the whole-number test goes first: it refuses most columns at one pass
+    if c.dtype.kind == "f" and (np.trunc(c) == c).all() and (abs(c) < 1e9).all():
+        ints = c.astype(np.int64)
+        if not np.signbit(c[ints == 0]).any():
+            return ints
+    return c
+
+
 def csv_text(header: str, columns, metadata: dict | None = None) -> str:
     """CSV text: ``# key=value`` comment lines, the header, one row per sample.
 
     Integer columns are written as they are and every other column with
-    nine significant digits.  Every CSV artifact of the package is
-    formatted here.
+    nine significant digits.  A float column of whole numbers below 1e9 in
+    magnitude, none of them ``-0.0``, is written as integers, which are the
+    same bytes.  Every CSV artifact of the package is formatted here.
     """
     lines = [f"# {key}={value}" for key, value in (metadata or {}).items()] + [header]
-    columns = [np.asarray(c) for c in columns]
+    columns = [_written_column(np.asarray(c)) for c in columns]
     row = ",".join("{}" if c.dtype.kind in "iu" else "{:.9g}" for c in columns)
     lines += map(row.format, *(c.tolist() for c in columns))
     return "\n".join(lines) + "\n"
@@ -362,13 +378,16 @@ def write_csv(path, w: SampledWaveform, metadata: dict | None = None) -> None:
     """Write a waveform as ``t_fs,value`` rows with nine significant digits.
 
     ``metadata`` entries are emitted first as ``# key=value`` comment lines.
-    The writer re-parses what it is about to emit and refuses grids that the
-    nine-digit time format would distort beyond the reader's uniformity
-    tolerance, so that every written file is guaranteed to read back.
+    The writer refuses grids that the nine-digit time format would distort
+    beyond the reader's uniformity tolerance, so every written file reads
+    back.  Times written as integers (see :func:`csv_text`) read back as the
+    same floats; any other time column is re-parsed from the rows to check.
     """
-    text = csv_text(_CSV_HEADER, (w.times(), w.samples), metadata)
-    rows = text.splitlines()[-w.n:]
-    diffs = np.diff([float(row.partition(",")[0]) for row in rows])
+    t = _written_column(w.times())
+    text = csv_text(_CSV_HEADER, (t, w.samples), metadata)
+    if t.dtype.kind == "f":
+        t = [float(row.partition(",")[0]) for row in text.splitlines()[-w.n:]]
+    diffs = np.diff(t)
     if np.any(np.abs(diffs - w.dt_fs) > CSV_GRID_RTOL * w.dt_fs):
         raise ValidationError(
             "time grid does not survive nine-significant-digit formatting; "

@@ -258,6 +258,13 @@ class TestDeconvolveWithBackground:
         with pytest.raises(NumericalError, match=r"total 48, not above the background total 48"):
             deconvolve(measured, SampledWaveform(0.0, 1.0, np.ones(3)), background=3.0)
 
+    @pytest.mark.parametrize("background", [0.0, 1e-321])
+    def test_zero_counts_are_a_numerical_error(self, background):
+        # all-zero exact data are refused as input; zero counts are an outcome
+        measured = SampledWaveform(0.0, 1.0, np.zeros(16))
+        with pytest.raises(NumericalError, match=r"total 0, not above the background total"):
+            deconvolve(measured, SampledWaveform(0.0, 1.0, np.ones(3)), background=background)
+
 
 def plain_em(measured, kernel, iterations):
     """Unaccelerated Richardson-Lucy on exact data, as the module documents it."""
@@ -369,7 +376,7 @@ class TestDeconvolveValidation:
     def test_zero_measurement_rejected(self):
         kernel = reference_kernel()
         zero = SampledWaveform(kernel.t0_fs, kernel.dt_fs, np.zeros(kernel.n))
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="measured waveform is all zero"):
             deconvolve(zero, kernel)
 
     @pytest.mark.parametrize("kwargs", [

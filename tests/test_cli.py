@@ -519,6 +519,39 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(
             "ucspd: error: integration_s * rep_rate_hz * external_eta = 1.0 * 76300000.0 * 0.0 "
+            "is 0, so the limit per pulse is undefined"
+        )
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("sub", ["resolve", "scan", "timebin", "deconv"])
+    def test_gate_narrower_than_a_grid_step_runs(self, sub, tmp_path, capsys):
+        # half a 5e-324 fs gate rounds up to 0 steps of the 1 fs model grid
+        scenario = tmp_path / "thin.scenario"
+        scenario.write_text(
+            edited({"detector.crystal.tau_g_fs_per_mm": 5.0e-324}, "l1_300mw"), encoding="utf-8"
+        )
+        assert run(sub, str(scenario), "--out", str(tmp_path / "art"), "--quiet") == 0
+        assert capsys.readouterr().err == ""
+
+    def test_gate_narrower_than_a_grid_step_is_one_sample_wide(self, tmp_path):
+        rows = []
+        for tau in (5.0e-324, 1.0e-300):
+            scenario = tmp_path / f"thin-{tau}.scenario"
+            scenario.write_text(
+                edited({"detector.crystal.tau_g_fs_per_mm": tau}, "l1_300mw"), encoding="utf-8"
+            )
+            out = tmp_path / f"art-{tau}"
+            assert run("resolve", str(scenario), "--out", str(out), "--quiet") == 0
+            rows.append(read_table(out / "resolution.csv")[2])
+        np.testing.assert_array_equal(*rows)
+
+    def test_zero_counts_are_a_numerical_error(self, tmp_path, capsys):
+        scenario = tmp_path / "brief.scenario"
+        scenario.write_text(edited({"experiment.scan.dwell_s": 5.0e-324}), encoding="utf-8")
+        assert run("deconv", str(scenario), "--out", str(tmp_path / "art")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "ucspd: error: measured counts total 0, not above the background total "
         )
         assert "Traceback" not in err
 
@@ -608,7 +641,7 @@ EDGE_EDITS = [
 # a refusal names a key path, or (exit 1) the size or values of an array the
 # scenario generates; exit 2 is a numerical failure by the CLI's contract
 KEY_PATH = re.compile(r"\b(detector|source|experiment)\.[a-z_.]+|\bseed\b")
-ARRAY_CAUSE = re.compile(r"\bsamples\b|\bscan points\b|\ball zero\b")
+ARRAY_CAUSE = re.compile(r"\bsamples\b|\bscan points\b")
 
 
 class TestEdgeValues:

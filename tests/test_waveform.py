@@ -392,6 +392,26 @@ def _per_cell_rows(columns):
 _EDGE_FLOATS = [-0.0, math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-300, -1e-300]
 _FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=True))
 _INTS = st.integers(-(2 ** 63), 2 ** 63 - 1)
+# whole numbers on both sides of 1e9, where {:.9g} starts writing an exponent
+_WHOLE = st.one_of(
+    st.sampled_from([999999999.0, -999999999.0, 1e9, -1e9, 0.0]),
+    st.integers(-999999999, 999999999).map(float),
+)
+# one of these keeps a column of whole numbers from being written as integers
+_NOT_INTEGER_TEXT = st.one_of(
+    st.sampled_from([-0.0, math.nan, math.inf, 0.5, -2.5]),
+    st.floats(-1e9, 1e9).filter(lambda x: not x.is_integer()),
+)
+
+
+@st.composite
+def _float_values(draw, n):
+    if not draw(st.booleans()):
+        return draw(st.lists(_FLOATS, min_size=n, max_size=n))
+    values = draw(st.lists(_WHOLE, min_size=n, max_size=n))
+    if n and draw(st.booleans()):
+        values[draw(st.integers(0, n - 1))] = draw(_NOT_INTEGER_TEXT)
+    return values
 
 
 @st.composite
@@ -402,7 +422,7 @@ def _columns(draw):
         if kind == "int":
             columns.append(np.array(draw(st.lists(_INTS, min_size=n, max_size=n)), dtype=np.int64))
         else:
-            values = draw(st.lists(_FLOATS, min_size=n, max_size=n))
+            values = draw(_float_values(n))
             columns.append(values if kind == "list" else np.array(values, dtype=np.float64))
     return columns
 
@@ -410,6 +430,9 @@ def _columns(draw):
 class TestCsvText:
     @settings(max_examples=200, deadline=None)
     @given(columns=_columns())
+    @example(columns=[np.array([999999999.0, -999999999.0, 0.0])])
+    @example(columns=[np.array([3.0, 1e9]), [-1e9, 0.0]])
+    @example(columns=[np.array([3.0, -0.0]), np.array([800.0, 0.5])])
     def test_rows_match_per_cell_formatting(self, columns):
         text = csv_text("h", columns, {"kind": "table", "n": 3})
         assert text.endswith("\n")
@@ -427,3 +450,19 @@ class TestCsvText:
         with pytest.raises(ValidationError, match="nine-significant-digit"):
             write_csv(tmp_path / "w.csv", w)
         assert not (tmp_path / "w.csv").exists()
+
+    def test_whole_grid_from_1e9_fs_on_is_refused(self, tmp_path):
+        # 1e9 and 1e9 + 1 are whole, but both print as 1e+09
+        with pytest.raises(ValidationError, match="nine-significant-digit"):
+            write_csv(tmp_path / "w.csv", SampledWaveform(1e9 - 1.0, 1.0, [1.0, 2.0, 3.0]))
+        assert not (tmp_path / "w.csv").exists()
+
+    def test_whole_femtosecond_grid_round_trips(self, tmp_path):
+        w = SampledWaveform(-1600.0, 800.0, [0.0, 12.0, 1.0 / 3.0, 7.0, 2e-300])
+        write_csv(tmp_path / "w.csv", w, {"kind": "x"})
+        rows = (tmp_path / "w.csv").read_text(encoding="utf-8").splitlines()[2:]
+        assert rows == ["-1600,0", "-800,12", "0,0.333333333", "800,7", "1600,2e-300"]
+        back, meta = read_csv(tmp_path / "w.csv")
+        assert meta == {"kind": "x"}
+        assert (back.t0_fs, back.dt_fs) == (w.t0_fs, w.dt_fs)
+        np.testing.assert_array_equal(back.times(), w.times())
