@@ -64,11 +64,6 @@ class DeconvolutionSettings:
 
     iterations: int = 500
 
-    def __post_init__(self) -> None:
-        if (isinstance(self.iterations, bool) or not isinstance(self.iterations, int)
-                or self.iterations < 1):
-            raise ValidationError(f"iterations must be a positive integer, got {self.iterations!r}")
-
 
 @dataclass(frozen=True)
 class DeconvolutionResult:
@@ -160,8 +155,7 @@ def deconvolve(
     Raises
     ------
     ValidationError
-        On mismatched sample spacings, an all-zero kernel, all-zero exact
-        data, or a background that is negative or not finite.
+        On mismatched sample spacings or all-zero exact data.
     NumericalError
         If the measured counts (all zero included) do not exceed the
         background's total, so there is no signal left to deconvolve.
@@ -175,11 +169,7 @@ def deconvolve(
     d = np.asarray(measured.samples, dtype=np.float64)
     k = np.asarray(kernel.samples, dtype=np.float64)
     k_sum = k.sum()
-    if k_sum <= 0.0:
-        raise ValidationError("deconvolution kernel is all zero")
     b = 0.0 if background is None else float(background)
-    if not (math.isfinite(b) and b >= 0.0):
-        raise ValidationError(f"background must be finite and nonnegative, got {background!r}")
     total = float(d.sum())
     # zero counts are a numerical outcome, reported against the background
     # below; exact data that are all zero are bad input
@@ -284,32 +274,18 @@ def fit_sine(phases_rad, counts, dwell_s: float = 1.0) -> SineFit:
     derived quantities (amplitude, phase, visibility) get their one-sigma
     values by linear propagation.
 
+    The phases and counts are taken as given: at least 5 points of finite
+    phases spanning half a period or more, with nonnegative counts, which
+    every sweep the package runs provides.
+
     Raises
     ------
-    ValidationError
-        Fewer than 5 points, negative counts, or phases spanning less than
-        half a period.
     FitConvergenceError
         The fitted fringe is unphysical (non-positive offset, or visibility
         beyond 1 by more than three sigma).
     """
     phases = np.asarray(phases_rad, dtype=np.float64)
     y = np.asarray(counts, dtype=np.float64)
-    if phases.ndim != 1 or phases.size < 5:
-        raise ValidationError(f"need at least 5 phase points, got {phases.size}")
-    if y.shape != phases.shape:
-        raise ValidationError("phases and counts must have the same length")
-    if not (np.all(np.isfinite(phases)) and np.all(np.isfinite(y))):
-        raise ValidationError("phases and counts must be finite")
-    if y.min() < 0.0:
-        raise ValidationError("counts must be nonnegative")
-    span = phases.max() - phases.min()
-    if span < math.pi:
-        raise ValidationError(
-            f"phases span {span:.3f} rad, less than half a period; "
-            "the fringe parameters are degenerate"
-        )
-
     x = np.column_stack([np.ones_like(phases), np.cos(phases), np.sin(phases)])
     w = 1.0 / np.maximum(y, 1.0)
     sw = np.sqrt(w)

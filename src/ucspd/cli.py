@@ -239,6 +239,18 @@ def _kernel_and_fwhm(scenario: Scenario) -> tuple[SampledWaveform, float]:
 def _detection_limit(scenario: Scenario, power_mw: float | None = None) -> float:
     noise = scenario.noise_cps_at(power_mw)
     eta = scenario.external_eta_at(power_mw)
+    chain = (scenario.apd_efficiency, scenario.fiber_coupling, scenario.filter_transmittance)
+    # with every chain fraction above 0, a zero efficiency is an underflow (the
+    # schema keeps the pump's inputs positive); efficiency grows with power, so
+    # a limits sweep meets it at its first power
+    if eta == 0.0 and 0.0 not in chain:
+        key = "source.pump_power_mw" if power_mw is None else "experiment.limits.power_start_mw"
+        power = scenario.pump_power_mw if power_mw is None else power_mw
+        raise NumericalError(
+            f"external efficiency at {key} = {power!r} mW underflows to 0: internal "
+            f"efficiency {scenario.internal_eta_at(power_mw)!r} (detector.pump) times "
+            f"detector.chain {' * '.join(map(repr, chain))}, so the limit per pulse is undefined"
+        )
     return detection_limit(noise, scenario.limits.integration_s, eta, scenario.rep_rate_hz)
 
 

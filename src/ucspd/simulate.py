@@ -62,10 +62,6 @@ class ScanConfig:
 
     def __post_init__(self) -> None:
         coords = np.array(self.coordinates, dtype=np.float64, copy=True)
-        if coords.ndim != 1 or coords.size < 1:
-            raise ValidationError("scan coordinates must be a non-empty 1-d sequence")
-        if not np.all(np.isfinite(coords)):
-            raise ValidationError("scan coordinates must be finite")
         # a step below the spacing of floats near the start repeats a coordinate
         if coords.size > 1 and not np.all(np.diff(coords) > 0.0):
             raise ValidationError("scan coordinates must be strictly increasing")
@@ -94,10 +90,6 @@ class ScanResult:
         counts = np.array(self.counts, dtype=np.int64, copy=True)
         expected = np.array(self.expected, dtype=np.float64, copy=True)
         coords = np.array(self.coordinates, dtype=np.float64, copy=True)
-        if not (coords.size == counts.size == expected.size):
-            raise ValidationError("coordinates, counts, and expected must have equal length")
-        if counts.min(initial=0) < 0:
-            raise ValidationError("counts cannot be negative")
         for name, arr in (("coordinates", coords), ("counts", counts), ("expected", expected)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)

@@ -247,12 +247,6 @@ class TestDeconvolveWithBackground:
         assert (result.stop_reason, result.iterations_run) == ("discrepancy", 0)
         assert result.estimate.area == pytest.approx(40 * 100.0 / 5.0, rel=1e-12)
 
-    @pytest.mark.parametrize("background", [-1.0, math.nan, math.inf])
-    def test_unusable_background_rejected(self, background):
-        measured = SampledWaveform(0.0, 1.0, np.ones(16))
-        with pytest.raises(ValidationError, match="background"):
-            deconvolve(measured, SampledWaveform(0.0, 1.0, np.ones(3)), background=background)
-
     def test_counts_not_above_the_background_are_a_numerical_error(self):
         measured = SampledWaveform(0.0, 1.0, np.full(16, 3.0))
         with pytest.raises(NumericalError, match=r"total 48, not above the background total 48"):
@@ -367,27 +361,11 @@ class TestDeconvolveValidation:
         with pytest.raises(ValidationError, match="cannot be negative"):
             deconvolve(good, SampledWaveform(0.0, 1.0, [1.0, -0.5, 1.0]))
 
-    def test_zero_kernel_rejected(self):
-        measured = SampledWaveform(0.0, 1.0, np.ones(16))
-        zero = SampledWaveform(0.0, 1.0, np.zeros(16))
-        with pytest.raises(ValidationError):
-            deconvolve(measured, zero)
-
     def test_zero_measurement_rejected(self):
         kernel = reference_kernel()
         zero = SampledWaveform(kernel.t0_fs, kernel.dt_fs, np.zeros(kernel.n))
         with pytest.raises(ValidationError, match="measured waveform is all zero"):
             deconvolve(zero, kernel)
-
-    @pytest.mark.parametrize("kwargs", [
-        dict(iterations=2.5),
-        dict(iterations=0),
-        dict(iterations=-3),
-        dict(iterations=True),
-    ])
-    def test_settings_validation(self, kwargs):
-        with pytest.raises(ValidationError):
-            DeconvolutionSettings(**kwargs)
 
 
 class TestFitSine:
@@ -459,27 +437,6 @@ class TestFitSine:
         assert per_two.amplitude == per_second.amplitude
         assert per_two.dwell_s == 2.0
 
-    def test_narrow_phase_span_rejected(self):
-        phases = np.linspace(0.0, 0.9 * math.pi, 12)
-        counts = 1.0 + np.cos(phases)
-        with pytest.raises(ValidationError):
-            fit_sine(phases, counts)
-
-    def test_too_few_points_rejected(self):
-        phases = np.linspace(0.0, 2.0 * math.pi, 4, endpoint=False)
-        with pytest.raises(ValidationError):
-            fit_sine(phases, 1.0 + np.cos(phases))
-
-    def test_negative_counts_rejected(self):
-        phases = self.phases()
-        counts = 1.0 + np.cos(phases)
-        counts[3] = -1.0
-        with pytest.raises(ValidationError):
-            fit_sine(phases, counts)
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValidationError):
-            fit_sine(self.phases(12), np.ones(11))
 
 
 class TestErfGateFit:

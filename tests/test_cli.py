@@ -508,30 +508,50 @@ class TestExitCodes:
         assert "underflows to 0" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("path, value", [
-        ("experiment.limits.power_start_mw", 5.0e-324),
-        ("detector.chain.apd_efficiency", 0.0),
-    ], ids=["power_start-underflow", "apd-zero"])
-    def test_zero_external_efficiency_is_a_numerical_error(self, path, value, tmp_path, capsys):
+    # a chain fraction of 0 is a zero factor; an efficiency that underflows
+    # to 0 names the pump power's key and the models it went through
+    @pytest.mark.parametrize("sub, path, value, cause", [
+        ("limits", "experiment.limits.power_start_mw", 5.0e-324,
+         "external efficiency at experiment.limits.power_start_mw = 5e-324 mW underflows to 0: "
+         "internal efficiency 0.0 (detector.pump)"),
+        ("limits", "detector.chain.apd_efficiency", 0.0,
+         "integration_s * rep_rate_hz * external_eta = 1.0 * 76300000.0 * 0.0 is 0"),
+        ("limits", "source.pump_power_mw", 5.0e-324,
+         "external efficiency at source.pump_power_mw = 5e-324 mW underflows to 0: "
+         "internal efficiency 0.0 (detector.pump)"),
+        ("report", "source.pump_power_mw", 5.0e-324,
+         "external efficiency at source.pump_power_mw = 5e-324 mW underflows to 0: "
+         "internal efficiency 0.0 (detector.pump)"),
+        ("limits", "detector.pump.calibration_eta", 5.0e-324,
+         "external efficiency at experiment.limits.power_start_mw = 50.0 mW underflows to 0: "
+         "internal efficiency 0.0 (detector.pump)"),
+        ("report", "detector.pump.calibration_eta", 5.0e-324,
+         "external efficiency at source.pump_power_mw = 300.0 mW underflows to 0: "
+         "internal efficiency 5e-324 (detector.pump) times detector.chain 0.41 * 0.85 * 0.94"),
+    ], ids=["power_start-underflow", "apd-zero", "pump_power-underflow",
+            "pump_power-underflow-report", "calibration_eta-underflow",
+            "calibration_eta-underflow-report"])
+    def test_zero_external_efficiency_is_a_numerical_error(
+        self, sub, path, value, cause, tmp_path, capsys
+    ):
         scenario = tmp_path / "dim.scenario"
         scenario.write_text(edited({path: value}), encoding="utf-8")
-        assert run("limits", str(scenario), "--out", str(tmp_path / "art")) == 2
+        assert run(sub, str(scenario), "--out", str(tmp_path / "art")) == 2
         err = capsys.readouterr().err
-        assert err.startswith(
-            "ucspd: error: integration_s * rep_rate_hz * external_eta = 1.0 * 76300000.0 * 0.0 "
-            "is 0, so the limit per pulse is undefined"
-        )
+        assert err.startswith(f"ucspd: error: {cause}")
+        assert err.rstrip().endswith("so the limit per pulse is undefined")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("sub", ["resolve", "scan", "timebin", "deconv"])
     def test_gate_narrower_than_a_grid_step_runs(self, sub, tmp_path, capsys):
-        # half a 5e-324 fs gate rounds up to 0 steps of the 1 fs model grid
-        scenario = tmp_path / "thin.scenario"
-        scenario.write_text(
-            edited({"detector.crystal.tau_g_fs_per_mm": 5.0e-324}, "l1_300mw"), encoding="utf-8"
-        )
-        assert run(sub, str(scenario), "--out", str(tmp_path / "art"), "--quiet") == 0
-        assert capsys.readouterr().err == ""
+        # half a 5e-324 fs gate rounds up to 0 steps of the 1 fs model grid,
+        # and with a 5e-324 mm crystal the gate width underflows to 0
+        thin = {"detector.crystal.tau_g_fs_per_mm": 5.0e-324}
+        for i, edits in enumerate((thin, {**thin, "detector.crystal.length_mm": 5.0e-324})):
+            scenario = tmp_path / f"thin{i}.scenario"
+            scenario.write_text(edited(edits, "l1_300mw"), encoding="utf-8")
+            assert run(sub, str(scenario), "--out", str(tmp_path / f"art{i}"), "--quiet") == 0
+            assert capsys.readouterr().err == ""
 
     def test_gate_narrower_than_a_grid_step_is_one_sample_wide(self, tmp_path):
         rows = []
@@ -635,7 +655,7 @@ def _passes(check, path, value) -> bool:
 EDGE_EDITS = [
     (path, value)
     for path, check in _leaf_checks()
-    for value in (0, 5.0e-324, 1.0e-300, 1.0e300, 2 ** 64 - 1)
+    for value in (0, 5.0e-324, 1.0e-300, 1.0e300, 2 ** 64 - 1, 1.7976931348623157e308)
     if _passes(check, path, value)
 ]
 # a refusal names a key path, or (exit 1) the size or values of an array the

@@ -33,21 +33,14 @@ class TestTimeGrid:
         t = g.times()
         assert t[0] == -5.0
         assert np.allclose(np.diff(t), 0.5)
-        assert g.t_max_fs == pytest.approx(5.0)
+        assert t[-1] == pytest.approx(5.0)
 
     def test_symmetric_covers_span(self):
         g = TimeGrid.symmetric(1000.0, 3.0)
-        assert g.t0_fs <= -1000.0
-        assert g.t_max_fs >= 1000.0
-        assert g.t0_fs == -g.t_max_fs
-
-    @pytest.mark.parametrize("bad", [dict(t0_fs=0.0, dt_fs=0.0, n=5),
-                                     dict(t0_fs=0.0, dt_fs=-1.0, n=5),
-                                     dict(t0_fs=0.0, dt_fs=1.0, n=1),
-                                     dict(t0_fs=math.nan, dt_fs=1.0, n=5)])
-    def test_rejects_bad_grids(self, bad):
-        with pytest.raises(ValidationError):
-            TimeGrid(**bad)
+        t = g.times()
+        assert t[0] <= -1000.0
+        assert t[-1] >= 1000.0
+        assert t[0] == -t[-1]
 
 
 class TestSampledWaveform:
@@ -112,12 +105,6 @@ class TestGaussian:
                               TimeGrid.symmetric(1000.0, 1.0))
         assert abs(g.peak_time_fs - 333.0) <= g.dt_fs
 
-    def test_rejects_bad_pulse_specs(self):
-        with pytest.raises(ValidationError):
-            PulseSpec(0.0)
-        with pytest.raises(ValidationError):
-            PulseSpec(100.0, amplitude=-1.0)
-
 
 class TestRect:
     def test_inside_outside_values(self):
@@ -129,12 +116,6 @@ class TestRect:
         grid = TimeGrid.symmetric(600.0, 1.0)
         r = rect_waveform(408.6, grid)
         assert abs(r.area - 408.6) <= grid.dt_fs
-
-    def test_width_must_be_positive(self):
-        with pytest.raises(ValidationError):
-            rect_waveform(0.0, TimeGrid.symmetric(10.0, 1.0))
-        with pytest.raises(ValidationError):
-            rect_waveform(-5.0, TimeGrid.symmetric(10.0, 1.0))
 
 
 class TestConvolve:
@@ -264,10 +245,6 @@ class TestFastFftLen:
             assert fast_fft_len(n) == expected, n
         assert fast_fft_len(FFT_THRESHOLD) == FFT_THRESHOLD
         assert fast_fft_len(FFT_THRESHOLD + 1) == 1080
-
-    def test_rejects_non_positive_length(self):
-        with pytest.raises(ValidationError):
-            fast_fft_len(0)
 
 
 class TestFwhm:
