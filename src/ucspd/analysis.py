@@ -20,8 +20,10 @@ extracts interference visibility from a phase sweep; the fringe model
 ``(offset, offset*V*cos(phase0), offset*V*sin(phase0))``, so the fit is a
 closed-form weighted least squares with no iteration and no starting guess.
 ``fit_erf_gate`` estimates the gate width by fitting the erf-difference
-delay-scan shape; that one is genuinely nonlinear and uses a bounded
-Levenberg-Marquardt-type solver with an analytic Jacobian.
+delay-scan shape; that one is genuinely nonlinear and is solved here by a
+bounded Levenberg-Marquardt iteration on its four parameters (damped
+Gauss-Newton steps clipped to the bounds), which evaluates ``erf`` once
+per trial point for both the model and its analytic Jacobian.
 
 Uncertainties come from the fit covariance scaled by the reduced chi-square,
 so exact model data reports (correctly) vanishing error bars.
@@ -47,11 +49,13 @@ __all__ = [
     "ErfGateFit",
     "fit_erf_gate",
     "erf_gate_q",
-    "erf_gate_model",
-    "erf_gate_jacobian",
+    "erf_gate_model_and_jacobian",
 ]
 
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
+
+#: Trial points the gate fit may evaluate before it gives up.
+_ERF_FIT_MAX_EVALUATIONS = 2000
 
 
 # ---------------------------------------------------------------------------
@@ -347,42 +351,31 @@ def fit_sine(phases_rad, counts, dwell_s: float = 1.0) -> SineFit:
 # erf gate-width fit
 
 
-def _erf_args(delay_fs, gate_width_fs, center_fs, q):
-    tau = np.asarray(delay_fs, dtype=np.float64) - center_fs
-    return q * (gate_width_fs - 2.0 * tau), q * (-gate_width_fs - 2.0 * tau)
-
-
 def erf_gate_q(pump_fwhm_fs: float, signal_fwhm_fs: float) -> float:
-    """The fixed ``q = sqrt(ln 2 / (dp^2 + ds^2))`` of :func:`erf_gate_model`."""
+    """The fixed ``q = sqrt(ln 2 / (dp^2 + ds^2))`` of :func:`erf_gate_model_and_jacobian`."""
     return math.sqrt(math.log(2.0) / (pump_fwhm_fs ** 2 + signal_fwhm_fs ** 2))
 
 
-def erf_gate_model(delay_fs, gate_width_fs, amplitude, center_fs, floor, q):
-    """Delay-scan model: scaled erf-difference of the gated Gaussian pair.
+def erf_gate_model_and_jacobian(delay_fs, gate_width_fs, amplitude, center_fs, floor, q):
+    """Delay-scan model and its analytic Jacobian, from one ``erf`` per delay.
 
-    ``q`` bundles the pump and signal widths (:func:`erf_gate_q`) and is
-    held fixed during fitting.
-    """
-    from scipy.special import erf  # loaded at the first call, not on import
-    u1, u2 = _erf_args(delay_fs, gate_width_fs, center_fs, q)
-    return amplitude * (erf(u1) - erf(u2)) + floor
-
-
-def erf_gate_jacobian(delay_fs, gate_width_fs, amplitude, center_fs, floor, q):
-    """Analytic Jacobian of :func:`erf_gate_model`.
-
-    Columns are the partial derivatives with respect to
+    The model is the scaled erf-difference of the gated Gaussian pair,
+    ``amplitude * [erf(q (w - 2 tau)) - erf(q (-w - 2 tau))] + floor`` with
+    ``tau = delay - center``; ``q`` bundles the pump and signal widths
+    (:func:`erf_gate_q`) and is held fixed during fitting.  Jacobian columns
+    are the partial derivatives with respect to
     ``(gate_width_fs, amplitude, center_fs, floor)`` in that order.
     """
-    from scipy.special import erf
-    u1, u2 = _erf_args(delay_fs, gate_width_fs, center_fs, q)
+    from scipy.special import erf  # loaded at the first call, not on import
+    tau = np.asarray(delay_fs, dtype=np.float64) - center_fs
+    u1 = q * (gate_width_fs - 2.0 * tau)
+    u2 = q * (-gate_width_fs - 2.0 * tau)
+    shape = erf(u1) - erf(u2)
     e1 = np.exp(-u1 ** 2)
     e2 = np.exp(-u2 ** 2)
-    d_width = amplitude * q * _TWO_OVER_SQRT_PI * (e1 + e2)
-    d_amp = erf(u1) - erf(u2)
-    d_center = amplitude * 2.0 * q * _TWO_OVER_SQRT_PI * (e1 - e2)
-    d_floor = np.ones_like(e1)
-    return np.column_stack([d_width, d_amp, d_center, d_floor])
+    slope = amplitude * q * _TWO_OVER_SQRT_PI
+    jac = np.column_stack([slope * (e1 + e2), shape, 2.0 * slope * (e1 - e2), np.ones_like(e1)])
+    return amplitude * shape + floor, jac
 
 
 @dataclass(frozen=True)
@@ -411,6 +404,17 @@ def fit_erf_gate(
     FWHM values; ``w`` is the gate width.  Initial values come from the data
     (peak, baseline, half-maximum span), so the fit is deterministic.
 
+    The solver is Levenberg-Marquardt (Levenberg 1944; Marquardt 1963): each
+    step solves the 4x4 normal equations ``(J^T W J + lambda diag(J^T W J))
+    d = -J^T W r`` with ``W = 1 / max(counts, 1)`` and is clipped to the
+    bounds.  A step that does not raise chi-square is kept and ``lambda``
+    shrinks tenfold; otherwise ``lambda`` grows tenfold.  It stops once
+    chi-square falls by at most 1e-10 relative, or no parameter moves by
+    more than 1e-10 relative.  The covariance is taken as scipy's
+    ``curve_fit`` takes it: the pseudo-inverse of ``J^T W J`` from the SVD
+    of the weighted Jacobian at the solution, scaled by the reduced
+    chi-square.
+
     Raises
     ------
     FitConvergenceError
@@ -433,34 +437,52 @@ def fit_erf_gate(
     above = np.nonzero(y - floor0 >= 0.5 * (peak - floor0))[0]
     width0 = max(float(delays[above[-1]] - delays[above[0]]), float(span) / 50.0)
     amp0 = (peak - floor0) / 2.0
-    p0 = (width0, amp0, center0, floor0)
-    bounds = (
-        [1e-6, 0.0, delays[0] - span, 0.0],
-        [2.0 * span, np.inf, delays[-1] + span, np.inf],
-    )
-    sigma = np.sqrt(np.maximum(y, 1.0))
+    lower = np.array([1e-6, 0.0, delays[0] - span, 0.0])
+    upper = np.array([2.0 * span, np.inf, delays[-1] + span, np.inf])
+    weight = 1.0 / np.sqrt(np.maximum(y, 1.0))
 
-    def model(t, w, a, c, f):
-        return erf_gate_model(t, w, a, c, f, q)
+    def evaluate(p):
+        """The point, model, weighted Jacobian, weighted residual and chi-square."""
+        fitted, jac = erf_gate_model_and_jacobian(delays, *p, q)
+        r = (fitted - y) * weight
+        return p, fitted, jac * weight[:, None], r, float(r @ r)
 
-    def jac(t, w, a, c, f):
-        return erf_gate_jacobian(t, w, a, c, f, q)
-
-    # imported here so that importing this module (and the CLI) does not
-    # pay for loading scipy.optimize
-    from scipy.optimize import curve_fit
-
-    try:
-        popt, pcov, info, *_ = curve_fit(
-            model, delays, y, p0=p0, sigma=sigma, bounds=bounds, jac=jac,
-            maxfev=2000, full_output=True,
-        )
-    except RuntimeError as exc:
-        raise FitConvergenceError(f"gate fit did not converge: {exc}") from exc
-    fitted = model(delays, *popt)
-    residual = float(np.linalg.norm(fitted - y) / np.linalg.norm(y))
-    perr = np.sqrt(np.abs(np.diag(pcov)))
-    w_fit, a_fit, c_fit, f_fit = popt
+    best = evaluate(np.array([width0, amp0, center0, floor0]))
+    n_evaluations, damping, done = 1, 1e-3, False
+    while True:
+        p, fitted, jw, r, chi2 = best
+        residual = float(np.linalg.norm(fitted - y) / np.linalg.norm(y))
+        if done:
+            break
+        normal = jw.T @ jw
+        try:
+            step = np.linalg.solve(normal + damping * np.diag(np.diag(normal)), -(jw.T @ r))
+        except np.linalg.LinAlgError as exc:
+            # a zero amplitude zeroes the width and center columns
+            raise FitConvergenceError(
+                f"no significant gate signature: singular normal equations at amplitude "
+                f"{p[1]:.3g}, relative residual {residual:.3g}"
+            ) from exc
+        if n_evaluations == _ERF_FIT_MAX_EVALUATIONS:
+            raise FitConvergenceError(
+                f"gate fit did not converge in {n_evaluations} evaluations, "
+                f"relative residual {residual:.3g}"
+            )
+        moved = np.clip(p + step, lower, upper)
+        trial = evaluate(moved)
+        n_evaluations += 1
+        done = bool(np.all(np.abs(moved - p) <= 1e-10 * np.abs(p)))
+        if trial[-1] <= chi2:
+            done = done or chi2 - trial[-1] <= 1e-10 * chi2
+            best, damping = trial, 0.1 * damping
+        else:
+            damping *= 10.0
+    # singular values below curve_fit's cut-off are dropped
+    _, s, vt = np.linalg.svd(jw, full_matrices=False)
+    keep = s > np.finfo(float).eps * max(jw.shape) * s[0]
+    cov = (vt[keep].T / s[keep] ** 2) @ vt[keep] * (chi2 / (y.size - 4))
+    perr = np.sqrt(np.abs(np.diag(cov)))
+    w_fit, a_fit, c_fit, f_fit = p
     if not np.all(np.isfinite(perr)) or a_fit <= 3.0 * perr[1]:
         raise FitConvergenceError(
             f"no significant gate signature: amplitude {a_fit:.3g} "
@@ -474,5 +496,5 @@ def fit_erf_gate(
         center_fs=float(c_fit),
         floor=float(f_fit),
         residual=residual,
-        n_evaluations=int(info["nfev"]),
+        n_evaluations=n_evaluations,
     )

@@ -216,24 +216,20 @@ class _Artifacts:
 # shared model construction
 
 
-def _resolution_kernel(scenario: Scenario, step_fs: float | None = None) -> SampledWaveform:
-    """The resolution function on the model grid, optionally sampled at ``step_fs``.
+def _kernel_half_fs(scenario: Scenario) -> float:
+    return 0.5 * scenario.crystal.gate_width_fs + 3.0 * scenario.pump_fwhm_fs + scenario.dt_fs
 
-    It is always built at ``scenario.dt_fs``, the grid the simulator uses:
-    rebuilt on a coarser grid, the rectangular gate would be rounded to
-    whole steps and the function would come out too wide.
+
+def _resolution_kernel(scenario: Scenario) -> SampledWaveform:
+    """The resolution function on the model grid, ``scenario.dt_fs``.
+
+    That is the grid the simulator uses.  Analysis on a coarser grid
+    resamples this kernel rather than rebuilding it there: rebuilt, the
+    rectangular gate would be rounded to whole steps and the function would
+    come out too wide.
     """
-    dt = scenario.dt_fs
-    half = 0.5 * scenario.crystal.gate_width_fs + 3.0 * scenario.pump_fwhm_fs + dt
-    kernel = resolution_function(
-        scenario.pump_pulse, scenario.crystal, TimeGrid.symmetric(half, dt)
-    )
-    return kernel if step_fs is None else resample(kernel, TimeGrid.symmetric(half, step_fs))
-
-
-def _kernel_and_fwhm(scenario: Scenario) -> tuple[SampledWaveform, float]:
-    kernel = _resolution_kernel(scenario)
-    return kernel, fwhm(kernel)
+    grid = TimeGrid.symmetric(_kernel_half_fs(scenario), scenario.dt_fs)
+    return resolution_function(scenario.pump_pulse, scenario.crystal, grid)
 
 
 def _detection_limit(scenario: Scenario, power_mw: float | None = None) -> float:
@@ -289,17 +285,8 @@ def _scan_signal(scenario: Scenario, dt_fs: float) -> SampledWaveform:
     return _timebin_waveform(scenario, dt_fs)
 
 
-def _scan_coordinates(scenario: Scenario) -> np.ndarray:
-    section = scenario.scan
-    return np.arange(
-        section.start_fs, section.stop_fs + 0.5 * section.step_fs, section.step_fs
-    )
-
-
-def _run_delay_scan(scenario: Scenario, stage: int):
-    dt = scenario.dt_fs
-    kernel = _resolution_kernel(scenario)
-    signal = _scan_signal(scenario, dt)
+def _run_delay_scan(scenario: Scenario, stage: int, kernel: SampledWaveform):
+    signal = _scan_signal(scenario, scenario.dt_fs)
     rate = delay_rate_function(
         signal,
         kernel,
@@ -309,7 +296,7 @@ def _run_delay_scan(scenario: Scenario, stage: int):
         noise_cps=scenario.noise_cps_at(),
     )
     config = ScanConfig(
-        coordinates=_scan_coordinates(scenario),
+        coordinates=scenario.scan.coordinates(),
         dwell_s=scenario.scan.dwell_s,
         seed=derive_stage_seed(scenario.seed, stage),
     )
@@ -352,7 +339,8 @@ def _write_delay_scan(files: _Artifacts, name: str, scenario: Scenario, result) 
 
 
 def _cmd_resolve(scenario: Scenario, files: _Artifacts) -> dict:
-    kernel, fwhm_fs = _kernel_and_fwhm(scenario)
+    kernel = _resolution_kernel(scenario)
+    fwhm_fs = fwhm(kernel)
     files.waveform("resolution.csv", kernel, kind="resolution")
     files.json("resolution.json", {
         "L_mm": scenario.crystal.length_mm,
@@ -375,7 +363,7 @@ def _cmd_resolve(scenario: Scenario, files: _Artifacts) -> dict:
 
 
 def _cmd_scan(scenario: Scenario, files: _Artifacts) -> dict:
-    result = _run_delay_scan(scenario, _STAGE_SCAN)
+    result = _run_delay_scan(scenario, _STAGE_SCAN, _resolution_kernel(scenario))
     _write_delay_scan(files, "scan.csv", scenario, result)
     files.manifest("scan_manifest.json", _STAGE_SCAN, ["scan.csv"], {
         "kind": "delay", **asdict(scenario.scan), "noise_cps": scenario.noise_cps_at(),
@@ -461,7 +449,8 @@ def _cmd_limits(scenario: Scenario, files: _Artifacts) -> dict:
 
 def _cmd_deconv(scenario: Scenario, files: _Artifacts) -> dict:
     noise = scenario.noise_cps_at()
-    result = _run_delay_scan(scenario, _STAGE_DECONV)
+    kernel = _resolution_kernel(scenario)
+    result = _run_delay_scan(scenario, _STAGE_DECONV, kernel)
     step = scenario.scan.step_fs
     _write_delay_scan(files, "deconv_scan.csv", scenario, result)
     # raw counts, with the known flat background in the forward model
@@ -469,7 +458,7 @@ def _cmd_deconv(scenario: Scenario, files: _Artifacts) -> dict:
         float(result.coordinates[0]), step, result.counts.astype(np.float64)
     )
     deconv = deconvolve(
-        measured, _resolution_kernel(scenario, step),
+        measured, resample(kernel, TimeGrid.symmetric(_kernel_half_fs(scenario), step)),
         background=noise * scenario.scan.dwell_s,
     )
     files.waveform("deconv_recovered.csv", deconv.estimate, kind="deconv_recovered")
@@ -552,11 +541,17 @@ def _refuse_mismatched(out: Path, scenario: Scenario) -> None:
 
 def _cmd_report(scenario: Scenario, files: _Artifacts) -> dict:
     _refuse_mismatched(files.out, scenario)
-    _, fwhm_fs = _kernel_and_fwhm(scenario)
+    kernel = _resolution_kernel(scenario)
+    fwhm_fs = fwhm(kernel)
 
     gate_fit = None
     if scenario.scan.signal == "gaussian":
-        scan = _run_delay_scan(scenario, _STAGE_SCAN)
+        scan = _run_delay_scan(scenario, _STAGE_SCAN, kernel)
+        if scan.coordinates.size < 8:
+            raise ScenarioError(
+                f"experiment.scan: the gate fit needs at least 8 scan points, "
+                f"got {scan.coordinates.size}"
+            )
         fitted = fit_erf_gate(scan, scenario.pump_fwhm_fs, scenario.signal_fwhm_fs)
         gate_fit = {
             "gate_width_fs": fitted.gate_width_fs,

@@ -8,10 +8,9 @@ convolved with that gate, and a measured delay scan is the incoming signal
 convolved with it (:func:`waveform.convolve`).
 
 For a Gaussian pump and a Gaussian signal the whole chain collapses to a
-difference of error functions, which :func:`analytic_response` evaluates
-directly.  Keeping the sampled convolution path and the closed form separate
-gives two independent routes to the same curve; the test suite holds them
-against each other.
+difference of error functions, the shape ``analysis.fit_erf_gate`` fits to
+a delay scan.  The test suite holds the sampled convolution path
+against that closed form, two independent routes to the same curve.
 """
 
 from __future__ import annotations
@@ -19,9 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .analysis import erf_gate_model, erf_gate_q
 from .waveform import (
     PulseSpec,
     SampledWaveform,
@@ -35,7 +31,6 @@ __all__ = [
     "DEFAULT_GROUP_DELAY_FS_PER_MM",
     "CrystalSpec",
     "resolution_function",
-    "analytic_response",
 ]
 
 #: Pump/signal group-delay difference in PPMgSLT at the operating wavelengths.
@@ -92,25 +87,3 @@ def resolution_function(
         grid.t0_fs, grid.dt_fs,
         conv.samples[half_steps:half_steps + grid.n],
     ).peak_normalized()
-
-
-def analytic_response(t_fs, pump_fwhm_fs: float, signal_fwhm_fs: float, crystal: CrystalSpec):
-    """Closed-form delay scan of a Gaussian signal through the gate.
-
-    For Gaussian pump and signal intensity profiles the measured curve is
-
-        erf(q * (w - 2 t)) - erf(q * (-w - 2 t)),
-
-    with ``w`` the gate width and ``q = sqrt(ln 2 / (dp^2 + ds^2))`` built
-    from the two FWHM values.  The result is symmetric in ``t`` and peaks at
-    zero delay; it carries the natural amplitude of the erf difference (peak
-    ``2 erf(q w)``), not a normalized one: it is
-    :func:`analysis.erf_gate_model` at amplitude 1, center 0 and floor 0.
-
-    Accepts a scalar or array of delays and returns the same shape.
-    """
-    q = erf_gate_q(pump_fwhm_fs, signal_fwhm_fs)
-    out = erf_gate_model(t_fs, crystal.gate_width_fs, 1.0, 0.0, 0.0, q)
-    if np.ndim(t_fs) == 0:
-        return float(out)
-    return out

@@ -32,6 +32,7 @@ import math
 import re
 from dataclasses import dataclass, replace
 
+import numpy as np
 import yaml
 
 from .detector import (
@@ -274,10 +275,20 @@ class ScanSection:
             )
         steps = (self.stop_fs - self.start_fs) / self.step_fs
         check_sample_count(steps + 1.0, f"step_fs {self.step_fs}")
+        # the ceiling of this ratio is the length of coordinates()
+        if (self.stop_fs + 0.5 * self.step_fs - self.start_fs) / self.step_fs <= 1.0:
+            raise ValidationError(
+                f"step_fs {self.step_fs} leaves one scan point from start_fs "
+                f"{self.start_fs} to stop_fs {self.stop_fs}; a scan needs at least 2"
+            )
         if self.signal not in ("gaussian", "timebin"):
             raise ScenarioError(
                 f"scan signal must be 'gaussian' or 'timebin', got {self.signal!r}"
             )
+
+    def coordinates(self) -> np.ndarray:
+        """Delays from ``start_fs`` in ``step_fs`` steps, up to ``stop_fs`` plus half a step."""
+        return np.arange(self.start_fs, self.stop_fs + 0.5 * self.step_fs, self.step_fs)
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,6 @@ __all__ = [
     "resample",
     "csv_text",
     "write_csv",
-    "read_csv",
 ]
 
 #: Full-output length at or above which :func:`convolver` uses the FFT.
@@ -50,7 +49,7 @@ FFT_THRESHOLD = 1024
 #: Relative tolerance used when comparing the sample spacings of two grids.
 DT_MATCH_RTOL = 1e-9
 
-#: Relative tolerance (in units of dt) for grid uniformity checks on CSV input.
+#: Relative tolerance (in units of dt) to which written CSV times must stay uniform.
 CSV_GRID_RTOL = 1e-6
 
 _CSV_HEADER = "t_fs,value"
@@ -332,9 +331,10 @@ def write_csv(path, w: SampledWaveform, metadata: dict | None = None) -> None:
 
     ``metadata`` entries are emitted first as ``# key=value`` comment lines.
     The writer refuses grids that the nine-digit time format would distort
-    beyond the reader's uniformity tolerance, so every written file reads
-    back.  Times written as integers (see :func:`csv_text`) read back as the
-    same floats; any other time column is re-parsed from the rows to check.
+    by more than :data:`CSV_GRID_RTOL` of a step, so every written file
+    holds a uniform grid.  Times written as integers (see :func:`csv_text`)
+    read back as the same floats; any other time column is re-parsed from
+    the rows to check.
     """
     t = _written_column(w.times())
     text = csv_text(_CSV_HEADER, (t, w.samples), metadata)
@@ -348,58 +348,3 @@ def write_csv(path, w: SampledWaveform, metadata: dict | None = None) -> None:
         )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
-
-
-def read_csv(path) -> tuple[SampledWaveform, dict]:
-    """Read a waveform written by :func:`write_csv`.
-
-    Returns the waveform and a dict of the ``# key=value`` comment lines.
-    The time column must form a uniform, strictly increasing grid; spacings
-    deviating by more than 1e-6 relative are rejected.
-    """
-    metadata: dict[str, str] = {}
-    rows: list[tuple[float, float]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header_seen = False
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if header_seen:
-                    raise ValidationError(f"{path}: comment after header at line {lineno}")
-                body = line.lstrip("#").strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    metadata[key.strip()] = value.strip()
-                continue
-            if not header_seen:
-                if line != _CSV_HEADER:
-                    raise ValidationError(
-                        f"{path}: expected header {_CSV_HEADER!r}, got {line!r}"
-                    )
-                header_seen = True
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ValidationError(f"{path}: expected two columns at line {lineno}")
-            try:
-                rows.append((float(parts[0]), float(parts[1])))
-            except ValueError as exc:
-                raise ValidationError(f"{path}: bad number at line {lineno}: {exc}") from exc
-    if not header_seen:
-        raise ValidationError(f"{path}: missing {_CSV_HEADER!r} header")
-    if len(rows) < 2:
-        raise ValidationError(f"{path}: need at least two samples, got {len(rows)}")
-    t = np.array([r[0] for r in rows])
-    v = np.array([r[1] for r in rows])
-    diffs = np.diff(t)
-    dt = float(np.median(diffs))
-    if dt <= 0.0:
-        raise ValidationError(f"{path}: time column must be strictly increasing")
-    if np.any(np.abs(diffs - dt) > CSV_GRID_RTOL * dt):
-        raise ValidationError(
-            f"{path}: time grid is not uniform within {CSV_GRID_RTOL:g} relative"
-        )
-    dt = float((t[-1] - t[0]) / (len(t) - 1))
-    return SampledWaveform(float(t[0]), dt, v), metadata

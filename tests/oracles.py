@@ -1,15 +1,19 @@
 """Shared independent oracles and frozen expected values.
 
-Everything here is computed from closed forms that do not touch the package
-code paths under test: the Gaussian-CDF expression for a Gaussian convolved
-with a rectangle, direct quadrature for convolution peaks, and plain
-arithmetic for rates and limits.  The frozen numbers were evaluated once with
-the helpers in this module and are asserted against the library.
+Everything here is computed from closed forms and scipy routines that do not
+touch the package code paths under test: the Gaussian-CDF expression for a
+Gaussian convolved with a rectangle, the erf difference of a Gaussian
+delay scan, direct quadrature for convolution peaks, scipy's ``curve_fit``
+as the reference for the gate fit, and plain arithmetic for rates and
+limits.  The frozen numbers were evaluated once with the helpers in this
+module and are asserted against the library.
 """
 
 import math
 
-from scipy.optimize import brentq
+import numpy as np
+from scipy.optimize import brentq, curve_fit
+from scipy.special import erf
 from scipy.stats import norm
 
 SQRT8LN2 = 2.3548200450309493
@@ -32,6 +36,64 @@ def gauss_rect_fwhm_oracle(gauss_fwhm: float, rect_width: float) -> float:
     target = 0.5 * profile(0.0)
     right = brentq(lambda t: profile(t) - target, 0.0, half_w + 6.0 * s, xtol=1e-12)
     return 2.0 * right
+
+
+def analytic_response(t_fs, pump_fwhm_fs, signal_fwhm_fs, crystal):
+    """Closed-form delay scan of a Gaussian signal through the gate.
+
+    For Gaussian pump and signal intensity profiles the measured curve is
+
+        erf(q * (w - 2 t)) - erf(q * (-w - 2 t)),
+
+    with ``w`` the crystal's gate width and ``q = sqrt(ln 2 / (dp^2 + ds^2))``
+    built from the two FWHM values.  The result is symmetric in ``t`` and
+    peaks at zero delay at ``2 erf(q w)``.  A scalar delay gives a float, an
+    array of delays an array of the same shape.
+    """
+    q = math.sqrt(math.log(2.0) / (pump_fwhm_fs ** 2 + signal_fwhm_fs ** 2))
+    t = np.asarray(t_fs, dtype=np.float64)
+    w = crystal.gate_width_fs
+    out = erf(q * (w - 2.0 * t)) - erf(q * (-w - 2.0 * t))
+    return float(out) if out.ndim == 0 else out
+
+
+def erf_gate_curve_fit(delays, counts, pump_fwhm_fs, signal_fwhm_fs):
+    """Reference gate fit: scipy's bounded ``curve_fit`` (trust region reflective).
+
+    Fits ``a [erf(q (w - 2 (t - c))) - erf(q (-w - 2 (t - c)))] + f`` with
+    Poisson weights ``1 / max(counts, 1)`` and an analytic Jacobian, from
+    the peak, baseline and half-maximum span of the counts, within the
+    bounds ``fit_erf_gate`` uses.  Returns ``(popt, sigma)`` for
+    ``(w, a, c, f)``, sigma from the covariance scaled by the reduced
+    chi-square.
+    """
+    t = np.asarray(delays, dtype=np.float64)
+    y = np.asarray(counts, dtype=np.float64)
+    q = math.sqrt(math.log(2.0) / (pump_fwhm_fs ** 2 + signal_fwhm_fs ** 2))
+
+    def args(w, c):
+        return q * (w - 2.0 * (t - c)), q * (-w - 2.0 * (t - c))
+
+    def model(_, w, a, c, f):
+        u1, u2 = args(w, c)
+        return a * (erf(u1) - erf(u2)) + f
+
+    def jacobian(_, w, a, c, f):
+        u1, u2 = args(w, c)
+        e1, e2 = np.exp(-u1 ** 2), np.exp(-u2 ** 2)
+        slope = a * q * 2.0 / math.sqrt(math.pi)
+        return np.column_stack(
+            [slope * (e1 + e2), erf(u1) - erf(u2), 2.0 * slope * (e1 - e2), np.ones_like(t)]
+        )
+
+    floor, peak, span = y.min(), y.max(), t[-1] - t[0]
+    above = np.nonzero(y - floor >= 0.5 * (peak - floor))[0]
+    p0 = (max(t[above[-1]] - t[above[0]], span / 50.0), (peak - floor) / 2.0,
+          t[np.argmax(y)], floor)
+    bounds = ([1e-6, 0.0, t[0] - span, 0.0], [2.0 * span, np.inf, t[-1] + span, np.inf])
+    popt, pcov = curve_fit(model, t, y, p0=p0, sigma=np.sqrt(np.maximum(y, 1.0)),
+                           bounds=bounds, jac=jacobian, maxfev=2000)
+    return popt, np.sqrt(np.diag(pcov))
 
 
 # FWHM of a 200 fs Gaussian pump gated by 204.3 fs/mm rectangles of 1/2/3 mm.

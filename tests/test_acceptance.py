@@ -18,10 +18,11 @@ from oracles import (
     NOISE_CPS_BY_LENGTH,
     PUBLISHED_FWHM_BY_LENGTH,
     PUBLISHED_LIMIT_BY_LENGTH,
+    analytic_response,
 )
 from ucspd.analysis import deconvolve, fit_sine
 from ucspd.detector import EfficiencyChain, detection_limit, external_efficiency
-from ucspd.response import CrystalSpec, analytic_response, resolution_function
+from ucspd.response import CrystalSpec, resolution_function
 from ucspd.simulate import ScanConfig, run_phase_sweep, run_scan
 from ucspd.timebin import (
     InterferometerSpec,

@@ -10,15 +10,15 @@ from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
 from convolution_paths import PATHS, both_paths, forced_path
+from oracles import erf_gate_curve_fit
 from scenario_edits import edited
-from ucspd import analysis
+from ucspd import analysis, cli
 from ucspd.analysis import (
     DeconvolutionSettings,
     ErfGateFit,
     SineFit,
     deconvolve,
-    erf_gate_jacobian,
-    erf_gate_model,
+    erf_gate_model_and_jacobian,
     fit_erf_gate,
     fit_sine,
 )
@@ -480,8 +480,34 @@ class TestErfGateFit:
         delays = np.arange(-800.0, 801.0, 50.0)
         config = ScanConfig(coordinates=delays, dwell_s=1.0, seed=99)
         flat = run_scan(config, lambda d: 800.0)
-        with pytest.raises(FitConvergenceError):
+        with pytest.raises(FitConvergenceError, match="no significant gate signature"):
             fit_erf_gate(flat, PUMP.fwhm_fs, SIGNAL_FWHM)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("name", ["l1_300mw", "l3_300mw"])
+    @pytest.mark.parametrize("dense", [False, True], ids=["bundled", "6001-point"])
+    def test_agrees_with_curve_fit(self, name, dense, seed):
+        edits = {"seed": seed}
+        if dense:
+            edits.update({"experiment.scan.start_fs": -3000.0,
+                          "experiment.scan.stop_fs": 3000.0, "experiment.scan.step_fs": 1.0})
+        scenario = parse_scenario(edited(edits, name))
+        scan = cli._run_delay_scan(scenario, 1, cli._resolution_kernel(scenario))
+        fit = fit_erf_gate(scan, scenario.pump_fwhm_fs, scenario.signal_fwhm_fs)
+        popt, sigma = erf_gate_curve_fit(
+            scan.coordinates, scan.counts, scenario.pump_fwhm_fs, scenario.signal_fwhm_fs
+        )
+        assert abs(fit.gate_width_fs - popt[0]) <= 1e-4 * sigma[0]
+        assert abs(fit.center_fs - popt[2]) <= 1e-4 * sigma[2]
+        assert fit.gate_width_sigma_fs == pytest.approx(sigma[0], rel=1e-6)
+        assert fit.amplitude_sigma == pytest.approx(sigma[1], rel=1e-6)
+
+    def test_evaluation_cap_names_the_residual(self, monkeypatch):
+        scan = simulate_delay_scan(2.0, 1e5, seed=5, noise_cps=800.0)
+        monkeypatch.setattr(analysis, "_ERF_FIT_MAX_EVALUATIONS", 2)
+        with pytest.raises(FitConvergenceError,
+                           match=r"did not converge in 2 evaluations, relative residual \d"):
+            fit_erf_gate(scan, PUMP.fwhm_fs, SIGNAL_FWHM)
 
     @pytest.mark.parametrize("pump,signal", [(0.0, 240.0), (200.0, -1.0), (math.nan, 240.0)])
     def test_width_arguments_validated(self, pump, signal):
@@ -494,7 +520,8 @@ class TestErfGateFit:
         q = math.sqrt(math.log(2.0) / (200.0 ** 2 + 240.0 ** 2))
         delays = np.linspace(-700.0, 700.0, 29)
         params = np.array([408.6, 5.0e4, 12.0, 800.0])
-        analytic = erf_gate_jacobian(delays, *params, q)
+        # the evaluator the gate fit runs on: model and Jacobian from one erf
+        _, analytic = erf_gate_model_and_jacobian(delays, *params, q)
         step = 1e-5 * np.maximum(np.abs(params), 1.0)
         for j in range(4):
             hi = params.copy()
@@ -502,7 +529,8 @@ class TestErfGateFit:
             hi[j] += step[j]
             lo[j] -= step[j]
             numeric = (
-                erf_gate_model(delays, *hi, q) - erf_gate_model(delays, *lo, q)
+                erf_gate_model_and_jacobian(delays, *hi, q)[0]
+                - erf_gate_model_and_jacobian(delays, *lo, q)[0]
             ) / (2.0 * step[j])
             scale = np.max(np.abs(analytic[:, j])) or 1.0
             assert np.max(np.abs(analytic[:, j] - numeric)) / scale < 1e-6

@@ -22,6 +22,7 @@ from scipy.signal import find_peaks
 
 import ucspd
 from scenario_edits import edited
+from waveform_csv import read_csv
 from ucspd.analysis import deconvolve
 from ucspd.cli import main
 from ucspd.detector import detection_limit
@@ -29,7 +30,7 @@ from ucspd.errors import ScenarioError
 from ucspd.scenario import _SCHEMA, parse_scenario
 from ucspd import svgplot
 from ucspd.simulate import derive_stage_seed
-from ucspd.waveform import fwhm, read_csv
+from ucspd.waveform import fwhm
 
 BUNDLED = resources.files("ucspd") / "scenarios"
 
@@ -440,6 +441,26 @@ class TestExitCodes:
         assert "more than the 1000000 allowed" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("sub", ["scan", "deconv", "report"])
+    def test_one_point_scan_is_refused_by_its_key(self, sub, tmp_path, capsys):
+        # a step wider than the scan leaves one point, and so no step at all
+        short = tmp_path / "short.scenario"
+        short.write_text(edited({"experiment.scan.step_fs": 1.0e300}, "l1_300mw"),
+                         encoding="utf-8")
+        assert run(sub, str(short), "--out", str(tmp_path / "art")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "ucspd: error: experiment.scan: step_fs 1e+300 leaves one scan point from "
+            "start_fs -1000.0 to stop_fs 1000.0; a scan needs at least 2"
+        )
+        assert "Traceback" not in err
+
+    def test_scan_shorter_than_a_fit_needs_still_runs(self, tmp_path):
+        # only report's gate fit needs 8 points; see report-short-scan below
+        short = tmp_path / "short.scenario"
+        short.write_text(edited({"experiment.scan.stop_fs": -1700.0}), encoding="utf-8")
+        assert run("scan", str(short), "--out", str(tmp_path / "art"), "--quiet") == 0
+
     def test_json_error_output(self, tmp_path, capsys):
         text = (BUNDLED / "l1_300mw.scenario").read_text(encoding="utf-8")
         dark = tmp_path / "dark.scenario"
@@ -596,7 +617,7 @@ class TestExitCodes:
                   "experiment.scan.step_fs": 1.0},
          "scan coordinates must be strictly increasing"),
         ("report", {"experiment.scan.signal": "gaussian", "experiment.scan.stop_fs": -1700.0},
-         "need at least 8 scan points, got 5"),
+         "experiment.scan: the gate fit needs at least 8 scan points, got 5"),
         ("timebin", {"experiment.timebin.phase_rad": 1.0e308,
                      "experiment.timebin.phase_prime_rad": -1.0e308},
          "phase difference must be finite"),
@@ -758,11 +779,11 @@ IMPORT_PROBE = textwrap.dedent("""
     heavy = ("scipy.signal", "scipy.optimize", "scipy.special")
     loaded = sorted(m for m in sys.modules if m.startswith(heavy))
     import numpy as np
-    from ucspd.analysis import erf_gate_model, fit_erf_gate
+    from ucspd.analysis import erf_gate_model_and_jacobian, fit_erf_gate
     from ucspd.simulate import ScanConfig, ScanResult
     q = math.sqrt(math.log(2.0) / (200.0 ** 2 + 240.0 ** 2))
     delays = np.arange(-1000.0, 1001.0, 25.0)
-    expected = erf_gate_model(delays, 408.6, 1e4, 0.0, 5.0, q)
+    expected, _ = erf_gate_model_and_jacobian(delays, 408.6, 1e4, 0.0, 5.0, q)
     scan = ScanResult(delays, np.round(expected), expected, ScanConfig(delays))
     fit = fit_erf_gate(scan, 200.0, 240.0)
     print(json.dumps({
@@ -834,7 +855,7 @@ class TestJsonKeys:
 
 
 class TestImportCost:
-    def test_cli_import_skips_signal_and_optimize_until_a_fit_needs_it(self):
+    def test_cli_import_skips_scipy_submodules_and_a_fit_never_loads_optimize(self):
         env = dict(os.environ)
         src = str(Path(ucspd.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -845,5 +866,5 @@ class TestImportCost:
         assert proc.returncode == 0, proc.stderr
         probe = json.loads(proc.stdout)
         assert probe["loaded_by_cli"] == []
-        assert probe["optimize_after_fit"]
+        assert probe["optimize_after_fit"] is False
         assert probe["gate_width_fs"] == pytest.approx(408.6, rel=1e-3)

@@ -9,11 +9,12 @@ from oracles import (
     PEAK_2ERF_L2,
     PUBLISHED_FWHM_BY_LENGTH,
     SCAN_FWHM_L2_SIGNAL240,
+    analytic_response,
     gauss_rect_fwhm_oracle,
 )
 from scenario_edits import edited
 from ucspd.errors import ScenarioError
-from ucspd.response import CrystalSpec, analytic_response, resolution_function
+from ucspd.response import CrystalSpec, resolution_function
 from ucspd.scenario import parse_scenario
 from ucspd.waveform import (
     PulseSpec, SampledWaveform, TimeGrid, convolve, fwhm, gaussian_waveform, rect_waveform,

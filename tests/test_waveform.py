@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from convolution_paths import PATHS, both_paths, forced_path
 from oracles import GATE_FWHM_BY_LENGTH, GAUSS312_RECT408_PEAK, gauss_rect_fwhm_oracle
+from waveform_csv import read_csv
 from ucspd.errors import GridMismatchError, NumericalError, ValidationError
 from ucspd.waveform import (
     FFT_THRESHOLD,
@@ -21,7 +22,6 @@ from ucspd.waveform import (
     fast_fft_len,
     fwhm,
     gaussian_waveform,
-    read_csv,
     rect_waveform,
     resample,
     write_csv,
