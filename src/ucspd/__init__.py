@@ -3,38 +3,3 @@ time-bin qubits: gate response models, detector efficiency and noise chains,
 Monte Carlo delay scans, and the matching analysis routines."""
 
 __version__ = "0.1.0"
-
-from .errors import (
-    FitConvergenceError,
-    GridMismatchError,
-    NumericalError,
-    ScenarioError,
-    UcspdError,
-    ValidationError,
-)
-from .waveform import (
-    PulseSpec,
-    SampledWaveform,
-    TimeGrid,
-    convolve,
-    fwhm,
-    gaussian_waveform,
-    rect_waveform,
-)
-
-__all__ = [
-    "__version__",
-    "UcspdError",
-    "ValidationError",
-    "GridMismatchError",
-    "ScenarioError",
-    "NumericalError",
-    "FitConvergenceError",
-    "TimeGrid",
-    "PulseSpec",
-    "SampledWaveform",
-    "gaussian_waveform",
-    "rect_waveform",
-    "convolve",
-    "fwhm",
-]

@@ -7,8 +7,8 @@ kept in the model rather than subtracted.  Its update conserves counts
 through the identity ``sum(u_new) + b * sum(d / (K u + b)) == sum(d)``,
 whose round-off drift is reported, and for counts it stops by the
 discrepancy principle, once the Poisson deviance per point reaches
-``1 + 2 sqrt(2 / n)``, the noise level plus twice its spread; the
-iteration cap is the backstop.  On counts each EM step starts from a
+``1 + 2 sqrt(2 / n)``, the noise level plus twice its spread; a cap of
+``RL_MAX_ITERATIONS`` is the backstop.  On counts each EM step starts from a
 Biggs-Andrews extrapolation along the previous move, which reaches that
 level in several times fewer iterations; exact data get plain EM.  The blur
 operator and its exact adjoint are built once per call by
@@ -41,7 +41,7 @@ from .simulate import ScanResult
 from .waveform import DT_MATCH_RTOL, SampledWaveform, convolver
 
 __all__ = [
-    "DeconvolutionSettings",
+    "RL_MAX_ITERATIONS",
     "DeconvolutionResult",
     "deconvolve",
     "SineFit",
@@ -54,19 +54,15 @@ __all__ = [
 
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
+#: Richardson-Lucy iterations ``deconvolve`` runs at most.
+RL_MAX_ITERATIONS = 500
+
 #: Trial points the gate fit may evaluate before it gives up.
 _ERF_FIT_MAX_EVALUATIONS = 2000
 
 
 # ---------------------------------------------------------------------------
 # Richardson-Lucy deconvolution
-
-
-@dataclass(frozen=True)
-class DeconvolutionSettings:
-    """Iteration cap of the deconvolution."""
-
-    iterations: int = 500
 
 
 @dataclass(frozen=True)
@@ -85,7 +81,6 @@ class DeconvolutionResult:
     stop_reason: str
     deviance_per_point: float
     max_flux_drift: float
-    settings: DeconvolutionSettings
 
     @property
     def converged(self) -> bool:
@@ -107,7 +102,6 @@ def _rl_operators(kn: np.ndarray, n: int):
 def deconvolve(
     measured: SampledWaveform,
     kernel: SampledWaveform,
-    settings: DeconvolutionSettings | None = None,
     background: float | None = None,
 ) -> DeconvolutionResult:
     """Richardson-Lucy estimate of the waveform blurred by ``kernel``.
@@ -144,10 +138,10 @@ def deconvolve(
     stops in 13-62 iterations where plain EM took 40-500 or more.
 
     Exact data have no noise level, so without a background the iteration
-    runs to the settings cap, which is the backstop in both cases, and the
-    cap rather than a stop rule decides the answer; extrapolation there
-    only drifts to a rougher point of the same fit, so exact data get plain
-    EM.  Each iteration costs the two convolutions plus one ``log`` and one
+    runs to the cap of ``RL_MAX_ITERATIONS``, which is the backstop in both
+    cases, and the cap rather than a stop rule decides the answer;
+    extrapolation there only drifts to a rougher point of the same fit, so
+    exact data get plain EM.  Each iteration costs the two convolutions plus one ``log`` and one
     dot product for ``D``, and on counts two more dot products for
     ``alpha``.
 
@@ -164,7 +158,6 @@ def deconvolve(
         If the measured counts (all zero included) do not exceed the
         background's total, so there is no signal left to deconvolve.
     """
-    settings = settings or DeconvolutionSettings()
     if abs(measured.dt_fs - kernel.dt_fs) > DT_MATCH_RTOL * max(measured.dt_fs, kernel.dt_fs):
         raise GridMismatchError(
             f"deconvolution requires equal sample spacings, got "
@@ -206,7 +199,7 @@ def deconvolve(
         if deviance <= noise_level:
             stop_reason = "discrepancy"
             break
-        if iterations_run == settings.iterations:
+        if iterations_run == RL_MAX_ITERATIONS:
             stop_reason = "cap"
             break
         ratio = d / mu
@@ -242,7 +235,6 @@ def deconvolve(
         stop_reason=stop_reason,
         deviance_per_point=deviance / n,
         max_flux_drift=float(max_drift),
-        settings=settings,
     )
 
 

@@ -33,7 +33,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .analysis import deconvolve, fit_erf_gate, fit_sine
+from .analysis import RL_MAX_ITERATIONS, deconvolve, fit_erf_gate, fit_sine
 from .detector import detection_limit
 from .errors import NumericalError, ScenarioError, UcspdError
 from .response import resolution_function
@@ -43,7 +43,6 @@ from .simulate import (
 )
 from .svgplot import line_plot
 from .timebin import (
-    InterferometerSpec,
     TimeBinState,
     apply_interferometer,
     center_bin_expectation,
@@ -51,8 +50,8 @@ from .timebin import (
     synthesize_waveform,
 )
 from .waveform import (
-    SampledWaveform, TimeGrid, check_sample_count, convolve, csv_text, fwhm, gaussian_waveform,
-    resample, write_csv,
+    PulseSpec, SampledWaveform, TimeGrid, check_sample_count, convolve, csv_text, fwhm,
+    gaussian_waveform, resample, write_csv,
 )
 
 __all__ = ["main"]
@@ -229,7 +228,7 @@ def _resolution_kernel(scenario: Scenario) -> SampledWaveform:
     come out too wide.
     """
     grid = TimeGrid.symmetric(_kernel_half_fs(scenario), scenario.dt_fs)
-    return resolution_function(scenario.pump_pulse, scenario.crystal, grid)
+    return resolution_function(PulseSpec(scenario.pump_fwhm_fs), scenario.crystal, grid)
 
 
 def _detection_limit(scenario: Scenario, power_mw: float | None = None) -> float:
@@ -254,9 +253,7 @@ def _timebin_state(scenario: Scenario) -> TimeBinState:
     section = scenario.timebin
     state = TimeBinState.single(section.slot_spacing_fs)
     for phase in (section.phase_rad, section.phase_prime_rad):
-        state = apply_interferometer(
-            state, InterferometerSpec(phase_rad=phase, contrast=section.contrast)
-        )
+        state = apply_interferometer(state, phase, section.contrast)
     return state
 
 
@@ -281,7 +278,7 @@ def _scan_signal(scenario: Scenario, dt_fs: float) -> SampledWaveform:
     if scenario.scan.signal == "gaussian":
         half = 3.0 * scenario.signal_fwhm_fs + dt_fs
         grid = TimeGrid.symmetric(half, dt_fs)
-        return gaussian_waveform(scenario.signal_pulse, grid)
+        return gaussian_waveform(PulseSpec(scenario.signal_fwhm_fs), grid)
     return _timebin_waveform(scenario, dt_fs)
 
 
@@ -470,7 +467,9 @@ def _cmd_deconv(scenario: Scenario, files: _Artifacts) -> dict:
         "deviance_per_point": deconv.deviance_per_point,
         "residual": deconv.residual,
         "max_flux_drift": deconv.max_flux_drift,
-        "settings": {"algorithm": "richardson-lucy-biggs-andrews", **asdict(deconv.settings)},
+        "settings": {
+            "algorithm": "richardson-lucy-biggs-andrews", "iterations": RL_MAX_ITERATIONS,
+        },
     })
     files.plot(
         "deconv.svg",

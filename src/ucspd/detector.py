@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from .errors import NumericalError, ValidationError
 
 __all__ = [
-    "EfficiencyChain",
     "PumpEfficiencyModel",
     "NoiseModel",
     "external_efficiency",
@@ -33,29 +32,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EfficiencyChain:
-    """Multiplicative efficiency budget from crystal to counted click.
-
-    Defaults hold for the reference setup: a silicon APD at 41 %, single-mode
-    fiber re-coupling of the up-converted light at 85 %, and 94 % through the
-    pump/background rejection filters.
-    """
-
-    internal_upconversion: float
-    apd_efficiency: float = 0.41
-    fiber_coupling: float = 0.85
-    filter_transmittance: float = 0.94
-
-
-def external_efficiency(chain: EfficiencyChain) -> float:
+def external_efficiency(
+    internal_eta: float, apd_efficiency: float, fiber_coupling: float, filter_transmittance: float
+) -> float:
     """Overall probability that an incident signal photon is counted."""
-    return (
-        chain.internal_upconversion
-        * chain.apd_efficiency
-        * chain.fiber_coupling
-        * chain.filter_transmittance
-    )
+    return internal_eta * apd_efficiency * fiber_coupling * filter_transmittance
 
 
 @dataclass(frozen=True)
@@ -163,15 +144,23 @@ def detection_limit(
     ``3 sqrt(noise * T) / (T * R * eta)``.  Scales as ``1 / sqrt(T)`` and as
     ``1 / eta``, so halving the efficiency doubles the limit.  When
     ``T * R * eta`` is 0 (a factor is 0, or the product underflows) no pulse
-    is detected and NumericalError says which.
+    is detected, and when ``noise * T``, ``T * R * eta`` or the limit itself
+    overflows there is no finite limit; NumericalError says which.
     """
-    sigma = math.sqrt(noise_rate_cps * integration_s)
+    noise_counts = noise_rate_cps * integration_s
     pulses_detected = integration_s * rep_rate_hz * external_eta
-    if pulses_detected == 0.0:
+    if not math.isfinite(noise_counts):
+        problem = f"noise_rate_cps * integration_s = {noise_rate_cps} * {integration_s} overflows"
+    elif not math.isfinite(pulses_detected) or pulses_detected == 0.0:
         zero = 0.0 in (integration_s, rep_rate_hz, external_eta)
-        raise NumericalError(
-            f"integration_s * rep_rate_hz * external_eta = {integration_s} * {rep_rate_hz} * "
-            f"{external_eta} {'is 0' if zero else 'underflows to 0'}, "
-            "so the limit per pulse is undefined"
-        )
-    return 3.0 * sigma / pulses_detected
+        outcome = ("overflows" if not math.isfinite(pulses_detected)
+                   else "is 0" if zero else "underflows to 0")
+        problem = (f"integration_s * rep_rate_hz * external_eta = {integration_s} * "
+                   f"{rep_rate_hz} * {external_eta} {outcome}")
+    else:
+        limit = 3.0 * math.sqrt(noise_counts) / pulses_detected
+        if not math.isinf(limit):
+            return limit
+        problem = (f"3 * sqrt(noise_rate_cps * integration_s) / (integration_s * rep_rate_hz * "
+                   f"external_eta) = 3 * sqrt({noise_counts}) / {pulses_detected} overflows")
+    raise NumericalError(f"{problem}, so the limit per pulse is undefined")

@@ -36,7 +36,6 @@ import numpy as np
 import yaml
 
 from .detector import (
-    EfficiencyChain,
     NoiseModel,
     PumpEfficiencyModel,
     efficiency_at_power,
@@ -45,7 +44,7 @@ from .detector import (
 )
 from .errors import ScenarioError, ValidationError
 from .response import DEFAULT_GROUP_DELAY_FS_PER_MM, CrystalSpec
-from .waveform import MAX_SAMPLES, PulseSpec, check_sample_count
+from .waveform import MAX_SAMPLES, check_sample_count
 
 __all__ = [
     "ScanSection",
@@ -166,6 +165,8 @@ _SCHEMA = {
             "tau_g_fs_per_mm": (_positive, DEFAULT_GROUP_DELAY_FS_PER_MM),
             "label": (_label, ""),
         },
+        # the reference setup: a silicon APD, single-mode fiber re-coupling
+        # of the up-converted light, and the pump/background rejection filters
         "chain": {
             "apd_efficiency": (_fraction, 0.41),
             "fiber_coupling": (_fraction, 0.85),
@@ -384,14 +385,6 @@ class Scenario:
         digest = hashlib.sha256(self.effective_json.encode("utf-8")).hexdigest()
         return digest[:_HASH_LENGTH]
 
-    @property
-    def pump_pulse(self) -> PulseSpec:
-        return PulseSpec(fwhm_fs=self.pump_fwhm_fs)
-
-    @property
-    def signal_pulse(self) -> PulseSpec:
-        return PulseSpec(fwhm_fs=self.signal_fwhm_fs)
-
     def effective(self) -> dict:
         """The defaults-filled configuration the hash is computed over."""
         return json.loads(self.effective_json)
@@ -400,16 +393,13 @@ class Scenario:
         power = self.pump_power_mw if power_mw is None else power_mw
         return efficiency_at_power(self.pump_model, power)
 
-    def chain_at(self, power_mw: float | None = None) -> EfficiencyChain:
-        return EfficiencyChain(
-            internal_upconversion=self.internal_eta_at(power_mw),
-            apd_efficiency=self.apd_efficiency,
-            fiber_coupling=self.fiber_coupling,
-            filter_transmittance=self.filter_transmittance,
-        )
-
     def external_eta_at(self, power_mw: float | None = None) -> float:
-        return external_efficiency(self.chain_at(power_mw))
+        return external_efficiency(
+            self.internal_eta_at(power_mw),
+            self.apd_efficiency,
+            self.fiber_coupling,
+            self.filter_transmittance,
+        )
 
     def noise_cps_at(self, power_mw: float | None = None) -> float:
         return noise_cps(self.noise_model, self.internal_eta_at(power_mw))

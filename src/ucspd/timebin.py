@@ -12,10 +12,10 @@ single-delay paths.  Detection happens slot by slot, so all predictions here
 reduce to slot occupation probabilities; an overall normalization drops out
 through postselection, so states are never renormalized.
 
-The ``contrast`` parameter scales the delayed amplitude and models reduced
-interference visibility from imperfect mode overlap.  At contrast 1 the
-center-to-side probability ratio of the double-pass state is
-``4 cos^2((phi - phi') / 2) : 1`` exactly.
+An interferometer pass is its phase and its ``contrast``, which scales the
+delayed amplitude and models reduced interference visibility from imperfect
+mode overlap.  At contrast 1 the center-to-side probability ratio of the
+double-pass state is ``4 cos^2((phi - phi') / 2) : 1`` exactly.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .waveform import PulseSpec, SampledWaveform, TimeGrid, gaussian_waveform
 
 __all__ = [
     "TimeBinState",
-    "InterferometerSpec",
     "apply_interferometer",
     "slot_probabilities",
     "synthesize_waveform",
@@ -65,31 +64,20 @@ class TimeBinState:
         return cls(np.array([1.0 + 0.0j]), slot_spacing_fs)
 
 
-@dataclass(frozen=True)
-class InterferometerSpec:
-    """Unbalanced interferometer whose path difference is one slot.
+def apply_interferometer(state: TimeBinState, phase_rad: float, contrast: float) -> TimeBinState:
+    """Propagate a state through one unbalanced interferometer pass.
 
-    ``phase_rad`` is the relative phase picked up in the long arm and
-    ``contrast`` scales the delayed amplitude (1 means perfect overlap).
-    """
-
-    phase_rad: float
-    contrast: float = 1.0
-
-
-def apply_interferometer(state: TimeBinState, ifm: InterferometerSpec) -> TimeBinState:
-    """Propagate a state through one interferometer pass.
-
-    Each amplitude splits into an undelayed copy and a phase-shifted copy
-    one slot later, both scaled by 1/sqrt(2); the delayed copy is
-    additionally scaled by the contrast.  The output is one slot longer
-    than the input.  The 1/sqrt(2) factors are kept so splitting losses stay
-    explicit; with contrast 1 a single occupied slot keeps unit total
-    probability.
+    The path difference is one slot.  Each amplitude splits into an
+    undelayed copy and a copy one slot later that picks up the long arm's
+    ``phase_rad``, both scaled by 1/sqrt(2); the delayed copy is
+    additionally scaled by the ``contrast`` (1 means perfect overlap).  The
+    output is one slot longer than the input.  The 1/sqrt(2) factors are
+    kept so splitting losses stay explicit; with contrast 1 a single
+    occupied slot keeps unit total probability.
     """
     a = state.amplitudes
     out = np.zeros(a.size + 1, dtype=np.complex128)
-    shift = ifm.contrast * np.exp(1j * ifm.phase_rad)
+    shift = contrast * np.exp(1j * phase_rad)
     out[:-1] += a
     out[1:] += shift * a
     return TimeBinState(out / math.sqrt(2.0), state.slot_spacing_fs)

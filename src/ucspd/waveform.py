@@ -133,10 +133,6 @@ class SampledWaveform:
     def n(self) -> int:
         return int(self.samples.size)
 
-    @property
-    def grid(self) -> TimeGrid:
-        return TimeGrid(self.t0_fs, self.dt_fs, self.n)
-
     def times(self) -> np.ndarray:
         return self.t0_fs + self.dt_fs * np.arange(self.n)
 

@@ -21,11 +21,10 @@ from oracles import (
     analytic_response,
 )
 from ucspd.analysis import deconvolve, fit_sine
-from ucspd.detector import EfficiencyChain, detection_limit, external_efficiency
+from ucspd.detector import detection_limit, external_efficiency
 from ucspd.response import CrystalSpec, resolution_function
 from ucspd.simulate import ScanConfig, run_phase_sweep, run_scan
 from ucspd.timebin import (
-    InterferometerSpec,
     TimeBinState,
     apply_interferometer,
     center_bin_expectation,
@@ -94,8 +93,7 @@ def test_acceptance_3_detection_limits(announce):
     parts = []
     ok = True
     for length in (1.0, 2.0, 3.0):
-        chain = EfficiencyChain(internal_upconversion=ETA_INT_BY_LENGTH[length])
-        eta_ext = external_efficiency(chain)
+        eta_ext = external_efficiency(ETA_INT_BY_LENGTH[length], 0.41, 0.85, 0.94)
         limit = detection_limit(NOISE_CPS_BY_LENGTH[length], 1.0, eta_ext, 76.3e6)
         oracle = DETECTION_LIMIT_BY_LENGTH[length]
         published = PUBLISHED_LIMIT_BY_LENGTH[length]
@@ -106,7 +104,7 @@ def test_acceptance_3_detection_limits(announce):
 
 
 def test_acceptance_4_external_efficiency(announce):
-    eta = external_efficiency(EfficiencyChain(internal_upconversion=0.101))
+    eta = external_efficiency(0.101, 0.41, 0.85, 0.94)
     exact = 0.101 * 0.41 * 0.85 * 0.94
     ok = abs(eta - exact) <= 1e-15 and f"{eta * 100.0:.1f}" == "3.3"
     announce(4, ok, f"0.101*0.41*0.85*0.94 = {eta * 100.0:.2f}% rounds to 3.3%")
@@ -118,8 +116,8 @@ def test_acceptance_5_cascade_ratio_property(announce):
     for _ in range(100):
         phi, phi_prime = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, size=2)
         state = TimeBinState.single(800.0)
-        state = apply_interferometer(state, InterferometerSpec(phase_rad=phi))
-        state = apply_interferometer(state, InterferometerSpec(phase_rad=phi_prime))
+        state = apply_interferometer(state, phi, 1.0)
+        state = apply_interferometer(state, phi_prime, 1.0)
         probs = slot_probabilities(state)
         expected = 4.0 * math.cos(0.5 * (phi - phi_prime)) ** 2
         worst = max(worst, abs(probs[1] / probs[0] - expected))

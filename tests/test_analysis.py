@@ -14,9 +14,6 @@ from oracles import erf_gate_curve_fit
 from scenario_edits import edited
 from ucspd import analysis, cli
 from ucspd.analysis import (
-    DeconvolutionSettings,
-    ErfGateFit,
-    SineFit,
     deconvolve,
     erf_gate_model_and_jacobian,
     fit_erf_gate,
@@ -100,7 +97,7 @@ class TestDeconvolveRoundTrip:
         replay = convolve(result.estimate, kernel)
         assert replay.sample_at(0.0) == pytest.approx(measured.sample_at(0.0), rel=1e-3)
 
-    def test_delta_input_collapses_to_grid_resolution(self):
+    def test_delta_input_collapses_to_grid_resolution(self, monkeypatch):
         # a delta blurred by the gate deconvolves back to a spike; on a
         # coarse grid the limit is a few samples wide
         dt = 20.0
@@ -110,8 +107,8 @@ class TestDeconvolveRoundTrip:
         spike[grid.n // 2] = 1.0
         truth = SampledWaveform(grid.t0_fs, dt, spike)
         measured = convolve(truth, kernel)
-        settings = DeconvolutionSettings(iterations=2000)
-        result = deconvolve(measured, kernel, settings)
+        monkeypatch.setattr(analysis, "RL_MAX_ITERATIONS", 2000)
+        result = deconvolve(measured, kernel)
         assert fwhm(result.estimate) <= 3.0 * dt
         assert abs(result.estimate.peak_time_fs) <= dt
 
@@ -194,10 +191,11 @@ class TestDeconvolvePaths:
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
     @pytest.mark.parametrize("trim", [0, 1])
-    def test_direct_and_fft_paths_give_the_same_estimate(self, trim):
+    def test_direct_and_fft_paths_give_the_same_estimate(self, trim, monkeypatch):
         measured, kernel = TestDeconvolveThreePulse().seeded_three_pulse()
         kernel = SampledWaveform(kernel.t0_fs, kernel.dt_fs, kernel.samples[trim:])
-        results = both_paths(deconvolve, measured, kernel, DeconvolutionSettings(iterations=100))
+        monkeypatch.setattr(analysis, "RL_MAX_ITERATIONS", 100)
+        results = both_paths(deconvolve, measured, kernel)
         direct, fft = (result.estimate for result in results)
         assert fft.t0_fs == direct.t0_fs
         assert np.abs(fft.samples - direct.samples).max() <= 1e-12 * direct.peak_value
@@ -235,7 +233,7 @@ class TestDeconvolveWithBackground:
                 assert result.deviance_per_point <= noise_level
             else:
                 assert result.stop_reason == "cap"
-                assert result.iterations_run == result.settings.iterations
+                assert result.iterations_run == analysis.RL_MAX_ITERATIONS
         direct, fft = results
         assert (direct.stop_reason, direct.iterations_run) == (fft.stop_reason, fft.iterations_run)
 
@@ -333,13 +331,14 @@ class TestAcceleratedPath:
             assert np.all(following[em > 0.0] > 0.0)
 
     @pytest.mark.parametrize("path", PATHS)
-    def test_exact_data_is_plain_em_bit_for_bit(self, path):
+    def test_exact_data_is_plain_em_bit_for_bit(self, path, monkeypatch):
         kernel = reference_kernel()
         grid = TimeGrid.symmetric(600.0, 1.0)
         truth = gaussian_waveform(PulseSpec(SIGNAL_FWHM, center_fs=-90.0), grid)
         measured = convolve(truth, kernel)
+        monkeypatch.setattr(analysis, "RL_MAX_ITERATIONS", 60)
         with forced_path(path):
-            result = deconvolve(measured, kernel, DeconvolutionSettings(iterations=60))
+            result = deconvolve(measured, kernel)
             reference = plain_em(measured, kernel, 60)
         assert (result.stop_reason, result.iterations_run) == ("cap", 60)
         assert result.estimate.samples.tobytes() == reference.tobytes()

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
@@ -685,10 +685,17 @@ KEY_PATH = re.compile(r"\b(detector|source|experiment)\.[a-z_.]+|\bseed\b")
 ARRAY_CAUSE = re.compile(r"\bsamples\b|\bscan points\b")
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 class TestEdgeValues:
     @settings(max_examples=100, deadline=None)
     @given(edit=st.sampled_from(EDGE_EDITS), sub=st.sampled_from(SUBCOMMANDS),
            name=st.sampled_from(("l1_300mw", "l2_300mw", "l3_300mw")))
+    # noise * integration_s and integration_s * rep_rate_hz overflow to inf
+    @example(edit=("experiment.limits.integration_s", 1.7976931348623157e308),
+             name="l2_300mw", sub="limits")
     def test_every_accepted_value_runs_or_fails_by_name(self, edit, name, sub):
         path, value = edit
         err = io.StringIO()
@@ -697,6 +704,11 @@ class TestEdgeValues:
             scenario.write_text(edited({path: value}, name), encoding="utf-8")
             with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
                 code = run(sub, str(scenario), "--out", str(Path(tmp) / "art"), "--quiet")
+            if code == 0:
+                # NaN and Infinity are not JSON
+                for artifact in (Path(tmp) / "art").glob("*.json"):
+                    json.loads(artifact.read_text(encoding="utf-8"),
+                               parse_constant=_refuse_constant)
         message = err.getvalue()
         assert code in (0, 1, 2)
         assert "Traceback" not in message

@@ -15,7 +15,6 @@ from oracles import (
 )
 from scenario_edits import edited
 from ucspd.detector import (
-    EfficiencyChain,
     NoiseModel,
     PumpEfficiencyModel,
     detection_limit,
@@ -32,18 +31,14 @@ REP_RATE_HZ = 76.3e6
 class TestEfficiencyChain:
     @pytest.mark.parametrize("length", [1.0, 2.0, 3.0])
     def test_external_efficiency_product(self, length):
-        chain = EfficiencyChain(internal_upconversion=ETA_INT_BY_LENGTH[length])
-        assert external_efficiency(chain) == pytest.approx(
-            ETA_EXT_BY_LENGTH[length], rel=1e-12
-        )
+        eta = external_efficiency(ETA_INT_BY_LENGTH[length], 0.41, 0.85, 0.94)
+        assert eta == pytest.approx(ETA_EXT_BY_LENGTH[length], rel=1e-12)
 
     def test_reference_point_rounds_to_published_percentage(self):
-        chain = EfficiencyChain(internal_upconversion=0.101)
-        assert round(100.0 * external_efficiency(chain), 1) == 3.3
+        assert round(100.0 * external_efficiency(0.101, 0.41, 0.85, 0.94), 1) == 3.3
 
     def test_unit_factors_pass_through(self):
-        chain = EfficiencyChain(1.0, 1.0, 1.0, 1.0)
-        assert external_efficiency(chain) == 1.0
+        assert external_efficiency(1.0, 1.0, 1.0, 1.0) == 1.0
 
     @pytest.mark.parametrize("field", [
         "internal_upconversion", "apd_efficiency", "fiber_coupling", "filter_transmittance",
@@ -181,3 +176,23 @@ class TestDetectionLimit:
             detection_limit(800.0, 0.0, 0.033, REP_RATE_HZ)
         with pytest.raises(NumericalError, match="underflows to 0"):
             detection_limit(800.0, 1.0e-300, 0.033, 1.0e-30)
+
+    # each product the limit is formed from, and the limit itself, can
+    # overflow; inf over inf would be NaN, and a finite sigma over inf pulses 0
+    @pytest.mark.parametrize("args, product", [
+        ((800.0, 1.7976931348623157e308, 0.033, REP_RATE_HZ),
+         "noise_rate_cps * integration_s = 800.0 * 1.7976931348623157e+308 overflows"),
+        ((1.0e9, 1.0e300, 0.033, REP_RATE_HZ),
+         "noise_rate_cps * integration_s = 1000000000.0 * 1e+300 overflows"),
+        ((800.0, 1.0e300, 0.033, 1.0e10),
+         "integration_s * rep_rate_hz * external_eta = 1e+300 * 10000000000.0 * 0.033 overflows"),
+        ((800.0, 1.0e300, 0.0, 1.0e10),
+         "integration_s * rep_rate_hz * external_eta = 1e+300 * 10000000000.0 * 0.0 overflows"),
+        ((1.0e307, 5.0e-324, 0.033, REP_RATE_HZ),
+         "3 * sqrt(noise_rate_cps * integration_s) / (integration_s * rep_rate_hz * "
+         "external_eta) = 3 * sqrt(4.9406564584124654e-17) / 1.244008e-317 overflows"),
+    ], ids=["noise-counts", "noise-counts-from-noise", "pulses", "pulses-times-zero", "limit"])
+    def test_overflow_is_named(self, args, product):
+        with pytest.raises(NumericalError) as raised:
+            detection_limit(*args)
+        assert str(raised.value) == f"{product}, so the limit per pulse is undefined"

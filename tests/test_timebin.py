@@ -9,7 +9,6 @@ from scenario_edits import edited
 from ucspd.errors import ScenarioError, ValidationError
 from ucspd.scenario import parse_scenario
 from ucspd.timebin import (
-    InterferometerSpec,
     TimeBinState,
     apply_interferometer,
     center_bin_expectation,
@@ -23,8 +22,8 @@ SLOT_FS = 800.0
 
 def cascade(phi, phi_prime, contrast=1.0):
     state = TimeBinState.single(SLOT_FS)
-    state = apply_interferometer(state, InterferometerSpec(phi, contrast))
-    return apply_interferometer(state, InterferometerSpec(phi_prime, contrast))
+    state = apply_interferometer(state, phi, contrast)
+    return apply_interferometer(state, phi_prime, contrast)
 
 
 class TestTimeBinState:
@@ -39,17 +38,17 @@ class TestTimeBinState:
 
 class TestInterferometer:
     def test_single_pass_splits_equally(self):
-        out = apply_interferometer(TimeBinState.single(SLOT_FS), InterferometerSpec(0.0))
+        out = apply_interferometer(TimeBinState.single(SLOT_FS), 0.0, 1.0)
         assert out.n_slots == 2
         assert np.allclose(out.amplitudes, [1.0 / math.sqrt(2)] * 2)
 
     def test_single_pass_phase_on_delayed_slot(self):
         phi = 0.7
-        out = apply_interferometer(TimeBinState.single(SLOT_FS), InterferometerSpec(phi))
+        out = apply_interferometer(TimeBinState.single(SLOT_FS), phi, 1.0)
         assert out.amplitudes[1] == pytest.approx(np.exp(1j * phi) / math.sqrt(2))
 
     def test_single_slot_norm_preserved_at_full_contrast(self):
-        out = apply_interferometer(TimeBinState.single(SLOT_FS), InterferometerSpec(1.3))
+        out = apply_interferometer(TimeBinState.single(SLOT_FS), 1.3, 1.0)
         assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
     def test_double_pass_amplitudes(self):
@@ -63,8 +62,7 @@ class TestInterferometer:
         assert np.allclose(out.amplitudes, expected, atol=1e-14)
 
     def test_contrast_scales_delayed_amplitude(self):
-        out = apply_interferometer(TimeBinState.single(SLOT_FS),
-                                   InterferometerSpec(0.0, contrast=0.5))
+        out = apply_interferometer(TimeBinState.single(SLOT_FS), 0.0, 0.5)
         assert abs(out.amplitudes[1]) == pytest.approx(0.5 / math.sqrt(2))
 
     def test_contrast_range_enforced(self):
