@@ -23,7 +23,9 @@ closed-form weighted least squares with no iteration and no starting guess.
 delay-scan shape; that one is genuinely nonlinear and is solved here by a
 bounded Levenberg-Marquardt iteration on its four parameters (damped
 Gauss-Newton steps clipped to the bounds), which evaluates ``erf`` once
-per trial point for both the model and its analytic Jacobian.
+per trial point for both the model and its analytic Jacobian.  Both fits
+take plain arrays, the phases or delays and the counts at each, so no
+simulator type enters this module.
 
 Uncertainties come from the fit covariance scaled by the reduced chi-square,
 so exact model data reports (correctly) vanishing error bars.
@@ -37,7 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitConvergenceError, GridMismatchError, NumericalError, ValidationError
-from .simulate import ScanResult
 from .waveform import DT_MATCH_RTOL, SampledWaveform, convolver
 
 __all__ = [
@@ -256,10 +257,9 @@ class SineFit:
     visibility_sigma: float
     reduced_chi2: float
     n_points: int
-    dwell_s: float
 
 
-def fit_sine(phases_rad, counts, dwell_s: float = 1.0) -> SineFit:
+def fit_sine(phases_rad, counts) -> SineFit:
     """Weighted least-squares fringe fit with Poisson count weights.
 
     The model ``offset * (1 + V cos(phi - phase0))`` is reparametrized as
@@ -335,7 +335,6 @@ def fit_sine(phases_rad, counts, dwell_s: float = 1.0) -> SineFit:
         visibility_sigma=float(vis_sigma),
         reduced_chi2=float(red_chi2),
         n_points=int(phases.size),
-        dwell_s=float(dwell_s),
     )
 
 
@@ -384,17 +383,14 @@ class ErfGateFit:
     n_evaluations: int
 
 
-def fit_erf_gate(
-    scan: ScanResult,
-    pump_fwhm_fs: float,
-    signal_fwhm_fs: float,
-) -> ErfGateFit:
+def fit_erf_gate(delays_fs, counts, pump_fwhm_fs: float, signal_fwhm_fs: float) -> ErfGateFit:
     """Estimate the gate width from a delay scan of Gaussian pulses.
 
     Fits ``amplitude * [erf(q (w - 2 tau)) - erf(q (-w - 2 tau))] + floor``
-    to the counts with Poisson weights, ``q`` fixed by the pump and signal
-    FWHM values; ``w`` is the gate width.  Initial values come from the data
-    (peak, baseline, half-maximum span), so the fit is deterministic.
+    to the ``counts`` at increasing ``delays_fs`` with Poisson weights, ``q``
+    fixed by the pump and signal FWHM values; ``w`` is the gate width.
+    Initial values come from the data (peak, baseline, half-maximum span), so
+    the fit is deterministic.
 
     The solver is Levenberg-Marquardt (Levenberg 1944; Marquardt 1963): each
     step solves the 4x4 normal equations ``(J^T W J + lambda diag(J^T W J))
@@ -414,8 +410,8 @@ def fit_erf_gate(
         fitted amplitude is not significant at three sigma (a scan of pure
         noise has no gate to measure); the message includes the residual.
     """
-    delays = scan.coordinates
-    y = scan.counts.astype(np.float64)
+    delays = np.asarray(delays_fs, dtype=np.float64)
+    y = np.asarray(counts, dtype=np.float64)
     if delays.size < 8:
         raise ValidationError(f"need at least 8 scan points, got {delays.size}")
     q = erf_gate_q(pump_fwhm_fs, signal_fwhm_fs)

@@ -50,8 +50,8 @@ from .timebin import (
     synthesize_waveform,
 )
 from .waveform import (
-    PulseSpec, SampledWaveform, TimeGrid, check_sample_count, convolve, csv_text, fwhm,
-    gaussian_waveform, resample, write_csv,
+    SampledWaveform, TimeGrid, check_sample_count, convolve, csv_text, fwhm, gaussian_waveform,
+    resample, write_csv,
 )
 
 __all__ = ["main"]
@@ -203,9 +203,9 @@ class _Artifacts:
         # plotting failures must never fail the numeric run
         comment = f"scenario_hash={self.scenario.scenario_hash}"
         try:
-            self._commit(name, lambda tmp: line_plot(
-                tmp, series, title=title, x_label=x_label, y_label=y_label, comment=comment
-            ))
+            self._commit(
+                name, lambda tmp: line_plot(tmp, series, title, x_label, y_label, comment)
+            )
         except Exception as exc:  # noqa: BLE001
             if not self.quiet:
                 print(f"ucspd: plot skipped: {exc}", file=sys.stderr)
@@ -216,7 +216,7 @@ class _Artifacts:
 
 
 def _kernel_half_fs(scenario: Scenario) -> float:
-    return 0.5 * scenario.crystal.gate_width_fs + 3.0 * scenario.pump_fwhm_fs + scenario.dt_fs
+    return 0.5 * scenario.gate_width_fs + 3.0 * scenario.pump_fwhm_fs + scenario.dt_fs
 
 
 def _resolution_kernel(scenario: Scenario) -> SampledWaveform:
@@ -228,7 +228,7 @@ def _resolution_kernel(scenario: Scenario) -> SampledWaveform:
     come out too wide.
     """
     grid = TimeGrid.symmetric(_kernel_half_fs(scenario), scenario.dt_fs)
-    return resolution_function(PulseSpec(scenario.pump_fwhm_fs), scenario.crystal, grid)
+    return resolution_function(scenario.pump_fwhm_fs, scenario.gate_width_fs, grid)
 
 
 def _detection_limit(scenario: Scenario, power_mw: float | None = None) -> float:
@@ -278,7 +278,7 @@ def _scan_signal(scenario: Scenario, dt_fs: float) -> SampledWaveform:
     if scenario.scan.signal == "gaussian":
         half = 3.0 * scenario.signal_fwhm_fs + dt_fs
         grid = TimeGrid.symmetric(half, dt_fs)
-        return gaussian_waveform(PulseSpec(scenario.signal_fwhm_fs), grid)
+        return gaussian_waveform(scenario.signal_fwhm_fs, grid)
     return _timebin_waveform(scenario, dt_fs)
 
 
@@ -318,7 +318,7 @@ def _run_sweep(scenario: Scenario):
 
 def _fit_sweep(scenario: Scenario):
     phases, result = _run_sweep(scenario)
-    return phases, result, fit_sine(phases, result.counts, dwell_s=scenario.sweep.dwell_s)
+    return phases, result, fit_sine(phases, result.counts)
 
 
 def _write_counts(files: _Artifacts, name: str, result, **metadata) -> None:
@@ -340,10 +340,10 @@ def _cmd_resolve(scenario: Scenario, files: _Artifacts) -> dict:
     fwhm_fs = fwhm(kernel)
     files.waveform("resolution.csv", kernel, kind="resolution")
     files.json("resolution.json", {
-        "L_mm": scenario.crystal.length_mm,
-        "tau_g": scenario.crystal.tau_g_fs_per_mm,
-        "label": scenario.crystal.label,
-        "gate_width_fs": scenario.crystal.gate_width_fs,
+        "L_mm": scenario.length_mm,
+        "tau_g": scenario.tau_g_fs_per_mm,
+        "label": scenario.label,
+        "gate_width_fs": scenario.gate_width_fs,
         "fwhm_fs": fwhm_fs,
         "pump_fwhm_fs": scenario.pump_fwhm_fs,
         "pump_power_mw": scenario.pump_power_mw,
@@ -353,10 +353,10 @@ def _cmd_resolve(scenario: Scenario, files: _Artifacts) -> dict:
     })
     files.plot(
         "resolution.svg",
-        [(kernel.times(), kernel.samples, scenario.crystal.label or "T(t)")],
+        [(kernel.times(), kernel.samples, scenario.label or "T(t)")],
         f"resolution function, FWHM {fwhm_fs:.1f} fs", "t (fs)", "T(t)",
     )
-    return {"fwhm_fs": fwhm_fs, "gate_width_fs": scenario.crystal.gate_width_fs}
+    return {"fwhm_fs": fwhm_fs, "gate_width_fs": scenario.gate_width_fs}
 
 
 def _cmd_scan(scenario: Scenario, files: _Artifacts) -> dict:
@@ -491,6 +491,7 @@ def _cmd_fitvis(scenario: Scenario, files: _Artifacts) -> dict:
     phases, result, fit = _fit_sweep(scenario)
     files.json("fitvis_report.json", {
         **asdict(fit),
+        "dwell_s": scenario.sweep.dwell_s,
         "stage_seed": result.config.seed,
         "true_contrast": scenario.timebin.contrast,
     })
@@ -551,7 +552,8 @@ def _cmd_report(scenario: Scenario, files: _Artifacts) -> dict:
                 f"experiment.scan: the gate fit needs at least 8 scan points, "
                 f"got {scan.coordinates.size}"
             )
-        fitted = fit_erf_gate(scan, scenario.pump_fwhm_fs, scenario.signal_fwhm_fs)
+        fitted = fit_erf_gate(scan.coordinates, scan.counts, scenario.pump_fwhm_fs,
+                              scenario.signal_fwhm_fs)
         gate_fit = {
             "gate_width_fs": fitted.gate_width_fs,
             "gate_width_sigma_fs": fitted.gate_width_sigma_fs,
@@ -564,7 +566,7 @@ def _cmd_report(scenario: Scenario, files: _Artifacts) -> dict:
         "seed": scenario.seed,
         "model_versions": _MODEL_VERSIONS,
         "fwhm_fs": fwhm_fs,
-        "gate_width_fs": scenario.crystal.gate_width_fs,
+        "gate_width_fs": scenario.gate_width_fs,
         "gate_fit": gate_fit,
         "eta_internal": scenario.internal_eta_at(),
         "eta_external": scenario.external_eta_at(),

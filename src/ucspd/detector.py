@@ -18,6 +18,7 @@ refuses only what it computes from them.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import NumericalError, ValidationError
@@ -143,9 +144,12 @@ def detection_limit(
     to the source through the external efficiency and repetition rate:
     ``3 sqrt(noise * T) / (T * R * eta)``.  Scales as ``1 / sqrt(T)`` and as
     ``1 / eta``, so halving the efficiency doubles the limit.  When
-    ``T * R * eta`` is 0 (a factor is 0, or the product underflows) no pulse
-    is detected, and when ``noise * T``, ``T * R * eta`` or the limit itself
-    overflows there is no finite limit; NumericalError says which.
+    ``noise * T`` or ``T * R * eta`` is subnormal, and so holds fewer digits
+    than a float, the limit is ``3 sqrt(noise) / (sqrt(T) * R * eta)``
+    instead, divided factor by factor if that denominator is subnormal too.
+    When ``T * R * eta`` is 0 (a factor is 0, or the product underflows) no
+    pulse is detected, and when ``noise * T``, ``T * R * eta`` or the limit
+    itself overflows there is no finite limit; NumericalError says which.
     """
     noise_counts = noise_rate_cps * integration_s
     pulses_detected = integration_s * rep_rate_hz * external_eta
@@ -159,6 +163,12 @@ def detection_limit(
                    f"{rep_rate_hz} * {external_eta} {outcome}")
     else:
         limit = 3.0 * math.sqrt(noise_counts) / pulses_detected
+        if 0.0 < noise_counts < sys.float_info.min or pulses_detected < sys.float_info.min:
+            root_t = math.sqrt(integration_s)
+            sigma, reduced = 3.0 * math.sqrt(noise_rate_cps), root_t * rep_rate_hz * external_eta
+            # a subnormal reduced product has R * eta < 1: no quotient overflows before the limit
+            limit = (sigma / reduced if reduced >= sys.float_info.min
+                     else sigma / root_t / rep_rate_hz / external_eta)
         if not math.isinf(limit):
             return limit
         problem = (f"3 * sqrt(noise_rate_cps * integration_s) / (integration_s * rep_rate_hz * "

@@ -43,7 +43,6 @@ from .detector import (
     noise_cps,
 )
 from .errors import ScenarioError, ValidationError
-from .response import DEFAULT_GROUP_DELAY_FS_PER_MM, CrystalSpec
 from .waveform import MAX_SAMPLES, check_sample_count
 
 __all__ = [
@@ -64,15 +63,28 @@ _REQUIRED = object()
 
 
 def _loader(base):
-    """``base`` that also reads YAML 1.2 exponent floats such as ``1e20``.
+    """``base`` that refuses duplicate keys and reads exponent floats such as ``1e20``.
 
-    PyYAML follows YAML 1.1, whose floats need a dot in the mantissa and a
-    sign in the exponent, so ``1e20`` and ``1.0e20`` would load as strings.
-    The added resolver is tried after the YAML 1.1 ones and only matches
-    plain scalars that were strings before.
+    PyYAML keeps the last of two equal keys in a mapping, so a key written
+    twice would silently override the first; YAML requires keys to be
+    unique, and this loader refuses the second with its line.  PyYAML also
+    follows YAML 1.1, whose floats need a dot in the mantissa and a sign in
+    the exponent, so ``1e20`` and ``1.0e20`` would load as strings.  The
+    added resolver is tried after the YAML 1.1 ones and only matches plain
+    scalars that were strings before.
     """
     class Loader(base):
-        pass
+        def construct_mapping(self, node, deep=False):
+            seen = set()
+            for key, _ in node.value:
+                if isinstance(key, yaml.ScalarNode):
+                    if (key.tag, key.value) in seen:
+                        raise yaml.constructor.ConstructorError(
+                            "while constructing a mapping", node.start_mark,
+                            f"found duplicate key {key.value!r}", key.start_mark,
+                        )
+                    seen.add((key.tag, key.value))
+            return super().construct_mapping(node, deep)
 
     Loader.add_implicit_resolver(
         "tag:yaml.org,2002:float",
@@ -162,7 +174,9 @@ _SCHEMA = {
     "detector": {
         "crystal": {
             "length_mm": (_positive, _REQUIRED),
-            "tau_g_fs_per_mm": (_positive, DEFAULT_GROUP_DELAY_FS_PER_MM),
+            # the pump/signal group-delay difference of PPMgSLT at the
+            # operating wavelengths; the gate is tau_g * L wide
+            "tau_g_fs_per_mm": (_positive, 204.3),
             "label": (_label, ""),
         },
         # the reference setup: a silicon APD, single-mode fiber re-coupling
@@ -353,16 +367,20 @@ class LimitsSection:
 class Scenario:
     """A fully validated run configuration.
 
-    All detector and source objects are constructed at parse time from
-    values the schema has already checked; the sections below carry the
-    per-subcommand experiment parameters.  ``effective_json`` is the
-    canonical serialized form that the scenario hash is computed from.
+    The crystal, the chain and the source are the schema's checked values
+    (``label`` names the crystal on plots and enters no calculation); the
+    pump and noise models are built from them at parse time, and the
+    sections below carry the per-subcommand experiment parameters.
+    ``effective_json`` is the canonical serialized form that the scenario
+    hash is computed from.
     """
 
     name: str
     seed: int
     output_dir: str
-    crystal: CrystalSpec
+    length_mm: float
+    tau_g_fs_per_mm: float
+    label: str
     apd_efficiency: float
     fiber_coupling: float
     filter_transmittance: float
@@ -379,6 +397,11 @@ class Scenario:
     timebin: TimebinSection
     limits: LimitsSection
     effective_json: str
+
+    @property
+    def gate_width_fs(self) -> float:
+        """Full width of the crystal's rectangular time gate."""
+        return self.length_mm * self.tau_g_fs_per_mm
 
     @property
     def scenario_hash(self) -> str:
@@ -439,7 +462,7 @@ def parse_scenario(text: str) -> Scenario:
         name=tree["name"],
         seed=tree["seed"],
         output_dir=output_dir,
-        crystal=_build("detector.crystal", CrystalSpec, **detector["crystal"]),
+        **detector["crystal"],
         **detector["chain"],
         pump_model=_build(
             "detector.pump", PumpEfficiencyModel.from_calibration,
@@ -469,7 +492,7 @@ def load_scenario(path) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario {path!r}: {exc}") from exc
     return parse_scenario(text)
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .waveform import PulseSpec, SampledWaveform, TimeGrid, gaussian_waveform
+from .waveform import SampledWaveform, TimeGrid, gaussian_waveform
 
 __all__ = [
     "TimeBinState",
@@ -96,8 +96,8 @@ def synthesize_waveform(
 ) -> SampledWaveform:
     """Intensity profile of the state: one Gaussian per occupied slot.
 
-    Slot ``k`` contributes a :func:`gaussian_waveform` of the given FWHM at
-    ``k * slot_spacing_fs``, weighted by ``|a_k|^2``.  The slot weights are
+    Slot ``k`` contributes a unit-peak :func:`gaussian_waveform` of the given
+    FWHM at ``k * slot_spacing_fs``, times ``|a_k|^2``.  The slot weights are
     used as-is (no normalization), so the returned area tracks the total
     probability in the state.  The grid is taken as given, so a pulse that
     reaches past its ends is clipped there.
@@ -107,7 +107,7 @@ def synthesize_waveform(
     total = np.zeros(grid.n)
     for center, weight in zip(centers, weights):
         if weight > 0.0:
-            total += gaussian_waveform(PulseSpec(pulse_fwhm_fs, center, weight), grid).samples
+            total += weight * gaussian_waveform(pulse_fwhm_fs, grid, center).samples
     return SampledWaveform(grid.t0_fs, grid.dt_fs, total)
 
 

@@ -4,9 +4,9 @@ Everything downstream (gate response models, delay scans, deconvolution) works
 on the same representation: a read-only array of real samples attached to a
 uniform grid ``t_k = t0 + k * dt``.  Every waveform is intensity-like data:
 construction refuses fewer than two samples and samples that are negative or
-not finite, so later stages can assume neither happens.  Grids, pulses and
-spacings are taken as given: the scenario schema checks the values they are
-built from.
+not finite, so later stages can assume neither happens.  A pulse is its
+FWHM and centre, sampled at unit peak; grids, pulse widths and spacings are
+taken as given: the scenario schema checks the values they are built from.
 
 This module owns how a convolution is evaluated.  :func:`convolver` is the
 one place that chooses: direct summation below ``FFT_THRESHOLD`` (1024)
@@ -30,7 +30,6 @@ __all__ = [
     "MAX_SAMPLES",
     "check_sample_count",
     "TimeGrid",
-    "PulseSpec",
     "SampledWaveform",
     "gaussian_waveform",
     "rect_waveform",
@@ -87,15 +86,6 @@ class TimeGrid:
 
 
 @dataclass(frozen=True)
-class PulseSpec:
-    """Gaussian intensity pulse described by its FWHM, center, and peak value."""
-
-    fwhm_fs: float
-    center_fs: float = 0.0
-    amplitude: float = 1.0
-
-
-@dataclass(frozen=True)
 class SampledWaveform:
     """Real-valued samples on a uniform femtosecond grid.
 
@@ -140,15 +130,6 @@ class SampledWaveform:
     def peak_value(self) -> float:
         return float(self.samples.max())
 
-    @property
-    def peak_time_fs(self) -> float:
-        return float(self.t0_fs + self.dt_fs * int(np.argmax(self.samples)))
-
-    @property
-    def area(self) -> float:
-        """Integral of the waveform approximated as ``sum(samples) * dt``."""
-        return float(self.samples.sum() * self.dt_fs)
-
     def sample_at(self, t_fs):
         """Linear interpolation at arbitrary times; zero outside the grid."""
         return np.interp(t_fs, self.times(), self.samples, left=0.0, right=0.0)
@@ -165,14 +146,14 @@ class SampledWaveform:
         return SampledWaveform(self.t0_fs + offset_fs, self.dt_fs, self.samples)
 
 
-def gaussian_waveform(spec: PulseSpec, grid: TimeGrid) -> SampledWaveform:
-    """Sample a Gaussian intensity pulse on ``grid``.
+def gaussian_waveform(fwhm_fs: float, grid: TimeGrid, center_fs: float = 0.0) -> SampledWaveform:
+    """Sample a unit-peak Gaussian intensity pulse on ``grid``.
 
-    The profile is ``A * exp(-((2 sqrt(ln 2) / fwhm) * (t - center))^2)`` so
-    the full width at half maximum equals ``spec.fwhm_fs`` exactly.
+    The profile is ``exp(-((2 sqrt(ln 2) / fwhm) * (t - center))^2)`` so the
+    full width at half maximum equals ``fwhm_fs`` exactly.
     """
-    u = (2.0 * math.sqrt(math.log(2.0)) / spec.fwhm_fs) * (grid.times() - spec.center_fs)
-    return SampledWaveform(grid.t0_fs, grid.dt_fs, spec.amplitude * np.exp(-u * u))
+    u = (2.0 * math.sqrt(math.log(2.0)) / fwhm_fs) * (grid.times() - center_fs)
+    return SampledWaveform(grid.t0_fs, grid.dt_fs, np.exp(-u * u))
 
 
 def rect_waveform(width_fs: float, grid: TimeGrid) -> SampledWaveform:
@@ -307,7 +288,7 @@ def _written_column(c: np.ndarray) -> np.ndarray:
     return c
 
 
-def csv_text(header: str, columns, metadata: dict | None = None) -> str:
+def csv_text(header: str, columns, metadata: dict) -> str:
     """CSV text: ``# key=value`` comment lines, the header, one row per sample.
 
     Integer columns are written as they are and every other column with
@@ -315,14 +296,14 @@ def csv_text(header: str, columns, metadata: dict | None = None) -> str:
     magnitude, none of them ``-0.0``, is written as integers, which are the
     same bytes.  Every CSV artifact of the package is formatted here.
     """
-    lines = [f"# {key}={value}" for key, value in (metadata or {}).items()] + [header]
+    lines = [f"# {key}={value}" for key, value in metadata.items()] + [header]
     columns = [_written_column(np.asarray(c)) for c in columns]
     row = ",".join("{}" if c.dtype.kind in "iu" else "{:.9g}" for c in columns)
     lines += map(row.format, *(c.tolist() for c in columns))
     return "\n".join(lines) + "\n"
 
 
-def write_csv(path, w: SampledWaveform, metadata: dict | None = None) -> None:
+def write_csv(path, w: SampledWaveform, metadata: dict) -> None:
     """Write a waveform as ``t_fs,value`` rows with nine significant digits.
 
     ``metadata`` entries are emitted first as ``# key=value`` comment lines.

@@ -38,21 +38,21 @@ def gauss_rect_fwhm_oracle(gauss_fwhm: float, rect_width: float) -> float:
     return 2.0 * right
 
 
-def analytic_response(t_fs, pump_fwhm_fs, signal_fwhm_fs, crystal):
+def analytic_response(t_fs, pump_fwhm_fs, signal_fwhm_fs, gate_width_fs):
     """Closed-form delay scan of a Gaussian signal through the gate.
 
     For Gaussian pump and signal intensity profiles the measured curve is
 
         erf(q * (w - 2 t)) - erf(q * (-w - 2 t)),
 
-    with ``w`` the crystal's gate width and ``q = sqrt(ln 2 / (dp^2 + ds^2))``
+    with ``w`` the gate width and ``q = sqrt(ln 2 / (dp^2 + ds^2))``
     built from the two FWHM values.  The result is symmetric in ``t`` and
     peaks at zero delay at ``2 erf(q w)``.  A scalar delay gives a float, an
     array of delays an array of the same shape.
     """
     q = math.sqrt(math.log(2.0) / (pump_fwhm_fs ** 2 + signal_fwhm_fs ** 2))
     t = np.asarray(t_fs, dtype=np.float64)
-    w = crystal.gate_width_fs
+    w = gate_width_fs
     out = erf(q * (w - 2.0 * t)) - erf(q * (-w - 2.0 * t))
     return float(out) if out.ndim == 0 else out
 

@@ -22,7 +22,7 @@ from oracles import (
 )
 from ucspd.analysis import deconvolve, fit_sine
 from ucspd.detector import detection_limit, external_efficiency
-from ucspd.response import CrystalSpec, resolution_function
+from ucspd.response import resolution_function
 from ucspd.simulate import ScanConfig, run_phase_sweep, run_scan
 from ucspd.timebin import (
     TimeBinState,
@@ -31,7 +31,6 @@ from ucspd.timebin import (
     slot_probabilities,
 )
 from ucspd.waveform import (
-    PulseSpec,
     SampledWaveform,
     TimeGrid,
     convolve,
@@ -39,7 +38,8 @@ from ucspd.waveform import (
     gaussian_waveform,
 )
 
-PUMP = PulseSpec(fwhm_fs=200.0)
+PUMP_FWHM = 200.0
+TAU_G = 204.3
 
 
 @pytest.fixture
@@ -55,10 +55,10 @@ def test_acceptance_1_resolution_table(announce):
     parts = []
     ok = True
     for length in (1.0, 2.0, 3.0):
-        crystal = CrystalSpec(length_mm=length)
-        half = 0.5 * crystal.gate_width_fs + 3.0 * PUMP.fwhm_fs
+        gate = length * TAU_G
+        half = 0.5 * gate + 3.0 * PUMP_FWHM
         grid = TimeGrid.symmetric(half, 0.25)
-        measured = fwhm(resolution_function(PUMP, crystal, grid))
+        measured = fwhm(resolution_function(PUMP_FWHM, gate, grid))
         oracle = GATE_FWHM_BY_LENGTH[length]
         published = PUBLISHED_FWHM_BY_LENGTH[length]
         ok &= abs(measured - oracle) <= 2.0
@@ -72,16 +72,16 @@ def test_acceptance_2_convolution_matches_erf_form(announce):
     parts = []
     ok = True
     for length in (1.0, 2.0, 3.0):
-        crystal = CrystalSpec(length_mm=length)
-        half = 0.5 * crystal.gate_width_fs + 3.0 * max(PUMP.fwhm_fs, signal_fwhm)
+        gate = length * TAU_G
+        half = 0.5 * gate + 3.0 * max(PUMP_FWHM, signal_fwhm)
         n = 2000
         dt = 2.0 * half / (n - 1)
         grid = TimeGrid(-half, dt, n)
-        resolution = resolution_function(PUMP, crystal, grid)
-        signal = gaussian_waveform(PulseSpec(signal_fwhm), grid)
+        resolution = resolution_function(PUMP_FWHM, gate, grid)
+        signal = gaussian_waveform(signal_fwhm, grid)
         numeric = convolve(signal, resolution).peak_normalized()
         delays = numeric.times()
-        analytic = analytic_response(delays, PUMP.fwhm_fs, signal_fwhm, crystal)
+        analytic = analytic_response(delays, PUMP_FWHM, signal_fwhm, gate)
         analytic = analytic / analytic.max()
         worst = float(np.max(np.abs(numeric.samples - analytic)))
         ok &= worst <= 0.005
@@ -130,7 +130,7 @@ def test_acceptance_6_visibility_recovery(announce):
     phases = np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False)
     sweep = run_phase_sweep(phases, contrast=0.982, counts_scale=2.0e6, seed=6)
     peak = float(sweep.expected.max())
-    fit = fit_sine(phases, sweep.counts, dwell_s=sweep.config.dwell_s)
+    fit = fit_sine(phases, sweep.counts)
     noiseless = fit_sine(
         phases, np.array([center_bin_expectation(p, 1.0) for p in phases]) * 2.0e6
     )
@@ -148,15 +148,14 @@ def test_acceptance_6_visibility_recovery(announce):
 
 
 def test_acceptance_7_deconvolution_round_trip(announce):
-    crystal = CrystalSpec(length_mm=2.0)
-    kernel_grid = TimeGrid.symmetric(0.5 * crystal.gate_width_fs + 3.0 * PUMP.fwhm_fs, 1.0)
-    kernel = resolution_function(PUMP, crystal, kernel_grid)
+    gate = 2.0 * TAU_G
+    kernel_grid = TimeGrid.symmetric(0.5 * gate + 3.0 * PUMP_FWHM, 1.0)
+    kernel = resolution_function(PUMP_FWHM, gate, kernel_grid)
     grid = TimeGrid.symmetric(2400.0, 1.0)
-    pulse = PulseSpec(fwhm_fs=240.0)
     comb = (
-        gaussian_waveform(PulseSpec(240.0, center_fs=-800.0, amplitude=0.25), grid).samples
-        + gaussian_waveform(pulse, grid).samples
-        + gaussian_waveform(PulseSpec(240.0, center_fs=800.0, amplitude=0.25), grid).samples
+        0.25 * gaussian_waveform(240.0, grid, center_fs=-800.0).samples
+        + gaussian_waveform(240.0, grid).samples
+        + 0.25 * gaussian_waveform(240.0, grid, center_fs=800.0).samples
     )
     blurred = convolve(SampledWaveform(grid.t0_fs, grid.dt_fs, comb), kernel)
     scale = 1e5 / blurred.peak_value

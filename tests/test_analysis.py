@@ -12,6 +12,7 @@ from scipy.signal import find_peaks
 from convolution_paths import PATHS, both_paths, forced_path
 from oracles import erf_gate_curve_fit
 from scenario_edits import edited
+from waveform_measures import area, peak_time_fs
 from ucspd import analysis, cli
 from ucspd.analysis import (
     deconvolve,
@@ -22,37 +23,35 @@ from ucspd.analysis import (
 from ucspd.errors import (
     FitConvergenceError, GridMismatchError, NumericalError, ScenarioError, ValidationError,
 )
-from ucspd.response import CrystalSpec, resolution_function
+from ucspd.response import resolution_function
 from ucspd.scenario import parse_scenario
 from ucspd.simulate import (
     ScanConfig,
-    ScanResult,
     delay_rate_function,
     run_phase_sweep,
     run_scan,
 )
 from ucspd.timebin import center_bin_expectation
-from ucspd.waveform import PulseSpec, SampledWaveform, TimeGrid, convolve, fwhm, gaussian_waveform
+from ucspd.waveform import SampledWaveform, TimeGrid, convolve, fwhm, gaussian_waveform
 
-PUMP = PulseSpec(fwhm_fs=200.0)
+PUMP_FWHM = 200.0
 SIGNAL_FWHM = 240.0
+TAU_G = 204.3
 
 
 def reference_kernel(length_mm=2.0, dt_fs=1.0):
-    crystal = CrystalSpec(length_mm=length_mm)
-    half = 0.5 * crystal.gate_width_fs + 3.0 * PUMP.fwhm_fs
-    grid = TimeGrid.symmetric(half, dt_fs)
-    return resolution_function(PUMP, crystal, grid)
+    gate = length_mm * TAU_G
+    grid = TimeGrid.symmetric(0.5 * gate + 3.0 * PUMP_FWHM, dt_fs)
+    return resolution_function(PUMP_FWHM, gate, grid)
 
 
 def simulate_delay_scan(length_mm, peak_counts, seed, noise_cps=0.0, step_fs=25.0):
     """Poisson delay scan of a 240 fs Gaussian through the gate."""
-    crystal = CrystalSpec(length_mm=length_mm)
-    half = 0.5 * crystal.gate_width_fs + 3.0 * max(PUMP.fwhm_fs, SIGNAL_FWHM)
-    grid = TimeGrid.symmetric(half, 1.0)
-    resolution = resolution_function(PUMP, crystal, grid)
-    signal = gaussian_waveform(PulseSpec(SIGNAL_FWHM), grid)
-    span = 1.6 * (0.5 * crystal.gate_width_fs + SIGNAL_FWHM)
+    gate = length_mm * TAU_G
+    grid = TimeGrid.symmetric(0.5 * gate + 3.0 * max(PUMP_FWHM, SIGNAL_FWHM), 1.0)
+    resolution = resolution_function(PUMP_FWHM, gate, grid)
+    signal = gaussian_waveform(SIGNAL_FWHM, grid)
+    span = 1.6 * (0.5 * gate + SIGNAL_FWHM)
     delays = np.arange(-span, span + step_fs / 2, step_fs)
     rate = delay_rate_function(
         signal,
@@ -71,27 +70,28 @@ class TestDeconvolveRoundTrip:
     def test_noiseless_gaussian_recovers_its_width(self):
         kernel = reference_kernel()
         grid = TimeGrid.symmetric(1500.0, 1.0)
-        truth = gaussian_waveform(PulseSpec(SIGNAL_FWHM), grid)
+        truth = gaussian_waveform(SIGNAL_FWHM, grid)
         measured = convolve(truth, kernel)
         result = deconvolve(measured, kernel)
         assert abs(fwhm(result.estimate) - SIGNAL_FWHM) <= 0.05 * SIGNAL_FWHM
-        assert abs(result.estimate.peak_time_fs) <= 2.0
+        assert abs(peak_time_fs(result.estimate)) <= 2.0
         assert result.max_flux_drift < 1e-6
 
     def test_recovered_scale_matches_truth(self):
         # the estimate carries physical units, not just shape
         kernel = reference_kernel()
         grid = TimeGrid.symmetric(1500.0, 1.0)
-        truth = gaussian_waveform(PulseSpec(SIGNAL_FWHM, amplitude=3.7e4), grid)
+        truth = gaussian_waveform(SIGNAL_FWHM, grid)
+        truth = SampledWaveform(truth.t0_fs, truth.dt_fs, 3.7e4 * truth.samples)
         measured = convolve(truth, kernel)
         result = deconvolve(measured, kernel)
         assert result.estimate.peak_value == pytest.approx(truth.peak_value, rel=5e-3)
-        assert result.estimate.area == pytest.approx(truth.area, rel=1e-6)
+        assert area(result.estimate) == pytest.approx(area(truth), rel=1e-6)
 
     def test_estimate_convolves_back_to_measurement(self):
         kernel = reference_kernel()
         grid = TimeGrid.symmetric(1500.0, 1.0)
-        truth = gaussian_waveform(PulseSpec(SIGNAL_FWHM), grid)
+        truth = gaussian_waveform(SIGNAL_FWHM, grid)
         measured = convolve(truth, kernel)
         result = deconvolve(measured, kernel)
         replay = convolve(result.estimate, kernel)
@@ -110,12 +110,12 @@ class TestDeconvolveRoundTrip:
         monkeypatch.setattr(analysis, "RL_MAX_ITERATIONS", 2000)
         result = deconvolve(measured, kernel)
         assert fwhm(result.estimate) <= 3.0 * dt
-        assert abs(result.estimate.peak_time_fs) <= dt
+        assert abs(peak_time_fs(result.estimate)) <= dt
 
     def test_nonnegative_output_and_flux_conservation(self):
         kernel = reference_kernel()
         grid = TimeGrid.symmetric(1500.0, 1.0)
-        truth = gaussian_waveform(PulseSpec(SIGNAL_FWHM), grid)
+        truth = gaussian_waveform(SIGNAL_FWHM, grid)
         measured = convolve(truth, kernel)
         result = deconvolve(measured, kernel)
         assert np.all(result.estimate.samples >= 0.0)
@@ -127,11 +127,10 @@ class TestDeconvolveThreePulse:
     def seeded_three_pulse(self, seed=424242):
         kernel = reference_kernel()
         grid = TimeGrid.symmetric(2400.0, 1.0)
-        pulse = PulseSpec(fwhm_fs=SIGNAL_FWHM)
         comb = (
-            gaussian_waveform(PulseSpec(SIGNAL_FWHM, center_fs=-800.0, amplitude=0.25), grid).samples
-            + gaussian_waveform(pulse, grid).samples
-            + gaussian_waveform(PulseSpec(SIGNAL_FWHM, center_fs=800.0, amplitude=0.25), grid).samples
+            0.25 * gaussian_waveform(SIGNAL_FWHM, grid, center_fs=-800.0).samples
+            + gaussian_waveform(SIGNAL_FWHM, grid).samples
+            + 0.25 * gaussian_waveform(SIGNAL_FWHM, grid, center_fs=800.0).samples
         )
         truth = SampledWaveform(grid.t0_fs, grid.dt_fs, comb)
         blurred = convolve(truth, kernel)
@@ -243,7 +242,7 @@ class TestDeconvolveWithBackground:
         measured = SampledWaveform(0.0, 1.0, np.full(40, 200.0))
         result = deconvolve(measured, kernel, background=100.0)
         assert (result.stop_reason, result.iterations_run) == ("discrepancy", 0)
-        assert result.estimate.area == pytest.approx(40 * 100.0 / 5.0, rel=1e-12)
+        assert area(result.estimate) == pytest.approx(40 * 100.0 / 5.0, rel=1e-12)
 
     def test_counts_not_above_the_background_are_a_numerical_error(self):
         measured = SampledWaveform(0.0, 1.0, np.full(16, 3.0))
@@ -334,7 +333,7 @@ class TestAcceleratedPath:
     def test_exact_data_is_plain_em_bit_for_bit(self, path, monkeypatch):
         kernel = reference_kernel()
         grid = TimeGrid.symmetric(600.0, 1.0)
-        truth = gaussian_waveform(PulseSpec(SIGNAL_FWHM, center_fs=-90.0), grid)
+        truth = gaussian_waveform(SIGNAL_FWHM, grid, center_fs=-90.0)
         measured = convolve(truth, kernel)
         monkeypatch.setattr(analysis, "RL_MAX_ITERATIONS", 60)
         with forced_path(path):
@@ -413,7 +412,7 @@ class TestFitSine:
         phases = self.phases(24)
         sweep = run_phase_sweep(phases, contrast=0.982, counts_scale=2.0e6, seed=5)
         assert sweep.expected.max() >= 1e6
-        fit = fit_sine(phases, sweep.counts, dwell_s=sweep.config.dwell_s)
+        fit = fit_sine(phases, sweep.counts)
         assert fit.visibility == pytest.approx(0.982, abs=0.002)
         assert fit.visibility_sigma < 0.002
 
@@ -425,36 +424,19 @@ class TestFitSine:
         noisy = fit_sine(phases, rng.poisson(1000.0, phases.size).astype(float))
         assert noisy.visibility <= 3.0 * noisy.visibility_sigma
 
-    def test_dwell_time_is_recorded_not_applied(self):
-        # offset and amplitude stay in counts (they scale with the data, per
-        # the equivariance contract); dwell rides along for rate conversion
-        phases = self.phases()
-        counts = 1e4 * (1.0 + 0.6 * np.cos(phases))
-        per_second = fit_sine(phases, counts, dwell_s=1.0)
-        per_two = fit_sine(phases, counts, dwell_s=2.0)
-        assert per_two.offset == per_second.offset
-        assert per_two.amplitude == per_second.amplitude
-        assert per_two.dwell_s == 2.0
-
 
 
 class TestErfGateFit:
     def test_noiseless_scan_recovers_gate_width(self):
         scan = simulate_delay_scan(2.0, 1e9, seed=1)
-        exact = ScanResult(
-            coordinates=scan.coordinates,
-            counts=np.round(scan.expected).astype(np.int64),
-            expected=scan.expected,
-            config=scan.config,
-        )
-        fit = fit_erf_gate(exact, PUMP.fwhm_fs, SIGNAL_FWHM)
+        fit = fit_erf_gate(scan.coordinates, np.round(scan.expected), PUMP_FWHM, SIGNAL_FWHM)
         assert fit.gate_width_fs == pytest.approx(408.6, rel=0.01)
         assert fit.residual < 1e-4
 
     @pytest.mark.parametrize("seed", [11, 12, 13])
     def test_poisson_scan_recovers_gate_width(self, seed):
         scan = simulate_delay_scan(1.0, 1e5, seed=seed, noise_cps=800.0)
-        fit = fit_erf_gate(scan, PUMP.fwhm_fs, SIGNAL_FWHM)
+        fit = fit_erf_gate(scan.coordinates, scan.counts, PUMP_FWHM, SIGNAL_FWHM)
         assert fit.gate_width_fs == pytest.approx(204.3, rel=0.03)
         assert fit.gate_width_sigma_fs < 5.0
 
@@ -468,11 +450,9 @@ class TestErfGateFit:
         # resolution function from the fitted width, compare its FWHM with
         # the directly computed model value
         scan = simulate_delay_scan(length_mm, 2e5, seed=int(length_mm))
-        fit = fit_erf_gate(scan, PUMP.fwhm_fs, SIGNAL_FWHM)
-        fitted_crystal = CrystalSpec(length_mm=fit.gate_width_fs / 204.3)
-        half = 0.5 * fitted_crystal.gate_width_fs + 3.0 * PUMP.fwhm_fs
-        grid = TimeGrid.symmetric(half, 0.5)
-        recovered = fwhm(resolution_function(PUMP, fitted_crystal, grid))
+        fit = fit_erf_gate(scan.coordinates, scan.counts, PUMP_FWHM, SIGNAL_FWHM)
+        grid = TimeGrid.symmetric(0.5 * fit.gate_width_fs + 3.0 * PUMP_FWHM, 0.5)
+        recovered = fwhm(resolution_function(PUMP_FWHM, fit.gate_width_fs, grid))
         assert recovered == pytest.approx(model_fwhm_fs, rel=0.03)
 
     def test_pure_noise_scan_is_not_a_gate(self):
@@ -480,7 +460,7 @@ class TestErfGateFit:
         config = ScanConfig(coordinates=delays, dwell_s=1.0, seed=99)
         flat = run_scan(config, lambda d: 800.0)
         with pytest.raises(FitConvergenceError, match="no significant gate signature"):
-            fit_erf_gate(flat, PUMP.fwhm_fs, SIGNAL_FWHM)
+            fit_erf_gate(flat.coordinates, flat.counts, PUMP_FWHM, SIGNAL_FWHM)
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("name", ["l1_300mw", "l3_300mw"])
@@ -492,10 +472,9 @@ class TestErfGateFit:
                           "experiment.scan.stop_fs": 3000.0, "experiment.scan.step_fs": 1.0})
         scenario = parse_scenario(edited(edits, name))
         scan = cli._run_delay_scan(scenario, 1, cli._resolution_kernel(scenario))
-        fit = fit_erf_gate(scan, scenario.pump_fwhm_fs, scenario.signal_fwhm_fs)
-        popt, sigma = erf_gate_curve_fit(
-            scan.coordinates, scan.counts, scenario.pump_fwhm_fs, scenario.signal_fwhm_fs
-        )
+        widths = scenario.pump_fwhm_fs, scenario.signal_fwhm_fs
+        fit = fit_erf_gate(scan.coordinates, scan.counts, *widths)
+        popt, sigma = erf_gate_curve_fit(scan.coordinates, scan.counts, *widths)
         assert abs(fit.gate_width_fs - popt[0]) <= 1e-4 * sigma[0]
         assert abs(fit.center_fs - popt[2]) <= 1e-4 * sigma[2]
         assert fit.gate_width_sigma_fs == pytest.approx(sigma[0], rel=1e-6)
@@ -506,7 +485,7 @@ class TestErfGateFit:
         monkeypatch.setattr(analysis, "_ERF_FIT_MAX_EVALUATIONS", 2)
         with pytest.raises(FitConvergenceError,
                            match=r"did not converge in 2 evaluations, relative residual \d"):
-            fit_erf_gate(scan, PUMP.fwhm_fs, SIGNAL_FWHM)
+            fit_erf_gate(scan.coordinates, scan.counts, PUMP_FWHM, SIGNAL_FWHM)
 
     @pytest.mark.parametrize("pump,signal", [(0.0, 240.0), (200.0, -1.0), (math.nan, 240.0)])
     def test_width_arguments_validated(self, pump, signal):

@@ -23,6 +23,7 @@ from scipy.signal import find_peaks
 import ucspd
 from scenario_edits import edited
 from waveform_csv import read_csv
+from waveform_measures import peak_time_fs
 from ucspd.analysis import deconvolve
 from ucspd.cli import main
 from ucspd.detector import detection_limit
@@ -191,9 +192,9 @@ class TestTimebin:
         assert probs == pytest.approx(list(weights / weights.sum()), rel=1e-9)
         state, _ = read_csv(out / "timebin_state.csv")
         measured, _ = read_csv(out / "timebin_measured.csv")
-        assert state.peak_time_fs == pytest.approx(0.0, abs=1.0)
+        assert peak_time_fs(state) == pytest.approx(0.0, abs=1.0)
         # gate blur widens the train but keeps its center
-        assert measured.peak_time_fs == pytest.approx(0.0, abs=5.0)
+        assert peak_time_fs(measured) == pytest.approx(0.0, abs=5.0)
 
 
 class TestLimits:
@@ -372,6 +373,21 @@ class TestExitCodes:
         out = tmp_path / "art"
         assert run("resolve", "l1_300mw", "--scenario", "l1_300mw",
                    "--out", str(out), "--quiet") == 0
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_scenario_that_is_not_utf8_exits_1(self, fmt, tmp_path, capsys):
+        latin1 = tmp_path / "latin1.scenario"
+        latin1.write_bytes(b"name: caf\xe9\n")
+        assert run("resolve", str(latin1), "--out", str(tmp_path / "art"), "--format", fmt) == 1
+        captured = capsys.readouterr()
+        if fmt == "json":
+            error = json.loads(captured.out)["error"]
+            assert (error["type"], error["exit_code"]) == ("ScenarioError", 1)
+            message = error["message"]
+        else:
+            message = captured.err
+        assert f"cannot read scenario {str(latin1)!r}" in message
+        assert "can't decode byte 0xe9" in message
 
     def test_numerical_failure_exits_2(self, tmp_path, capsys):
         text = (BUNDLED / "l1_300mw.scenario").read_text(encoding="utf-8")
@@ -792,12 +808,10 @@ IMPORT_PROBE = textwrap.dedent("""
     loaded = sorted(m for m in sys.modules if m.startswith(heavy))
     import numpy as np
     from ucspd.analysis import erf_gate_model_and_jacobian, fit_erf_gate
-    from ucspd.simulate import ScanConfig, ScanResult
     q = math.sqrt(math.log(2.0) / (200.0 ** 2 + 240.0 ** 2))
     delays = np.arange(-1000.0, 1001.0, 25.0)
     expected, _ = erf_gate_model_and_jacobian(delays, 408.6, 1e4, 0.0, 5.0, q)
-    scan = ScanResult(delays, np.round(expected), expected, ScanConfig(delays))
-    fit = fit_erf_gate(scan, 200.0, 240.0)
+    fit = fit_erf_gate(delays, np.round(expected), 200.0, 240.0)
     print(json.dumps({
         "loaded_by_cli": loaded,
         "optimize_after_fit": "scipy.optimize" in sys.modules,

@@ -2,6 +2,8 @@
 
 import math
 import re
+import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -26,6 +28,15 @@ from ucspd.errors import NumericalError, ScenarioError, ValidationError
 from ucspd.scenario import parse_scenario
 
 REP_RATE_HZ = 76.3e6
+
+
+def assert_within_4_ulp(limit, noise, integration_s, eta, rate):
+    """``limit`` against ``3 sqrt(noise T) / (T R eta)`` taken to 50 digits."""
+    with localcontext() as context:
+        context.prec = 50
+        t = Decimal(integration_s)
+        exact = 3 * (Decimal(noise) * t).sqrt() / (t * Decimal(rate) * Decimal(eta))
+    assert abs(Decimal(limit) - exact) <= 4 * Decimal(math.ulp(float(exact)))
 
 
 class TestEfficiencyChain:
@@ -176,6 +187,23 @@ class TestDetectionLimit:
             detection_limit(800.0, 0.0, 0.033, REP_RATE_HZ)
         with pytest.raises(NumericalError, match="underflows to 0"):
             detection_limit(800.0, 1.0e-300, 0.033, 1.0e-30)
+
+    @pytest.mark.parametrize("integration_s", [5.0e-324, 1.0e-320, 1.0e-315])
+    def test_subnormal_products_lose_no_digits(self, integration_s):
+        # on l2 the detected pulses T * R * eta hold fewer digits than a float
+        scenario = parse_scenario(edited({"experiment.limits.integration_s": integration_s}))
+        noise, eta = scenario.noise_cps_at(), scenario.external_eta_at()
+        rate = scenario.rep_rate_hz
+        assert 0.0 < integration_s * rate * eta < sys.float_info.min
+        limit = detection_limit(noise, integration_s, eta, rate)
+        assert_within_4_ulp(limit, noise, integration_s, eta, rate)
+
+    @pytest.mark.parametrize("eta", [0.01, 0.0123, 0.0177])
+    def test_subnormal_reduced_product_loses_no_digits(self, eta):
+        # with T > 1, sqrt(T) * R * eta is subnormal too (0 at eta 0.01)
+        args = (1.0e-40, 1000.0, eta, 5.0e-324)
+        assert math.sqrt(1000.0) * 5.0e-324 * eta < sys.float_info.min
+        assert_within_4_ulp(detection_limit(*args), *args)
 
     # each product the limit is formed from, and the limit itself, can
     # overflow; inf over inf would be NaN, and a finite sigma over inf pulses 0

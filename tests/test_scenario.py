@@ -58,8 +58,8 @@ class TestParseBundled:
     def test_reference_scenario_parses(self):
         s = parse_scenario(bundled_text())
         assert s.name == "l2_300mw"
-        assert s.crystal.length_mm == 2.0
-        assert s.crystal.gate_width_fs == pytest.approx(408.6)
+        assert s.length_mm == 2.0
+        assert s.gate_width_fs == pytest.approx(408.6)
         assert s.pump_fwhm_fs == 200.0
         assert s.signal_fwhm_fs == 240.0
         assert s.mean_photons_per_pulse == 0.1
@@ -172,6 +172,17 @@ class TestLoader:
         assert parse_scenario(edited).mean_photons_per_pulse == value
 
     @pytest.mark.parametrize("loader", sorted(LOADERS))
+    def test_a_key_written_twice_is_refused_at_its_line(self, loader, monkeypatch):
+        # PyYAML alone keeps the last one: l2, labelled l2, with l3's crystal
+        monkeypatch.setattr(scenario_module, "_LOADER", LOADERS[loader])
+        twice = "    length_mm: 2.0\n    length_mm: 3.0\n"
+        text = bundled_text().replace("    length_mm: 2.0\n", twice)
+        line = text.splitlines().index("    length_mm: 3.0") + 1
+        cause = rf"duplicate key 'length_mm'\n  in .*, line {line},"
+        with pytest.raises(ScenarioError, match=cause):
+            parse_scenario(text)
+
+    @pytest.mark.parametrize("loader", sorted(LOADERS))
     def test_words_that_look_like_exponents_stay_strings(self, loader):
         doc = yaml.load("[1e, e5, 1e2.5, 0x10, 1_000, 1.5]", Loader=LOADERS[loader])
         assert doc == ["1e", "e5", "1e2.5", 16, 1000, 1.5]
@@ -222,12 +233,17 @@ class TestProperties:
 
 
 class TestReadme:
-    """The key table under "Scenario files" in README.md matches the schema."""
+    """README.md's key table under "Scenario files" matches the schema, and its
+    "Library example" runs."""
 
     @staticmethod
-    def block():
-        section = README.read_text(encoding="utf-8").split("## Scenario files", 1)[1]
-        return section.split("```yaml\n", 1)[1].split("```", 1)[0]
+    def block(heading="Scenario files", language="yaml"):
+        section = README.read_text(encoding="utf-8").split(f"## {heading}", 1)[1]
+        return section.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+    def test_library_example_runs(self, capsys):
+        exec(self.block("Library example", "python"), {})
+        assert capsys.readouterr().out == "gate 408.6 fs -> resolution 412.4 fs FWHM\n"
 
     def test_block_is_the_reference_scenario(self):
         expected = parse_scenario(bundled_text()).effective_json
@@ -374,7 +390,7 @@ experiment:
 """
         s = parse_scenario(text)
         assert s.output_dir == "out"
-        assert s.crystal.tau_g_fs_per_mm == 204.3
+        assert s.tau_g_fs_per_mm == 204.3
         assert s.apd_efficiency == 0.41
         assert s.mean_photons_per_pulse == 0.1
         assert s.rep_rate_hz == 76.3e6

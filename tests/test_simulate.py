@@ -8,8 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import RATE_AT_PEAK_CPS
+from waveform_measures import peak_time_fs
 from ucspd.errors import NumericalError, ValidationError
-from ucspd.response import CrystalSpec, resolution_function
+from ucspd.response import resolution_function
 from ucspd.simulate import (
     ScanConfig,
     delay_rate_function,
@@ -18,7 +19,7 @@ from ucspd.simulate import (
     run_scan,
 )
 from ucspd.timebin import center_bin_expectation
-from ucspd.waveform import PulseSpec, TimeGrid, convolve, gaussian_waveform
+from ucspd.waveform import TimeGrid, convolve, gaussian_waveform
 
 MU = 0.1
 ETA_EXT = 0.0331
@@ -27,8 +28,8 @@ REP_RATE = 76.3e6
 
 def make_pair(length_mm=2.0):
     grid = TimeGrid.symmetric(1500.0, 1.0)
-    signal = gaussian_waveform(PulseSpec(240.0), grid)
-    resolution = resolution_function(PulseSpec(200.0), CrystalSpec(length_mm), grid)
+    signal = gaussian_waveform(240.0, grid)
+    resolution = resolution_function(200.0, length_mm * 204.3, grid)
     return signal, resolution
 
 
@@ -69,7 +70,7 @@ class TestExpectedRate:
         signal, resolution = make_pair()
         overlap = convolve(signal, resolution).peak_normalized()
         rate = delay_rate_function(signal, resolution, MU, ETA_EXT, REP_RATE, noise_cps=800.0)
-        assert rate(overlap.peak_time_fs) == pytest.approx(RATE_AT_PEAK_CPS + 800.0, rel=1e-9)
+        assert rate(peak_time_fs(overlap)) == pytest.approx(RATE_AT_PEAK_CPS + 800.0, rel=1e-9)
 
     def test_zero_photons_leaves_noise_only(self):
         signal, resolution = make_pair()

@@ -49,7 +49,7 @@ def _per_vertex_points(series):
 def _written_points(series):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "plot.svg"
-        line_plot(path, series)
+        line_plot(path, series, "t", "x", "y", "c")
         return re.findall(r'<polyline points="([^"]*)"', path.read_text(encoding="utf-8"))
 
 
@@ -114,7 +114,7 @@ class TestLinePlot:
     def test_polylines_match_per_vertex_formatting(self, series):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "plot.svg"
-            line_plot(path, series, title="t", x_label="x", y_label="y", comment="c")
+            line_plot(path, series, "t", "x", "y", "c")
             text = path.read_text(encoding="utf-8")
         assert re.findall(r'<polyline points="([^"]*)"', text) == _per_vertex_points(series)
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from scenario_edits import edited
+from waveform_measures import area
 from ucspd.errors import ScenarioError, ValidationError
 from ucspd.scenario import parse_scenario
 from ucspd.timebin import (
@@ -132,7 +133,7 @@ class TestSynthesizeWaveform:
         w = synthesize_waveform(state, 240.0, self.GRID)
         weight = float(np.sum(np.abs(state.amplitudes) ** 2))
         gauss_area = 240.0 * math.sqrt(math.pi) / (2.0 * math.sqrt(math.log(2.0)))
-        assert w.area == pytest.approx(weight * gauss_area, rel=1e-3)
+        assert area(w) == pytest.approx(weight * gauss_area, rel=1e-3)
 
 
 class TestCenterBinExpectation:

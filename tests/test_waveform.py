@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from convolution_paths import PATHS, both_paths, forced_path
 from oracles import GATE_FWHM_BY_LENGTH, GAUSS312_RECT408_PEAK, gauss_rect_fwhm_oracle
 from waveform_csv import read_csv
+from waveform_measures import area, peak_time_fs
 from ucspd.errors import GridMismatchError, NumericalError, ValidationError
 from ucspd.waveform import (
     FFT_THRESHOLD,
-    PulseSpec,
     SampledWaveform,
     TimeGrid,
     convolve,
@@ -73,37 +73,35 @@ class TestSampledWaveform:
 
     def test_area_and_peak(self):
         w = SampledWaveform(-1.0, 0.5, [0.0, 1.0, 3.0, 1.0, 0.0])
-        assert w.area == pytest.approx(2.5)
+        assert area(w) == pytest.approx(2.5)
         assert w.peak_value == 3.0
-        assert w.peak_time_fs == pytest.approx(0.0)
+        assert peak_time_fs(w) == pytest.approx(0.0)
 
 
 class TestGaussian:
     def test_peak_value_and_position(self):
-        g = gaussian_waveform(PulseSpec(240.0), TimeGrid.symmetric(1200.0, 1.0))
+        g = gaussian_waveform(240.0, TimeGrid.symmetric(1200.0, 1.0))
         assert g.peak_value == pytest.approx(1.0, abs=1e-12)
-        assert abs(g.peak_time_fs) <= g.dt_fs
+        assert abs(peak_time_fs(g)) <= g.dt_fs
 
     def test_half_maximum_at_half_width(self):
-        spec = PulseSpec(240.0)
-        g = gaussian_waveform(spec, TimeGrid(-240.0, 120.0, 5))
+        g = gaussian_waveform(240.0, TimeGrid(-240.0, 120.0, 5))
         # samples fall exactly on +/- fwhm/2
         assert g.samples[1] == pytest.approx(0.5, rel=1e-12)
         assert g.samples[3] == pytest.approx(0.5, rel=1e-12)
 
     def test_value_at_fwhm_offset(self):
         # at t - center = fwhm the exponent is -4 ln 2, i.e. 2**-4
-        g = gaussian_waveform(PulseSpec(240.0), TimeGrid(-480.0, 240.0, 5))
+        g = gaussian_waveform(240.0, TimeGrid(-480.0, 240.0, 5))
         assert g.samples[3] == pytest.approx(0.0625, rel=1e-12)
 
     def test_fwhm_matches_requested_width(self):
-        g = gaussian_waveform(PulseSpec(200.0), TimeGrid.symmetric(1000.0, 1.0))
+        g = gaussian_waveform(200.0, TimeGrid.symmetric(1000.0, 1.0))
         assert fwhm(g) == pytest.approx(200.0, abs=0.5)
 
     def test_offcenter_peak_tracks_center(self):
-        g = gaussian_waveform(PulseSpec(100.0, center_fs=333.0),
-                              TimeGrid.symmetric(1000.0, 1.0))
-        assert abs(g.peak_time_fs - 333.0) <= g.dt_fs
+        g = gaussian_waveform(100.0, TimeGrid.symmetric(1000.0, 1.0), center_fs=333.0)
+        assert abs(peak_time_fs(g) - 333.0) <= g.dt_fs
 
 
 class TestRect:
@@ -115,14 +113,14 @@ class TestRect:
     def test_area_within_one_sample(self):
         grid = TimeGrid.symmetric(600.0, 1.0)
         r = rect_waveform(408.6, grid)
-        assert abs(r.area - 408.6) <= grid.dt_fs
+        assert abs(area(r) - 408.6) <= grid.dt_fs
 
 
 class TestConvolve:
     def test_gaussian_pair_widths_add_in_quadrature(self):
         grid = TimeGrid.symmetric(1200.0, 1.0)
-        a = gaussian_waveform(PulseSpec(200.0), grid)
-        b = gaussian_waveform(PulseSpec(240.0), grid)
+        a = gaussian_waveform(200.0, grid)
+        b = gaussian_waveform(240.0, grid)
         c = convolve(a, b)
         expected = math.hypot(200.0, 240.0)  # 312.41
         assert fwhm(c) == pytest.approx(expected, rel=0.01)
@@ -137,7 +135,7 @@ class TestConvolve:
 
     def test_delta_identity(self):
         grid = TimeGrid.symmetric(800.0, 1.0)
-        f = gaussian_waveform(PulseSpec(240.0), grid)
+        f = gaussian_waveform(240.0, grid)
         k = 10
         d = np.zeros(2 * k + 1)
         d[k] = 1.0 / grid.dt_fs  # unit area spike
@@ -147,17 +145,17 @@ class TestConvolve:
 
     def test_peak_of_gaussian_rect_matches_quadrature(self):
         grid = TimeGrid.symmetric(1500.0, 1.0)
-        g = gaussian_waveform(PulseSpec(math.hypot(200.0, 240.0)), grid)
+        g = gaussian_waveform(math.hypot(200.0, 240.0), grid)
         r = rect_waveform(408.6, grid)
         c = convolve(g, r)
         assert c.peak_value == pytest.approx(GAUSS312_RECT408_PEAK, rel=1e-3)
 
     def test_area_preserved_with_unit_area_kernel(self):
         grid = TimeGrid.symmetric(1000.0, 1.0)
-        f = gaussian_waveform(PulseSpec(313.0, center_fs=40.0), grid)
-        kern = gaussian_waveform(PulseSpec(150.0), grid)
-        kern = SampledWaveform(kern.t0_fs, kern.dt_fs, kern.samples / kern.area)
-        assert convolve(f, kern).area == pytest.approx(f.area, rel=1e-3)
+        f = gaussian_waveform(313.0, grid, center_fs=40.0)
+        kern = gaussian_waveform(150.0, grid)
+        kern = SampledWaveform(kern.t0_fs, kern.dt_fs, kern.samples / area(kern))
+        assert area(convolve(f, kern)) == pytest.approx(area(f), rel=1e-3)
 
     def test_mismatched_spacing_raises(self):
         a = SampledWaveform(0.0, 1.0, np.ones(4))
@@ -214,7 +212,7 @@ class TestConvolve:
 
     def test_intensity_output_stays_nonnegative(self):
         grid = TimeGrid.symmetric(2000.0, 1.0)  # large enough to take the FFT path
-        a = gaussian_waveform(PulseSpec(50.0), grid)
+        a = gaussian_waveform(50.0, grid)
         b = rect_waveform(10.0, grid)
         c = convolve(a, b)
         assert c.samples.min() >= 0.0
@@ -254,7 +252,7 @@ class TestFwhm:
 
     def test_gate_convolution_matches_cdf_oracle(self):
         grid = TimeGrid.symmetric(900.0, 1.0)
-        c = convolve(gaussian_waveform(PulseSpec(200.0), grid),
+        c = convolve(gaussian_waveform(200.0, grid),
                      rect_waveform(204.3, grid))
         oracle = gauss_rect_fwhm_oracle(200.0, 204.3)
         assert oracle == pytest.approx(GATE_FWHM_BY_LENGTH[1.0], abs=1e-6)
@@ -262,7 +260,7 @@ class TestFwhm:
 
     def test_invariant_under_scale_and_shift(self):
         grid = TimeGrid.symmetric(800.0, 1.0)
-        base = convolve(gaussian_waveform(PulseSpec(150.0), grid),
+        base = convolve(gaussian_waveform(150.0, grid),
                         rect_waveform(300.0, grid))
         ref = fwhm(base)
         scaled = SampledWaveform(base.t0_fs, base.dt_fs, 123.4 * base.samples)
@@ -271,7 +269,7 @@ class TestFwhm:
 
     def test_monotone_in_gate_width(self):
         grid = TimeGrid.symmetric(3000.0, 1.0)
-        widths = [fwhm(convolve(gaussian_waveform(PulseSpec(200.0), grid),
+        widths = [fwhm(convolve(gaussian_waveform(200.0, grid),
                                 rect_waveform(w, grid)))
                   for w in (100.0, 300.0, 900.0, 2000.0)]
         assert all(w1 < w2 for w1, w2 in zip(widths, widths[1:]))
@@ -279,16 +277,16 @@ class TestFwhm:
     def test_narrow_and_wide_gate_limits(self):
         g = 200.0
         grid = TimeGrid.symmetric(3000.0, 1.0)
-        narrow = fwhm(convolve(gaussian_waveform(PulseSpec(g), grid),
+        narrow = fwhm(convolve(gaussian_waveform(g, grid),
                                rect_waveform(g / 10.0, grid)))
-        wide = fwhm(convolve(gaussian_waveform(PulseSpec(g), grid),
+        wide = fwhm(convolve(gaussian_waveform(g, grid),
                              rect_waveform(10.0 * g, grid)))
         assert narrow == pytest.approx(g, rel=0.02)
         assert wide == pytest.approx(10.0 * g, rel=0.02)
 
     def test_unbounded_width_raises(self):
         # Gaussian centered on the right edge: no crossing on that side.
-        g = gaussian_waveform(PulseSpec(200.0, center_fs=0.0), TimeGrid(-600.0, 1.0, 601))
+        g = gaussian_waveform(200.0, TimeGrid(-600.0, 1.0, 601))
         with pytest.raises(NumericalError):
             fwhm(g)
 
@@ -301,7 +299,7 @@ class TestFwhm:
 class TestResample:
     def test_onto_finer_grid_preserves_shape(self):
         grid = TimeGrid.symmetric(600.0, 4.0)
-        g = gaussian_waveform(PulseSpec(240.0), grid)
+        g = gaussian_waveform(240.0, grid)
         fine = resample(g, TimeGrid.symmetric(600.0, 1.0))
         assert fwhm(fine) == pytest.approx(240.0, rel=0.01)
         assert fine.peak_value == pytest.approx(1.0, rel=1e-3)
@@ -316,7 +314,7 @@ class TestResample:
 class TestCsv:
     def test_round_trip(self, tmp_path):
         grid = TimeGrid.symmetric(500.0, 1.0)
-        w = gaussian_waveform(PulseSpec(240.0, center_fs=12.0), grid)
+        w = gaussian_waveform(240.0, grid, center_fs=12.0)
         path = tmp_path / "wave.csv"
         write_csv(path, w, metadata={"scenario_hash": "abc123def456"})
         back, meta = read_csv(path)
@@ -353,7 +351,7 @@ class TestCsv:
     def test_values_written_with_nine_digits(self, tmp_path):
         w = SampledWaveform(0.0, 1.0, [0.123456789123, 1.0, 0.0])
         path = tmp_path / "w.csv"
-        write_csv(path, w)
+        write_csv(path, w, {})
         text = path.read_text()
         assert "0.123456789" in text
 
@@ -425,13 +423,13 @@ class TestCsvText:
     def test_time_grid_that_does_not_survive_nine_digits_is_refused(self, tmp_path):
         w = SampledWaveform(1e9, 1e-3, [1.0, 2.0, 3.0])
         with pytest.raises(ValidationError, match="nine-significant-digit"):
-            write_csv(tmp_path / "w.csv", w)
+            write_csv(tmp_path / "w.csv", w, {})
         assert not (tmp_path / "w.csv").exists()
 
     def test_whole_grid_from_1e9_fs_on_is_refused(self, tmp_path):
         # 1e9 and 1e9 + 1 are whole, but both print as 1e+09
         with pytest.raises(ValidationError, match="nine-significant-digit"):
-            write_csv(tmp_path / "w.csv", SampledWaveform(1e9 - 1.0, 1.0, [1.0, 2.0, 3.0]))
+            write_csv(tmp_path / "w.csv", SampledWaveform(1e9 - 1.0, 1.0, [1.0, 2.0, 3.0]), {})
         assert not (tmp_path / "w.csv").exists()
 
     def test_whole_femtosecond_grid_round_trips(self, tmp_path):
