@@ -26,6 +26,7 @@ can refuse to mix runs.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -432,8 +433,12 @@ def _canonical_json(effective: dict) -> str:
     return json.dumps(effective, sort_keys=True, separators=(",", ":"))
 
 
+@functools.lru_cache(maxsize=8)
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document.
+
+    The last few texts are cached: the same text returns the same object,
+    which is immutable, and a text that is refused raises on every call.
 
     Raises
     ------

@@ -14,11 +14,11 @@ returns, computed for a whole scan at once: the SeedSequence hash and
 numpy's PCG64 (a 128-bit LCG with XSL-RR output) run on integer arrays, and
 numpy's own Poisson sampler (the multiplication method below a mean of 10,
 Hoermann's PTRS with ``random_loggam`` from 10 up) runs in rounds over the
-points that are still drawing.  numpy evaluates only IEEE-exact arithmetic
-(``+ - * /``, ``sqrt``, ``floor``, ``abs``, comparisons); every ``log`` and
-``exp`` goes through ``math``, that is the libm numpy's C sampler calls,
-because numpy's vectorized ``log`` can differ from libm's in the last bit and
-one bit can flip an acceptance test.
+points that are still drawing.  ``exp`` goes through ``math``, that is the
+libm numpy's C sampler calls; PTRS's logs come from numpy, and a test they
+leave near its boundary is decided again with libm's, because numpy's
+vectorized ``log`` can differ from libm's in the last bit and one bit can
+flip an acceptance test.  The rest is IEEE-exact arithmetic, run in numpy.
 """
 
 from __future__ import annotations
@@ -304,8 +304,8 @@ def _poisson_mult(streams: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _loggam(x: np.ndarray) -> np.ndarray:
-    """numpy's ``random_loggam``: log Gamma(x) for integers x >= 1.
+def _loggam(x: np.ndarray, log_x0: np.ndarray) -> np.ndarray:
+    """numpy's ``random_loggam``: log Gamma(x) for integers x >= 1, given ``log x0``.
 
     Stirling's series at ``x0 = max(x, 7)``; below 7, ``x0`` is 7 and
     ``log 6, log 5, ..., log x`` are subtracted in that order.
@@ -315,10 +315,21 @@ def _loggam(x: np.ndarray) -> np.ndarray:
     gl0 = np.full(x.shape, _LOGGAM_COEFFS[9])
     for coeff in _LOGGAM_COEFFS[8::-1]:
         gl0 = gl0 * x2 + coeff
-    gl = gl0 / x0 + 0.5 * _LOG_2PI + (x0 - 0.5) * _libm(math.log, x0) - x0
+    gl = gl0 / x0 + 0.5 * _LOG_2PI + (x0 - 0.5) * log_x0 - x0
     for below in range(6, 2, -1):
         gl = np.where(x <= below, gl - math.log(below), gl)
     return np.where(x <= 2.0, 0.0, gl)
+
+
+def _slow_test(args: np.ndarray, logs: np.ndarray, k: np.ndarray):
+    """PTRS's slow test ``lhs <= rhs`` as ``lhs``, ``rhs`` and the sum of every term's magnitude,
+    from ``args`` (``V``, ``invalpha``, the hat, ``lam``, ``max(k + 1, 7)``) and their ``logs``."""
+    log_v, log_invalpha, log_hat, loglam, log_x0 = logs
+    lam, x0, k_loglam = args[3], args[4], k * loglam
+    lhs = log_v + log_invalpha - log_hat
+    rhs = -lam + k_loglam - _loggam(k + 1.0, log_x0)
+    size = np.abs(logs[:3]).sum(axis=0) + lam + np.abs(k_loglam) + (x0 - 0.5) * log_x0 + x0
+    return lhs, rhs, size
 
 
 def _ptrs_pairs(draws: np.ndarray, params: np.ndarray):
@@ -363,13 +374,18 @@ def _poisson_ptrs(streams: np.ndarray, lam: np.ndarray) -> np.ndarray:
         s_lam, s_a, s_b, _ = rest_params[:, slow.nonzero()[1]]
         s_v, s_us, s_k = v[slow], us[slow], k[slow]
         # C's log(0) is -inf, which always accepts
-        log_v, log_invalpha, log_hat, loglam = _libm(math.log, np.array([
+        args = np.array([
             np.where(s_v > 0.0, s_v, 1.0), 1.1239 + 1.1328 / (s_b - 3.4),
-            s_a / (s_us * s_us) + s_b, s_lam,
-        ]))
-        accept[slow] = (s_v == 0.0) | (
-            log_v + log_invalpha - log_hat <= -s_lam + s_k * loglam - _loggam(s_k + 1.0)
-        )
+            s_a / (s_us * s_us) + s_b, s_lam, np.maximum(s_k + 1.0, 7.0),
+        ])
+        lhs, rhs, size = _slow_test(args, np.log(args), s_k)
+        # a log a few ulp off libm's moves a side by a few ulp of its largest
+        # term, far less than this margin; nearer pairs take libm's logs
+        near = np.abs(lhs - rhs) <= 2.0 ** -40 * size
+        if near.any():
+            near_args = args[:, near]
+            lhs[near], rhs[near], _ = _slow_test(near_args, _libm(math.log, near_args), s_k[near])
+        accept[slow] = (s_v == 0.0) | (lhs <= rhs)
         done = accept.any(axis=0)
         counts[rest[done]] = k[accept.argmax(axis=0), np.arange(rest.size)][done]
         rest, first = rest[~done], first + _ROUND_DRAWS
@@ -387,18 +403,22 @@ def _poisson_counts(seed: int, means: np.ndarray) -> np.ndarray:
     order the scalar call does, so the counts are the same bytes.
 
     Arithmetic that IEEE 754 rounds exactly (``+ - * /``, ``sqrt``,
-    ``floor``, ``abs``, comparisons) runs in numpy; every ``log`` and
-    ``exp`` goes through ``math``, which calls the libm that numpy's C
-    sampler calls.  numpy's own vectorized ``log`` and ``exp`` may differ
-    from libm in the last bit (numpy 2.4 with AVX-512: ``np.log`` on 0.35 %
-    of uniforms in [0, 1), ``np.exp`` on 4.7 % of [-10, 0]), and one bit
-    moves a count whenever it decides an acceptance test.
+    ``floor``, ``abs``, comparisons) runs in numpy, and ``exp`` goes through
+    ``math``, the libm numpy's C sampler calls.  numpy's vectorized ``log``
+    and ``exp`` may differ from libm in the last bit (numpy 2.4 with AVX-512:
+    ``np.log`` on 0.35 % of uniforms in [0, 1), ``np.exp`` on 4.7 % of
+    [-10, 0]), and one bit moves a count whenever it decides an acceptance
+    test.  PTRS's slow test takes numpy's logs, and ``math.log`` decides again
+    a pair whose sides are within ``2**-40`` of their terms' summed magnitude.
     """
     streams = _point_streams(seed, means.size)
     counts = np.zeros(means.size, dtype=np.int64)
     for sampler, pick in ((_poisson_mult, (means > 0.0) & (means < 10.0)),
                           (_poisson_ptrs, means >= 10.0)):
-        counts[pick] = sampler(streams[..., pick], means[pick])
+        if pick.all():  # every dense and bundled scan: its streams are not copied
+            return sampler(streams, means)
+        if pick.any():
+            counts[pick] = sampler(streams[..., pick], means[pick])
     return counts
 
 

@@ -88,6 +88,22 @@ class TestParseBundled:
         with pytest.raises(ScenarioError):
             load_scenario(tmp_path / "nope.scenario")
 
+    def test_a_text_is_parsed_once(self):
+        assert parse_scenario(bundled_text()) is parse_scenario(bundled_text())
+
+    def test_a_rewritten_file_is_read_again(self, tmp_path):
+        path = tmp_path / "edited.scenario"
+        path.write_text(bundled_text(), encoding="utf-8")
+        first = load_scenario(path).scenario_hash
+        edited = bundled_text().replace("seed: 20260815", "seed: 7")
+        path.write_text(edited, encoding="utf-8")
+        assert load_scenario(path).scenario_hash == parse_scenario(edited).scenario_hash != first
+
+    def test_a_refused_text_raises_every_time(self):
+        for _ in range(2):
+            with pytest.raises(ScenarioError, match="YAML"):
+                parse_scenario("{unbalanced")
+
 
 class TestHash:
     def test_echo_round_trip_preserves_hash(self):
@@ -144,17 +160,23 @@ LOADERS = {
 }
 
 
+def use_loader(monkeypatch, name):
+    """Parse with loader ``name``; a cached parse would not run it."""
+    monkeypatch.setattr(scenario_module, "_LOADER", LOADERS[name])
+    parse_scenario.cache_clear()
+
+
 class TestLoader:
     """Both PyYAML loaders read the same documents (libyaml is used when built)."""
 
     @pytest.mark.parametrize("name", NAMES)
     def test_pure_python_loader_gives_the_same_tree(self, name, monkeypatch):
         expected = parse_scenario(bundled_text(name)).effective_json
-        monkeypatch.setattr(scenario_module, "_LOADER", LOADERS["pure"])
+        use_loader(monkeypatch, "pure")
         assert parse_scenario(bundled_text(name)).effective_json == expected
 
     def test_pure_python_loader_reports_bad_yaml(self, monkeypatch):
-        monkeypatch.setattr(scenario_module, "_LOADER", LOADERS["pure"])
+        use_loader(monkeypatch, "pure")
         with pytest.raises(ScenarioError, match="YAML"):
             parse_scenario("{unbalanced")
 
@@ -164,7 +186,7 @@ class TestLoader:
     ])
     def test_exponent_floats_are_numbers(self, loader, text, value, monkeypatch):
         # YAML 1.1 reads the first two as strings; YAML 1.2 and users read numbers
-        monkeypatch.setattr(scenario_module, "_LOADER", LOADERS[loader])
+        use_loader(monkeypatch, loader)
         edited = bundled_text().replace(
             "mean_photons_per_pulse: 0.1", f"mean_photons_per_pulse: {text}"
         )
@@ -174,7 +196,7 @@ class TestLoader:
     @pytest.mark.parametrize("loader", sorted(LOADERS))
     def test_a_key_written_twice_is_refused_at_its_line(self, loader, monkeypatch):
         # PyYAML alone keeps the last one: l2, labelled l2, with l3's crystal
-        monkeypatch.setattr(scenario_module, "_LOADER", LOADERS[loader])
+        use_loader(monkeypatch, loader)
         twice = "    length_mm: 2.0\n    length_mm: 3.0\n"
         text = bundled_text().replace("    length_mm: 2.0\n", twice)
         line = text.splitlines().index("    length_mm: 3.0") + 1

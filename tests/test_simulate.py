@@ -211,26 +211,63 @@ class TestBulkSeeding:
         out = run_scan(cfg, lambda _: means)
         assert out.counts.tolist() == per_point_counts(cfg.seed, means)
 
-    def test_logs_and_exps_come_from_libm(self, monkeypatch):
+    def test_exps_come_from_libm(self, monkeypatch):
         means = np.concatenate([np.linspace(0.0, 9.9, 100), np.linspace(10.0, 1e6, 100)])
         cfg = ScanConfig(np.arange(means.size, dtype=np.float64), seed=5)
         reference = per_point_counts(cfg.seed, means)
         math_exp, exps = math.exp, []
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("numpy's log and exp may differ from libm in the last bit")
+            raise AssertionError("numpy's exp may differ from libm in the last bit")
 
         def spy_exp(x):
             exps.append(x)
             return math_exp(x)
 
-        monkeypatch.setattr(np, "log", forbidden)
         monkeypatch.setattr(np, "exp", forbidden)
         monkeypatch.setattr(math, "exp", spy_exp)
         out = run_scan(cfg, lambda _: means)
         assert out.counts.tolist() == reference
         # the multiplication method's exp(-lam), once per point with 0 < lam < 10
         assert sorted(exps) == sorted((-means[(means > 0.0) & (means < 10.0)]).tolist())
+
+    @pytest.mark.parametrize("means", [
+        np.random.default_rng(8).uniform(10.0, 12.0, 20000),
+        np.linspace(9e17, 1.1e18, 40),
+    ], ids=["10-12", "near-1e18"])
+    def test_counts_hold_with_numpys_log_64_ulp_off(self, monkeypatch, means):
+        # PTRS's slow test takes numpy's log; one far from libm's must still
+        # give libm's decisions
+        cfg = ScanConfig(np.arange(means.size, dtype=np.float64), seed=2024)
+        reference = per_point_counts(cfg.seed, means)
+        np_log, signs = np.log, np.random.default_rng(3)
+
+        def off_log(x):
+            out = np_log(x)
+            return out + signs.choice([-64.0, 64.0], out.shape) * np.spacing(out)
+
+        monkeypatch.setattr(np, "log", off_log)
+        out = run_scan(cfg, lambda _: means)
+        assert out.counts.tolist() == reference
+
+    def test_pairs_near_the_margin_take_libms_log(self, monkeypatch):
+        # near 1e18, k * log(lam) is about 4e19 and the last bit of log(lam)
+        # decides: every pair that reaches the slow test is decided again;
+        # at 10-12 numpy's log decides them all
+        means = np.concatenate([np.linspace(10.0, 12.0, 2000), np.linspace(9e17, 1.1e18, 40)])
+        cfg = ScanConfig(np.arange(means.size, dtype=np.float64), seed=2024)
+        reference = per_point_counts(cfg.seed, means)
+        math_log, logs = math.log, []
+
+        def spy_log(x):
+            logs.append(x)
+            return math_log(x)
+
+        monkeypatch.setattr(math, "log", spy_log)
+        out = run_scan(cfg, lambda _: means)
+        assert out.counts.tolist() == reference
+        relogged = set(logs) & set(means.tolist())
+        assert relogged and min(relogged) >= 9e17
 
     def test_mean_at_numpys_limit_is_drawn_and_above_it_refused(self):
         limit = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
