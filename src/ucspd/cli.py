@@ -7,7 +7,7 @@ tags every file with the scenario hash and renames it into place from a
 temporary name, so a failed write never leaves a partial file; ``artifacts``
 lists exactly the files written (a failed plot is skipped with a warning).
 CSV rows come from ``waveform.csv_text``, JSON payloads from the scenario
-sections and result dataclasses, and ``report`` reuses the helpers of the
+records and result dataclasses, and ``report`` reuses the helpers of the
 other subcommands.  Re-running with the same scenario and seed reproduces
 every artifact byte for byte, apart from the manifests' wall-clock
 ``generated_utc`` field, which no hash or comparison includes.
@@ -26,7 +26,6 @@ import os
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +58,9 @@ __all__ = ["main"]
 _STAGE_SCAN = 1
 _STAGE_SWEEP = 2
 _STAGE_DECONV = 3
+
+# the bundled scenarios; the package is read from the file system, not a zip
+_BUNDLED = Path(__file__).parent / "scenarios"
 
 _MODEL_VERSIONS = {"ucspd": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
 
@@ -105,15 +107,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _bundled_path(name: str):
-    base = resources.files("ucspd") / "scenarios"
-    for candidate in (name, name + ".scenario"):
-        entry = base / candidate
-        if entry.is_file():
-            return entry
-    return None
-
-
 def _resolve_scenario(args) -> Scenario:
     ref = args.scenario
     if args.scenario_pos is not None:
@@ -125,15 +118,14 @@ def _resolve_scenario(args) -> Scenario:
     if ref is None:
         raise ScenarioError(
             "no scenario given; pass a file path or one of the bundled names "
-            + ", ".join(sorted(e.name for e in (resources.files("ucspd") / "scenarios").iterdir()))
+            + ", ".join(sorted(entry.name for entry in _BUNDLED.iterdir()))
         )
-    if Path(ref).is_file():
-        scenario = load_scenario(ref)
-    else:
-        bundled = _bundled_path(ref)
-        if bundled is None:
-            raise ScenarioError(f"scenario {ref!r} is neither a file nor a bundled name")
-        scenario = load_scenario(bundled)
+    # a file path is read, and named in errors, as given
+    candidates = (ref, _BUNDLED / ref, _BUNDLED / f"{ref}.scenario")
+    path = next((candidate for candidate in candidates if Path(candidate).is_file()), None)
+    if path is None:
+        raise ScenarioError(f"scenario {ref!r} is neither a file nor a bundled name")
+    scenario = load_scenario(path)
     if args.seed is not None:
         scenario = scenario_with_seed(scenario, args.seed)
     return scenario
@@ -363,7 +355,7 @@ def _cmd_scan(scenario: Scenario, files: _Artifacts) -> dict:
     result = _run_delay_scan(scenario, _STAGE_SCAN, _resolution_kernel(scenario))
     _write_delay_scan(files, "scan.csv", scenario, result)
     files.manifest("scan_manifest.json", _STAGE_SCAN, ["scan.csv"], {
-        "kind": "delay", **asdict(scenario.scan), "noise_cps": scenario.noise_cps_at(),
+        "kind": "delay", **scenario.scan._asdict(), "noise_cps": scenario.noise_cps_at(),
     })
     files.plot(
         "scan.svg",
@@ -379,7 +371,7 @@ def _cmd_sweep(scenario: Scenario, files: _Artifacts) -> dict:
     _write_counts(files, "sweep.csv", result, kind="phase_sweep",
                   contrast=scenario.timebin.contrast, dwell_s=scenario.sweep.dwell_s)
     files.manifest("sweep_manifest.json", _STAGE_SWEEP, ["sweep.csv"], {
-        "kind": "phase", **asdict(scenario.sweep), "contrast": scenario.timebin.contrast,
+        "kind": "phase", **scenario.sweep._asdict(), "contrast": scenario.timebin.contrast,
     })
     files.plot(
         "sweep.svg",
@@ -393,7 +385,7 @@ def _cmd_timebin(scenario: Scenario, files: _Artifacts) -> dict:
     probabilities = _slot_probabilities(scenario)
     section = scenario.timebin
     files.json("timebin_probabilities.json", {
-        **asdict(section),
+        **section._asdict(),
         "probabilities": probabilities,
         "center_bin_expectation": center_bin_expectation(
             section.phase_rad - section.phase_prime_rad, section.contrast

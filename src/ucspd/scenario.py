@@ -8,13 +8,12 @@ and the random seed.
 This module is the one boundary where scenario values are checked.  One
 field table, ``_SCHEMA``, gives every key with its check and its default
 (or ``_REQUIRED``); a section is optional when every key in it has a
-default.  A key's own range is its check there (the sweep's point count and
-the scan's signal are checked by their sections), and what involves several
-keys is checked after the walk; every refusal, unknown keys included, names
-a key or section path.  The model code checks only what it computes from
-these values.  The tree the walk returns, without ``output_dir``, is the
-effective configuration that is hashed and from which the detector, source
-and experiment objects are built.
+default.  A key's own range is its check there, and what involves several
+keys is checked after the walk, by ``_check_together``; every refusal,
+unknown keys included, names a key or section path.  The model code checks
+only what it computes from these values.  The tree the walk returns, without
+``output_dir``, is the effective configuration that is hashed and from
+which the scenario records, whose fields are the schema's keys, are built.
 
 The scenario hash is the first 12 hex characters of the SHA-256 of the
 effective configuration (defaults filled in, sorted keys, compact JSON).
@@ -31,7 +30,7 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 import numpy as np
 import yaml
@@ -161,6 +160,21 @@ def _label(value, path):
     return value
 
 
+def _signal(value, path):
+    if value not in ("gaussian", "timebin"):
+        raise ScenarioError(f"{path}: must be 'gaussian' or 'timebin', got {value!r}")
+    return value
+
+
+def _sweep_points(value, path):
+    value = _integer(value, path)
+    if value < 5:
+        raise ScenarioError(f"{path}: must be at least 5, got {value}")
+    if value > MAX_SAMPLES:
+        raise ScenarioError(f"{path}: {value} points are more than the {MAX_SAMPLES} allowed")
+    return value
+
+
 def _boolean(value, path):
     if not isinstance(value, bool):
         raise ScenarioError(f"{path}: expected true or false, got {value!r}")
@@ -178,7 +192,7 @@ _SCHEMA = {
             # the pump/signal group-delay difference of PPMgSLT at the
             # operating wavelengths; the gate is tau_g * L wide
             "tau_g_fs_per_mm": (_positive, 204.3),
-            "label": (_label, ""),
+            "label": (_label, ""),  # names the crystal on plots, enters no calculation
         },
         # the reference setup: a silicon APD, single-mode fiber re-coupling
         # of the up-converted light, and the pump/background rejection filters
@@ -213,10 +227,10 @@ _SCHEMA = {
             "stop_fs": (_real, _REQUIRED),
             "step_fs": (_positive, _REQUIRED),
             "dwell_s": (_positive, 1.0),
-            "signal": (_string, "gaussian"),
+            "signal": (_signal, "gaussian"),
         },
         "sweep": {
-            "n_points": (_integer, 24),
+            "n_points": (_sweep_points, 24),
             "dwell_s": (_positive, 1.0),
             "counts_scale": (_positive, _REQUIRED),
             "include_noise": (_boolean, False),
@@ -266,92 +280,71 @@ def _walk(node, table, path=""):
     return tree
 
 
-def _build(path, factory, *args, **kwargs):
-    """Construct a module object, reporting a cross-field refusal under the section path."""
+def _build(path, factory, *args):
+    """Call ``factory``, reporting its refusal under the section path."""
     try:
-        return factory(*args, **kwargs)
+        return factory(*args)
     except ValidationError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class ScanSection:
+def _check_together(tree: dict) -> None:
+    """Refuse values that are in range alone but not together, naming their section or key."""
+    source, experiment = tree["source"], tree["experiment"]
+    # every pulse is sampled on the model grid, which must resolve the narrower one
+    narrower = min(("pump_fwhm_fs", "signal_fwhm_fs"), key=source.__getitem__)
+    if experiment["dt_fs"] > 0.5 * source[narrower]:
+        raise ScenarioError(f"experiment.dt_fs: must be at most half of source.{narrower} "
+                            f"({source[narrower]} fs), got {experiment['dt_fs']}")
+    scan = experiment["scan"]
+    start, stop, step = scan["start_fs"], scan["stop_fs"], scan["step_fs"]
+    if stop <= start:
+        raise ScenarioError(f"experiment.scan: scan stop {stop} must exceed start {start}")
+    _build("experiment.scan", check_sample_count, (stop - start) / step + 1.0, f"step_fs {step}")
+    # the ceiling of this ratio is the length of ScanSection.coordinates()
+    if (stop + 0.5 * step - start) / step <= 1.0:
+        raise ScenarioError(
+            f"experiment.scan: step_fs {step} leaves one scan point from start_fs {start} "
+            f"to stop_fs {stop}; a scan needs at least 2"
+        )
+    limits = experiment["limits"]
+    start, stop, step = limits["power_start_mw"], limits["power_stop_mw"], limits["power_step_mw"]
+    if stop <= start:
+        raise ScenarioError(f"experiment.limits: power sweep stop {stop} must exceed "
+                            f"start {start}")
+    _build("experiment.limits", check_sample_count,
+           (stop * (1.0 + 1e-12) - start) / step + 1.0, f"power_step_mw {step}")
+
+
+def _leaves(mapping: dict) -> list:
+    """The keys of a schema table or a checked tree that hold values, not sections."""
+    return [key for key, value in mapping.items() if not isinstance(value, dict)]
+
+
+_DETECTOR, _EXPERIMENT = _SCHEMA["detector"], _SCHEMA["experiment"]
+
+
+class ScanSection(namedtuple("ScanSection", _EXPERIMENT["scan"])):
     """Delay-scan parameters for the ``scan`` and ``deconv`` subcommands."""
 
-    start_fs: float
-    stop_fs: float
-    step_fs: float
-    dwell_s: float
-    signal: str
-
-    def __post_init__(self) -> None:
-        if self.stop_fs <= self.start_fs:
-            raise ScenarioError(
-                f"scan stop {self.stop_fs} must exceed start {self.start_fs}"
-            )
-        steps = (self.stop_fs - self.start_fs) / self.step_fs
-        check_sample_count(steps + 1.0, f"step_fs {self.step_fs}")
-        # the ceiling of this ratio is the length of coordinates()
-        if (self.stop_fs + 0.5 * self.step_fs - self.start_fs) / self.step_fs <= 1.0:
-            raise ValidationError(
-                f"step_fs {self.step_fs} leaves one scan point from start_fs "
-                f"{self.start_fs} to stop_fs {self.stop_fs}; a scan needs at least 2"
-            )
-        if self.signal not in ("gaussian", "timebin"):
-            raise ScenarioError(
-                f"scan signal must be 'gaussian' or 'timebin', got {self.signal!r}"
-            )
+    __slots__ = ()
 
     def coordinates(self) -> np.ndarray:
         """Delays from ``start_fs`` in ``step_fs`` steps, up to ``stop_fs`` plus half a step."""
         return np.arange(self.start_fs, self.stop_fs + 0.5 * self.step_fs, self.step_fs)
 
 
-@dataclass(frozen=True)
-class SweepSection:
-    """Phase-sweep parameters for the ``sweep`` and ``fitvis`` subcommands."""
+SweepSection = namedtuple("SweepSection", _EXPERIMENT["sweep"])
+SweepSection.__doc__ = "Phase-sweep parameters for the ``sweep`` and ``fitvis`` subcommands."
 
-    n_points: int
-    dwell_s: float
-    counts_scale: float
-    include_noise: bool
-
-    def __post_init__(self) -> None:
-        if self.n_points < 5:
-            raise ScenarioError(f"sweep needs at least 5 points, got {self.n_points}")
-        if self.n_points > MAX_SAMPLES:
-            raise ScenarioError(
-                f"sweep has {self.n_points} points, more than the {MAX_SAMPLES} allowed"
-            )
+TimebinSection = namedtuple("TimebinSection", _EXPERIMENT["timebin"])
+TimebinSection.__doc__ = "Qubit-state parameters for the ``timebin`` subcommand."
 
 
-@dataclass(frozen=True)
-class TimebinSection:
-    """Qubit-state parameters for the ``timebin`` subcommand."""
-
-    slot_spacing_fs: float
-    phase_rad: float
-    phase_prime_rad: float
-    contrast: float
-
-
-@dataclass(frozen=True)
-class LimitsSection:
+class LimitsSection(namedtuple("LimitsSection", _EXPERIMENT["limits"])):
     """Pump-power sweep for the ``limits`` subcommand."""
 
-    power_start_mw: float
-    power_stop_mw: float
-    power_step_mw: float
-    integration_s: float
-
-    def __post_init__(self) -> None:
-        if self.power_stop_mw <= self.power_start_mw:
-            raise ScenarioError(
-                f"power sweep stop {self.power_stop_mw} must exceed start "
-                f"{self.power_start_mw}"
-            )
-        steps = (self.power_stop_mw * (1.0 + 1e-12) - self.power_start_mw) / self.power_step_mw
-        check_sample_count(steps + 1.0, f"power_step_mw {self.power_step_mw}")
+    __slots__ = ()
 
     def powers_mw(self) -> list:
         out = []
@@ -364,40 +357,24 @@ class LimitsSection:
             k += 1
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """A fully validated run configuration.
+_SECTIONS = {
+    "scan": ScanSection, "sweep": SweepSection, "timebin": TimebinSection, "limits": LimitsSection,
+}
 
-    The crystal, the chain and the source are the schema's checked values
-    (``label`` names the crystal on plots and enters no calculation); the
-    pump and noise models are built from them at parse time, and the
-    sections below carry the per-subcommand experiment parameters.
-    ``effective_json`` is the canonical serialized form that the scenario
-    hash is computed from.
+
+class Scenario(namedtuple("Scenario", [
+    *_leaves(_SCHEMA), *_DETECTOR["crystal"], *_DETECTOR["chain"], "pump_model", "noise_model",
+    *_SCHEMA["source"], *_EXPERIMENT, "effective_json",
+])):
+    """A fully validated run configuration, with fields taken from the schema.
+
+    The top-level, crystal, chain and source keys are fields, and so is each
+    experiment key, a section as a record of its own keys; the pump and noise
+    keys become ``pump_model`` and ``noise_model`` at parse time.
+    ``effective_json`` is the canonical form the scenario hash is computed from.
     """
 
-    name: str
-    seed: int
-    output_dir: str
-    length_mm: float
-    tau_g_fs_per_mm: float
-    label: str
-    apd_efficiency: float
-    fiber_coupling: float
-    filter_transmittance: float
-    pump_model: PumpEfficiencyModel
-    noise_model: NoiseModel
-    pump_fwhm_fs: float
-    signal_fwhm_fs: float
-    mean_photons_per_pulse: float
-    rep_rate_hz: float
-    pump_power_mw: float
-    dt_fs: float
-    scan: ScanSection
-    sweep: SweepSection
-    timebin: TimebinSection
-    limits: LimitsSection
-    effective_json: str
+    __slots__ = ()
 
     @property
     def gate_width_fs(self) -> float:
@@ -454,42 +431,34 @@ def parse_scenario(text: str) -> Scenario:
         required = [key for key, spec in _SCHEMA.items() if _default(spec) is _REQUIRED]
         raise ScenarioError("scenario is empty; required keys: " + ", ".join(required))
     tree = _walk(doc, _SCHEMA)
+    _check_together(tree)
     output_dir = tree.pop("output_dir")
-    detector, source, experiment = tree["detector"], tree["source"], tree["experiment"]
+    detector, experiment = tree["detector"], tree["experiment"]
     pump, noise = detector["pump"], detector["noise"]
-    # every pulse is sampled on the model grid, which must resolve the narrower one
-    narrower = min(("pump_fwhm_fs", "signal_fwhm_fs"), key=source.__getitem__)
-    if experiment["dt_fs"] > 0.5 * source[narrower]:
-        raise ScenarioError(f"experiment.dt_fs: must be at most half of source.{narrower} "
-                            f"({source[narrower]} fs), got {experiment['dt_fs']}")
-
-    scenario = Scenario(
-        name=tree["name"],
-        seed=tree["seed"],
-        output_dir=output_dir,
-        **detector["crystal"],
-        **detector["chain"],
-        pump_model=_build(
-            "detector.pump", PumpEfficiencyModel.from_calibration,
-            pump["calibration_power_mw"], pump["calibration_eta"], pump["p_sat_mw"],
-        ),
-        noise_model=_build(
-            "detector.noise", NoiseModel.from_calibration,
-            noise["dark_cps"], noise["growth_per_unit_eta"],
-            noise["calibration_eta"], noise["calibration_noise_cps"],
-        ),
-        **source,
-        dt_fs=experiment["dt_fs"],
-        scan=_build("experiment.scan", ScanSection, **experiment["scan"]),
-        sweep=_build("experiment.sweep", SweepSection, **experiment["sweep"]),
-        timebin=_build("experiment.timebin", TimebinSection, **experiment["timebin"]),
-        limits=_build("experiment.limits", LimitsSection, **experiment["limits"]),
-        effective_json=_canonical_json(tree),
+    pump_model = _build(
+        "detector.pump", PumpEfficiencyModel.from_calibration,
+        pump["calibration_power_mw"], pump["calibration_eta"], pump["p_sat_mw"],
+    )
+    noise_model = _build(
+        "detector.noise", NoiseModel.from_calibration,
+        noise["dark_cps"], noise["growth_per_unit_eta"],
+        noise["calibration_eta"], noise["calibration_noise_cps"],
     )
     # noise grows with efficiency, and no pump power takes the efficiency
     # beyond eta_max, so a noise rate that is finite there is finite everywhere
-    _build("detector.noise", noise_cps, scenario.noise_model, scenario.pump_model.eta_max)
-    return scenario
+    _build("detector.noise", noise_cps, noise_model, pump_model.eta_max)
+    return Scenario(
+        **{key: tree[key] for key in _leaves(tree)},
+        output_dir=output_dir,
+        **detector["crystal"],
+        **detector["chain"],
+        pump_model=pump_model,
+        noise_model=noise_model,
+        **tree["source"],
+        **{key: _SECTIONS[key](**value) if key in _SECTIONS else value
+           for key, value in experiment.items()},
+        effective_json=_canonical_json(tree),
+    )
 
 
 def load_scenario(path) -> Scenario:
@@ -505,6 +474,5 @@ def load_scenario(path) -> Scenario:
 def scenario_with_seed(scenario: Scenario, seed: int) -> Scenario:
     """A copy with a different seed (and therefore a different hash)."""
     seed = _seed(seed, "seed")
-    effective = scenario.effective()
-    effective["seed"] = seed
-    return replace(scenario, seed=seed, effective_json=_canonical_json(effective))
+    effective = dict(scenario.effective(), seed=seed)
+    return scenario._replace(seed=seed, effective_json=_canonical_json(effective))

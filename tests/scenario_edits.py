@@ -5,6 +5,8 @@ A scenario value's own range is checked once, by the schema in
 parses it, rather than passing the value to the model code.
 """
 
+import copy
+import functools
 from importlib import resources
 
 import yaml
@@ -12,9 +14,14 @@ import yaml
 BUNDLED = resources.files("ucspd") / "scenarios"
 
 
+@functools.cache
+def _bundled(name: str) -> dict:
+    return yaml.safe_load((BUNDLED / f"{name}.scenario").read_text(encoding="utf-8"))
+
+
 def edited(edits: dict, name: str = "l2_300mw") -> str:
     """The bundled scenario ``name`` as YAML, with each dotted key path in ``edits`` set."""
-    doc = yaml.safe_load((BUNDLED / f"{name}.scenario").read_text(encoding="utf-8"))
+    doc = copy.deepcopy(_bundled(name))
     for path, value in edits.items():
         *sections, key = path.split(".")
         node = doc

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -359,11 +360,16 @@ class TestExitCodes:
 
     def test_missing_scenario(self, capsys):
         assert run("resolve") == 1
-        assert "scenario" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "ucspd: error: no scenario given; pass a file path or one of the bundled names "
+            "l1_300mw.scenario, l2_300mw.scenario, l3_300mw.scenario\n"
+        )
 
     def test_unknown_scenario_name(self, capsys):
         assert run("resolve", "no_such_scenario") == 1
-        assert "no_such_scenario" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "ucspd: error: scenario 'no_such_scenario' is neither a file nor a bundled name\n"
+        )
 
     def test_conflicting_scenario_arguments(self, capsys):
         assert run("resolve", "l1_300mw", "--scenario", "l2_300mw") == 1
@@ -440,7 +446,7 @@ class TestExitCodes:
         ("timebin", ("experiment", "dt_fs"), 5.0e-324,
          "a time grid at 5e-324 fs spacing needs inf samples"),
         ("sweep", ("experiment", "sweep", "n_points"), 10 ** 12,
-         "experiment.sweep: sweep has 1000000000000 points"),
+         "experiment.sweep.n_points: 1000000000000 points"),
     ], ids=["limits-power_step", "scan-step", "deconv-step-subnormal", "resolve-dt",
             "resolve-dt-subnormal", "timebin-dt-subnormal", "sweep-n_points"])
     def test_oversized_arrays_are_refused(self, sub, path, value, cause, tmp_path, capsys):
@@ -894,3 +900,16 @@ class TestImportCost:
         assert probe["loaded_by_cli"] == []
         assert probe["optimize_after_fit"] is False
         assert probe["gate_width_fs"] == pytest.approx(408.6, rel=1e-3)
+
+    def test_cli_import_loads_no_importlib_resources(self):
+        # -S skips the site .pth files, which may import importlib.resources
+        # themselves; the dependencies are put on the path directly
+        paths = {str(Path(m.__file__).resolve().parents[1]) for m in (ucspd, np, scipy, yaml)}
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sorted(paths)))
+        probe = "import sys, ucspd.cli; print('importlib.resources' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", probe],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"

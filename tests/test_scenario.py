@@ -7,14 +7,16 @@ from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from scenario_edits import edited
 from ucspd import scenario as scenario_module
 from ucspd.errors import ScenarioError
 from ucspd.scenario import (
     _REQUIRED, _SCHEMA, _default, load_scenario, parse_scenario, scenario_with_seed,
 )
+from ucspd.waveform import MAX_SAMPLES
 
 BUNDLED = resources.files("ucspd") / "scenarios"
 NAMES = ("l1_300mw", "l2_300mw", "l3_300mw")
@@ -253,6 +255,40 @@ class TestProperties:
             parse_scenario(yaml.safe_dump(doc))
         assert str(err.value) == f"{'.'.join(path) or 'scenario'}: unknown keys: {key}"
 
+    # a span split into about 2 ** log2_steps steps: from fewer than one
+    # step to more than MAX_SAMPLES, so both refusals are near
+    @settings(deadline=None)
+    @given(start=st.floats(-1e15, 1e15), span=st.floats(1e-300, 1e15),
+           log2_steps=st.floats(-1.5, 20.5))
+    def test_every_accepted_scan_has_from_2_to_max_samples_points(self, start, span, log2_steps):
+        scan = accepted({"experiment.scan.start_fs": start,
+                         "experiment.scan.stop_fs": start + span,
+                         "experiment.scan.step_fs": span / 2.0 ** log2_steps}).scan
+        coordinates = scan.coordinates()
+        assert 2 <= coordinates.size <= MAX_SAMPLES
+        assert coordinates[0] == scan.start_fs
+
+    @settings(deadline=None)
+    @given(start=st.floats(1e-300, 1e15), span=st.floats(1e-300, 1e15),
+           log2_steps=st.floats(-1.5, 20.5))
+    def test_every_accepted_power_sweep_has_from_1_to_max_samples_powers(
+        self, start, span, log2_steps
+    ):
+        limits = accepted({"experiment.limits.power_start_mw": start,
+                           "experiment.limits.power_stop_mw": start + span,
+                           "experiment.limits.power_step_mw": span / 2.0 ** log2_steps}).limits
+        powers = limits.powers_mw()
+        assert 1 <= len(powers) <= MAX_SAMPLES
+        assert powers[0] == limits.power_start_mw
+
+
+def accepted(edits):
+    """The bundled scenario with ``edits``; a draw the parser refuses is discarded."""
+    try:
+        return parse_scenario(edited(edits))
+    except ScenarioError:
+        assume(False)
+
 
 class TestReadme:
     """README.md's key table under "Scenario files" matches the schema, and its
@@ -337,10 +373,10 @@ class TestDiagnostics:
     @pytest.mark.parametrize("old,new,path", [
         ("seed: 20260815", "seed: -5", "seed"),
         ("start_fs: -1800.0", "start_fs: 1800.0", "scan"),
-        ("n_points: 24", "n_points: 3", "sweep"),
+        ("n_points: 24", "n_points: 3", r"sweep\.n_points: must be at least 5, got 3"),
         ("contrast: 0.982", "contrast: 0.0", "contrast"),
         ("power_stop_mw: 500.0", "power_stop_mw: 10.0", "power"),
-        ("signal: timebin", "signal: chirped", "signal"),
+        ("signal: timebin", "signal: chirped", r"experiment\.scan\.signal"),
         ("calibration_noise_cps: 800.0", "calibration_noise_cps: 10.0", "noise"),
         # a key's own range is checked by the schema, which names the key
         ("step_fs: 25.0", "step_fs: 0.0", r"experiment\.scan\.step_fs: must be positive"),
