@@ -42,11 +42,7 @@ from .simulate import (
 )
 from .svgplot import line_plot
 from .timebin import (
-    TimeBinState,
-    apply_interferometer,
-    center_bin_expectation,
-    slot_probabilities,
-    synthesize_waveform,
+    apply_interferometer, center_bin_expectation, slot_probabilities, synthesize_waveform,
 )
 from .waveform import (
     SampledWaveform, TimeGrid, check_sample_count, convolve, csv_text, fwhm, gaussian_waveform,
@@ -223,9 +219,9 @@ def _resolution_kernel(scenario: Scenario) -> SampledWaveform:
     return resolution_function(scenario.pump_fwhm_fs, scenario.gate_width_fs, grid)
 
 
-def _detection_limit(scenario: Scenario, power_mw: float | None = None) -> float:
-    noise = scenario.noise_cps_at(power_mw)
-    eta = scenario.external_eta_at(power_mw)
+def _detection_limit(scenario: Scenario, point: tuple, power_mw: float | None = None) -> float:
+    """The limit per pulse at ``point``, the scenario's operating point at ``power_mw``."""
+    internal, eta, noise = point
     chain = (scenario.apd_efficiency, scenario.fiber_coupling, scenario.filter_transmittance)
     # with every chain fraction above 0, a zero efficiency is an underflow (the
     # schema keeps the pump's inputs positive); efficiency grows with power, so
@@ -235,29 +231,30 @@ def _detection_limit(scenario: Scenario, power_mw: float | None = None) -> float
         power = scenario.pump_power_mw if power_mw is None else power_mw
         raise NumericalError(
             f"external efficiency at {key} = {power!r} mW underflows to 0: internal "
-            f"efficiency {scenario.internal_eta_at(power_mw)!r} (detector.pump) times "
+            f"efficiency {internal!r} (detector.pump) times "
             f"detector.chain {' * '.join(map(repr, chain))}, so the limit per pulse is undefined"
         )
     return detection_limit(noise, scenario.limits.integration_s, eta, scenario.rep_rate_hz)
 
 
-def _timebin_state(scenario: Scenario) -> TimeBinState:
+def _timebin_state(scenario: Scenario) -> np.ndarray:
+    """Slot amplitudes of one photon after the two interferometer passes."""
     section = scenario.timebin
-    state = TimeBinState.single(section.slot_spacing_fs)
+    amplitudes = np.ones(1, dtype=np.complex128)
     for phase in (section.phase_rad, section.phase_prime_rad):
-        state = apply_interferometer(state, phase, section.contrast)
-    return state
+        amplitudes = apply_interferometer(amplitudes, phase, section.contrast)
+    return amplitudes
 
 
 def _timebin_waveform(scenario: Scenario, dt_fs: float) -> SampledWaveform:
-    state = _timebin_state(scenario)
+    amplitudes = _timebin_state(scenario)
     spacing = scenario.timebin.slot_spacing_fs
-    n_slots = state.amplitudes.size
+    n_slots = amplitudes.size
     margin = 3.0 * scenario.signal_fwhm_fs + dt_fs
     steps = np.ceil(((n_slots - 1) * spacing + 2.0 * margin) / dt_fs)
     check_sample_count(steps + 1.0, f"a time grid at {dt_fs!r} fs spacing")
     grid = TimeGrid(-margin, dt_fs, int(steps) + 1)
-    synthesized = synthesize_waveform(state, scenario.signal_fwhm_fs, grid)
+    synthesized = synthesize_waveform(amplitudes, spacing, scenario.signal_fwhm_fs, grid)
     # center the pulse train on zero delay
     return synthesized.shifted(-0.5 * (n_slots - 1) * spacing)
 
@@ -276,13 +273,14 @@ def _scan_signal(scenario: Scenario, dt_fs: float) -> SampledWaveform:
 
 def _run_delay_scan(scenario: Scenario, stage: int, kernel: SampledWaveform):
     signal = _scan_signal(scenario, scenario.dt_fs)
+    _, external, noise = scenario.operating_point()
     rate = delay_rate_function(
         signal,
         kernel,
         mean_photons_per_pulse=scenario.mean_photons_per_pulse,
-        external_eta=scenario.external_eta_at(),
+        external_eta=external,
         rep_rate_hz=scenario.rep_rate_hz,
-        noise_cps=scenario.noise_cps_at(),
+        noise_cps=noise,
     )
     config = ScanConfig(
         coordinates=scenario.scan.coordinates(),
@@ -295,7 +293,7 @@ def _run_delay_scan(scenario: Scenario, stage: int, kernel: SampledWaveform):
 def _run_sweep(scenario: Scenario):
     sweep = scenario.sweep
     phases = np.linspace(0.0, 2.0 * np.pi, sweep.n_points, endpoint=False)
-    noise = scenario.noise_cps_at() if sweep.include_noise else 0.0
+    noise = scenario.operating_point()[2] if sweep.include_noise else 0.0
     result = run_phase_sweep(
         phases,
         contrast=scenario.timebin.contrast,
@@ -330,6 +328,7 @@ def _write_delay_scan(files: _Artifacts, name: str, scenario: Scenario, result) 
 def _cmd_resolve(scenario: Scenario, files: _Artifacts) -> dict:
     kernel = _resolution_kernel(scenario)
     fwhm_fs = fwhm(kernel)
+    internal, external, noise = scenario.operating_point()
     files.waveform("resolution.csv", kernel, kind="resolution")
     files.json("resolution.json", {
         "L_mm": scenario.length_mm,
@@ -339,9 +338,9 @@ def _cmd_resolve(scenario: Scenario, files: _Artifacts) -> dict:
         "fwhm_fs": fwhm_fs,
         "pump_fwhm_fs": scenario.pump_fwhm_fs,
         "pump_power_mw": scenario.pump_power_mw,
-        "eta_internal": scenario.internal_eta_at(),
-        "eta_external": scenario.external_eta_at(),
-        "noise_cps": scenario.noise_cps_at(),
+        "eta_internal": internal,
+        "eta_external": external,
+        "noise_cps": noise,
     })
     files.plot(
         "resolution.svg",
@@ -355,7 +354,7 @@ def _cmd_scan(scenario: Scenario, files: _Artifacts) -> dict:
     result = _run_delay_scan(scenario, _STAGE_SCAN, _resolution_kernel(scenario))
     _write_delay_scan(files, "scan.csv", scenario, result)
     files.manifest("scan_manifest.json", _STAGE_SCAN, ["scan.csv"], {
-        "kind": "delay", **scenario.scan._asdict(), "noise_cps": scenario.noise_cps_at(),
+        "kind": "delay", **scenario.scan._asdict(), "noise_cps": scenario.operating_point()[2],
     })
     files.plot(
         "scan.svg",
@@ -409,11 +408,9 @@ def _cmd_timebin(scenario: Scenario, files: _Artifacts) -> dict:
 def _cmd_limits(scenario: Scenario, files: _Artifacts) -> dict:
     section = scenario.limits
     powers = section.powers_mw()
-    limits = [_detection_limit(scenario, power) for power in powers]
-    columns = [powers] + [
-        [at(power) for power in powers]
-        for at in (scenario.internal_eta_at, scenario.external_eta_at, scenario.noise_cps_at)
-    ] + [limits]
+    points = [scenario.operating_point(power) for power in powers]
+    limits = [_detection_limit(scenario, point, power) for point, power in zip(points, powers)]
+    columns = [powers, *zip(*points), limits]
     files.table(
         "limits.csv",
         "power_mw,eta_internal,eta_external,noise_cps,limit_per_pulse",
@@ -426,7 +423,7 @@ def _cmd_limits(scenario: Scenario, files: _Artifacts) -> dict:
     files.json("limits.json", {
         **summary,
         "integration_s": section.integration_s,
-        "limit_at_scenario_power": _detection_limit(scenario),
+        "limit_at_scenario_power": _detection_limit(scenario, scenario.operating_point()),
     })
     files.plot(
         "limits.svg",
@@ -437,7 +434,7 @@ def _cmd_limits(scenario: Scenario, files: _Artifacts) -> dict:
 
 
 def _cmd_deconv(scenario: Scenario, files: _Artifacts) -> dict:
-    noise = scenario.noise_cps_at()
+    noise = scenario.operating_point()[2]
     kernel = _resolution_kernel(scenario)
     result = _run_delay_scan(scenario, _STAGE_DECONV, kernel)
     step = scenario.scan.step_fs
@@ -554,16 +551,18 @@ def _cmd_report(scenario: Scenario, files: _Artifacts) -> dict:
         }
 
     _, _, vis = _fit_sweep(scenario)
+    point = scenario.operating_point()
+    internal, external, noise = point
     summary = {
         "seed": scenario.seed,
         "model_versions": _MODEL_VERSIONS,
         "fwhm_fs": fwhm_fs,
         "gate_width_fs": scenario.gate_width_fs,
         "gate_fit": gate_fit,
-        "eta_internal": scenario.internal_eta_at(),
-        "eta_external": scenario.external_eta_at(),
-        "noise_cps": scenario.noise_cps_at(),
-        "limit_per_pulse": _detection_limit(scenario),
+        "eta_internal": internal,
+        "eta_external": external,
+        "noise_cps": noise,
+        "limit_per_pulse": _detection_limit(scenario, point),
         "visibility": {"value": vis.visibility, "sigma": vis.visibility_sigma},
         "timebin_probabilities": _slot_probabilities(scenario),
     }

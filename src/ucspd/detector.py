@@ -5,7 +5,9 @@ fiber re-coupling, spectral filtering, and the silicon APD, so the external
 efficiency is a plain product of those factors.  The internal conversion
 step saturates with pump power, and the dominant noise background grows
 roughly exponentially alongside it, which is why there is an optimum
-operating point at all.
+operating point at all.  Each curve is a few numbers: ``pump_eta_max`` and
+``noise_n0`` fix its scale from one calibration point, and
+``efficiency_at_power`` and ``noise_cps`` evaluate it.
 
 The detection limit follows counting statistics: with a noise rate N over an
 integration time T the count fluctuation is sqrt(N T), and a signal is
@@ -19,15 +21,14 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 from .errors import NumericalError, ValidationError
 
 __all__ = [
-    "PumpEfficiencyModel",
-    "NoiseModel",
     "external_efficiency",
+    "pump_eta_max",
     "efficiency_at_power",
+    "noise_n0",
     "noise_cps",
     "detection_limit",
 ]
@@ -40,93 +41,66 @@ def external_efficiency(
     return internal_eta * apd_efficiency * fiber_coupling * filter_transmittance
 
 
-@dataclass(frozen=True)
-class PumpEfficiencyModel:
-    """Saturating internal conversion efficiency versus average pump power.
+def pump_eta_max(calibration_power_mw: float, calibration_eta: float, p_sat_mw: float) -> float:
+    """``eta_max`` of the saturating curve through one measured efficiency.
 
     ``eta(P) = eta_max * (1 - exp(-P / p_sat_mw))``: linear at low power,
     flattening once the pump depletes the available conversion bandwidth.
     """
-
-    eta_max: float
-    p_sat_mw: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.eta_max) and 0.0 < self.eta_max <= 1.0):
-            raise ValidationError(f"eta_max must be in (0, 1], got {self.eta_max}")
-
-    @classmethod
-    def from_calibration(
-        cls, power_mw: float, eta: float, p_sat_mw: float
-    ) -> "PumpEfficiencyModel":
-        """Anchor the curve so it passes exactly through one measured point."""
-        saturation = -math.expm1(-power_mw / p_sat_mw)
-        if saturation == 0.0:
-            raise ValidationError(
-                f"calibration power {power_mw} mW against saturation power {p_sat_mw} mW "
-                "gives 1 - exp(-P / p_sat) = 0, which cannot fix eta_max"
-            )
-        eta_max = eta / saturation
-        return cls(eta_max, p_sat_mw)
+    saturation = -math.expm1(-calibration_power_mw / p_sat_mw)
+    if saturation == 0.0:
+        raise ValidationError(
+            f"calibration power {calibration_power_mw} mW against saturation power {p_sat_mw} mW "
+            "gives 1 - exp(-P / p_sat) = 0, which cannot fix eta_max"
+        )
+    eta_max = calibration_eta / saturation
+    if not (math.isfinite(eta_max) and 0.0 < eta_max <= 1.0):
+        raise ValidationError(f"eta_max must be in (0, 1], got {eta_max}")
+    return eta_max
 
 
-def efficiency_at_power(model: PumpEfficiencyModel, power_mw: float) -> float:
+def efficiency_at_power(eta_max: float, p_sat_mw: float, power_mw: float) -> float:
     """Internal conversion efficiency at the given average pump power."""
-    return model.eta_max * -math.expm1(-power_mw / model.p_sat_mw)
+    return eta_max * -math.expm1(-power_mw / p_sat_mw)
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    """Noise count rate versus internal conversion efficiency.
+def noise_n0(dark_cps: float, growth_per_unit_eta: float, eta_ref: float,
+             noise_cps_ref: float) -> float:
+    """``n0_cps`` of the noise curve through one measured noise rate.
 
     ``noise(eta) = dark_cps + n0_cps * (exp(growth * eta) - 1)``.  The dark
     term is the APD floor (about 100 cps for the silicon devices used here);
     the second term captures pump-induced backgrounds, which rise much faster
     than the conversion efficiency itself.
     """
-
-    dark_cps: float
-    n0_cps: float
-    growth_per_unit_eta: float
-
-    def __post_init__(self) -> None:
-        # from_calibration's n0 overflows when the term it divides by is subnormal
-        if not (math.isfinite(self.n0_cps) and self.n0_cps >= 0.0):
-            raise ValidationError(f"n0_cps must be >= 0, got {self.n0_cps}")
-
-    @classmethod
-    def from_calibration(
-        cls,
-        dark_cps: float,
-        growth_per_unit_eta: float,
-        eta_ref: float,
-        noise_cps_ref: float,
-    ) -> "NoiseModel":
-        """Fix ``n0`` so the curve passes through one measured noise rate."""
-        if noise_cps_ref < dark_cps:
-            raise ValidationError(
-                f"reference noise {noise_cps_ref} cps is below the dark floor {dark_cps} cps"
-            )
-        try:
-            scale = math.expm1(growth_per_unit_eta * eta_ref)
-        except OverflowError:
-            scale = math.inf
-        if scale == 0.0 or math.isinf(scale):
-            raise ValidationError(
-                f"growth_per_unit_eta {growth_per_unit_eta} with eta_ref {eta_ref} gives "
-                f"exp(growth * eta_ref) - 1 = {scale}, which cannot fix n0_cps"
-            )
-        n0 = (noise_cps_ref - dark_cps) / scale
-        return cls(dark_cps, n0, growth_per_unit_eta)
+    if noise_cps_ref < dark_cps:
+        raise ValidationError(
+            f"reference noise {noise_cps_ref} cps is below the dark floor {dark_cps} cps"
+        )
+    try:
+        scale = math.expm1(growth_per_unit_eta * eta_ref)
+    except OverflowError:
+        scale = math.inf
+    if scale == 0.0 or math.isinf(scale):
+        raise ValidationError(
+            f"growth_per_unit_eta {growth_per_unit_eta} with eta_ref {eta_ref} gives "
+            f"exp(growth * eta_ref) - 1 = {scale}, which cannot fix n0_cps"
+        )
+    n0 = (noise_cps_ref - dark_cps) / scale
+    # n0 overflows when the term it divides by is subnormal
+    if not (math.isfinite(n0) and n0 >= 0.0):
+        raise ValidationError(f"n0_cps must be >= 0, got {n0}")
+    return n0
 
 
-def noise_cps(model: NoiseModel, internal_eta: float) -> float:
+def noise_cps(dark_cps: float, n0_cps: float, growth_per_unit_eta: float,
+              internal_eta: float) -> float:
     """Noise rate at the given internal efficiency operating point."""
     try:
-        growth = math.expm1(model.growth_per_unit_eta * internal_eta)
+        growth = math.expm1(growth_per_unit_eta * internal_eta)
     except OverflowError:
         growth = math.inf
-    noise = model.dark_cps + model.n0_cps * growth
+    noise = dark_cps + n0_cps * growth
     if not math.isfinite(noise):
         raise ValidationError(f"noise rate overflows at internal efficiency {internal_eta}")
     return noise

@@ -1,7 +1,7 @@
 """Declarative run configuration: one YAML document drives every subcommand.
 
 A scenario file is the reproducibility contract: it pins the detector
-(crystal, efficiency chain, pump saturation, noise model), the source
+(crystal, efficiency chain, pump saturation, noise growth), the source
 (pulse widths, photon flux), the experiment parameters for each subcommand,
 and the random seed.
 
@@ -35,13 +35,7 @@ from collections import namedtuple
 import numpy as np
 import yaml
 
-from .detector import (
-    NoiseModel,
-    PumpEfficiencyModel,
-    efficiency_at_power,
-    external_efficiency,
-    noise_cps,
-)
+from .detector import efficiency_at_power, external_efficiency, noise_cps, noise_n0, pump_eta_max
 from .errors import ScenarioError, ValidationError
 from .waveform import MAX_SAMPLES, check_sample_count
 
@@ -363,15 +357,18 @@ _SECTIONS = {
 
 
 class Scenario(namedtuple("Scenario", [
-    *_leaves(_SCHEMA), *_DETECTOR["crystal"], *_DETECTOR["chain"], "pump_model", "noise_model",
+    *_leaves(_SCHEMA), *_DETECTOR["crystal"], *_DETECTOR["chain"], "pump_curve", "noise_curve",
     *_SCHEMA["source"], *_EXPERIMENT, "effective_json",
 ])):
     """A fully validated run configuration, with fields taken from the schema.
 
     The top-level, crystal, chain and source keys are fields, and so is each
-    experiment key, a section as a record of its own keys; the pump and noise
-    keys become ``pump_model`` and ``noise_model`` at parse time.
-    ``effective_json`` is the canonical form the scenario hash is computed from.
+    experiment key, a section as a record of its own keys.  The pump and noise
+    keys become two curves at parse time: ``pump_curve`` is
+    ``(eta_max, p_sat_mw)`` and ``noise_curve`` is
+    ``(dark_cps, n0_cps, growth_per_unit_eta)``, which ``operating_point``
+    evaluates.  ``effective_json`` is the canonical form the scenario hash is
+    computed from.
     """
 
     __slots__ = ()
@@ -390,20 +387,17 @@ class Scenario(namedtuple("Scenario", [
         """The defaults-filled configuration the hash is computed over."""
         return json.loads(self.effective_json)
 
-    def internal_eta_at(self, power_mw: float | None = None) -> float:
+    def operating_point(self, power_mw: float | None = None) -> tuple:
+        """``(internal efficiency, external efficiency, noise cps)`` at a pump power.
+
+        The power is ``pump_power_mw`` unless one is given.
+        """
         power = self.pump_power_mw if power_mw is None else power_mw
-        return efficiency_at_power(self.pump_model, power)
-
-    def external_eta_at(self, power_mw: float | None = None) -> float:
-        return external_efficiency(
-            self.internal_eta_at(power_mw),
-            self.apd_efficiency,
-            self.fiber_coupling,
-            self.filter_transmittance,
+        internal = efficiency_at_power(*self.pump_curve, power)
+        external = external_efficiency(
+            internal, self.apd_efficiency, self.fiber_coupling, self.filter_transmittance
         )
-
-    def noise_cps_at(self, power_mw: float | None = None) -> float:
-        return noise_cps(self.noise_model, self.internal_eta_at(power_mw))
+        return internal, external, noise_cps(*self.noise_curve, internal)
 
 
 def _canonical_json(effective: dict) -> str:
@@ -435,25 +429,21 @@ def parse_scenario(text: str) -> Scenario:
     output_dir = tree.pop("output_dir")
     detector, experiment = tree["detector"], tree["experiment"]
     pump, noise = detector["pump"], detector["noise"]
-    pump_model = _build(
-        "detector.pump", PumpEfficiencyModel.from_calibration,
-        pump["calibration_power_mw"], pump["calibration_eta"], pump["p_sat_mw"],
-    )
-    noise_model = _build(
-        "detector.noise", NoiseModel.from_calibration,
-        noise["dark_cps"], noise["growth_per_unit_eta"],
-        noise["calibration_eta"], noise["calibration_noise_cps"],
-    )
+    eta_max = _build("detector.pump", pump_eta_max, pump["calibration_power_mw"],
+                     pump["calibration_eta"], pump["p_sat_mw"])
+    n0_cps = _build("detector.noise", noise_n0, noise["dark_cps"], noise["growth_per_unit_eta"],
+                    noise["calibration_eta"], noise["calibration_noise_cps"])
+    noise_curve = (noise["dark_cps"], n0_cps, noise["growth_per_unit_eta"])
     # noise grows with efficiency, and no pump power takes the efficiency
     # beyond eta_max, so a noise rate that is finite there is finite everywhere
-    _build("detector.noise", noise_cps, noise_model, pump_model.eta_max)
+    _build("detector.noise", noise_cps, *noise_curve, eta_max)
     return Scenario(
         **{key: tree[key] for key in _leaves(tree)},
         output_dir=output_dir,
         **detector["crystal"],
         **detector["chain"],
-        pump_model=pump_model,
-        noise_model=noise_model,
+        pump_curve=(eta_max, pump["p_sat_mw"]),
+        noise_curve=noise_curve,
         **tree["source"],
         **{key: _SECTIONS[key](**value) if key in _SECTIONS else value
            for key, value in experiment.items()},

@@ -1,8 +1,12 @@
 """Time-bin qubit states and their passage through delay interferometers.
 
-A state is a vector of complex amplitudes over equally spaced time slots.
-An unbalanced interferometer whose path difference equals the slot spacing
-splits each amplitude, phase-shifts the delayed copy, and recombines:
+A state is a complex array of amplitudes over equally spaced time slots;
+the functions here take the array, and only ``synthesize_waveform``, which
+places slot ``k`` at ``k`` times the spacing, takes the spacing as well.
+Every sequence used here starts from one photon in one slot,
+``np.ones(1, dtype=np.complex128)``.  An unbalanced interferometer whose path
+difference equals the slot spacing splits each amplitude, phase-shifts the
+delayed copy, and recombines:
 
     |n>  ->  (|n> + e^{i phi} |n + 1>) / sqrt(2).
 
@@ -21,7 +25,6 @@ double-pass state is ``4 cos^2((phi - phi') / 2) : 1`` exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +32,6 @@ from .errors import ValidationError
 from .waveform import SampledWaveform, TimeGrid, gaussian_waveform
 
 __all__ = [
-    "TimeBinState",
     "apply_interferometer",
     "slot_probabilities",
     "synthesize_waveform",
@@ -37,34 +39,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TimeBinState:
-    """Complex amplitudes over uniformly spaced time slots.
-
-    Slot ``k`` sits at time ``k * slot_spacing_fs`` relative to the first
-    slot.  Amplitudes are stored as a read-only complex copy and need not be
-    normalized; probabilities are always formed relative to the total.
-    """
-
-    amplitudes: np.ndarray
-    slot_spacing_fs: float
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.amplitudes, dtype=np.complex128, copy=True)
-        arr.setflags(write=False)
-        object.__setattr__(self, "amplitudes", arr)
-
-    @property
-    def n_slots(self) -> int:
-        return int(self.amplitudes.size)
-
-    @classmethod
-    def single(cls, slot_spacing_fs: float) -> "TimeBinState":
-        """One photon in one slot, the input of every sequence used here."""
-        return cls(np.array([1.0 + 0.0j]), slot_spacing_fs)
-
-
-def apply_interferometer(state: TimeBinState, phase_rad: float, contrast: float) -> TimeBinState:
+def apply_interferometer(amplitudes: np.ndarray, phase_rad: float, contrast: float) -> np.ndarray:
     """Propagate a state through one unbalanced interferometer pass.
 
     The path difference is one slot.  Each amplitude splits into an
@@ -75,22 +50,22 @@ def apply_interferometer(state: TimeBinState, phase_rad: float, contrast: float)
     kept so splitting losses stay explicit; with contrast 1 a single
     occupied slot keeps unit total probability.
     """
-    a = state.amplitudes
-    out = np.zeros(a.size + 1, dtype=np.complex128)
+    out = np.zeros(amplitudes.size + 1, dtype=np.complex128)
     shift = contrast * np.exp(1j * phase_rad)
-    out[:-1] += a
-    out[1:] += shift * a
-    return TimeBinState(out / math.sqrt(2.0), state.slot_spacing_fs)
+    out[:-1] += amplitudes
+    out[1:] += shift * amplitudes
+    return out / math.sqrt(2.0)
 
 
-def slot_probabilities(state: TimeBinState) -> np.ndarray:
+def slot_probabilities(amplitudes: np.ndarray) -> np.ndarray:
     """Occupation probabilities per slot, normalized to sum to one."""
-    p = np.abs(state.amplitudes) ** 2
+    p = np.abs(amplitudes) ** 2
     return p / p.sum()
 
 
 def synthesize_waveform(
-    state: TimeBinState,
+    amplitudes: np.ndarray,
+    slot_spacing_fs: float,
     pulse_fwhm_fs: float,
     grid: TimeGrid,
 ) -> SampledWaveform:
@@ -102,8 +77,8 @@ def synthesize_waveform(
     probability in the state.  The grid is taken as given, so a pulse that
     reaches past its ends is clipped there.
     """
-    centers = state.slot_spacing_fs * np.arange(state.n_slots)
-    weights = np.abs(state.amplitudes) ** 2
+    centers = slot_spacing_fs * np.arange(amplitudes.size)
+    weights = np.abs(amplitudes) ** 2
     total = np.zeros(grid.n)
     for center, weight in zip(centers, weights):
         if weight > 0.0:

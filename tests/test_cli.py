@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
 import ucspd
+import ucspd.scenario
 from scenario_edits import edited
 from waveform_csv import read_csv
 from waveform_measures import peak_time_fs
@@ -216,6 +217,19 @@ class TestLimits:
         best = table[np.argmin(table[:, 4])]
         assert summary["best_power_mw"] == best[0]
 
+    def test_each_power_is_evaluated_once(self, tmp_path, monkeypatch):
+        # eta(P) once per swept power, then once at source.pump_power_mw
+        # for limit_at_scenario_power
+        real, powers = ucspd.scenario.efficiency_at_power, []
+
+        def spy(*args):
+            powers.append(args[-1])  # the power comes last
+            return real(*args)
+
+        monkeypatch.setattr(ucspd.scenario, "efficiency_at_power", spy)
+        assert run("limits", "l2_300mw", "--out", str(tmp_path / "art"), "--quiet") == 0
+        assert powers == [50.0 + 25.0 * k for k in range(19)] + [300.0]
+
 
 class TestDeconv:
     def test_recovers_pulse_train(self, tmp_path):
@@ -313,7 +327,7 @@ class TestDeconv:
         assert run("deconv", str(dark), "--out", str(out), "--seed", "1") == 2
         assert "not above the background total" in capsys.readouterr().err
         metadata, _, columns = read_table(out / "deconv_scan.csv")
-        noise = parse_scenario(dark.read_text(encoding="utf-8")).noise_cps_at()
+        noise = parse_scenario(dark.read_text(encoding="utf-8")).operating_point()[2]
         background = noise * float(metadata["dwell_s"])
         assert columns[:, 1].sum() <= columns.shape[0] * background
 
@@ -634,6 +648,15 @@ class TestExitCodes:
     @pytest.mark.parametrize("sub, edits, cause", [
         ("limits", {"detector.noise.growth_per_unit_eta": 1.0e-308},
          "detector.noise: n0_cps must be >= 0, got inf"),
+        ("resolve", {"detector.pump.calibration_power_mw": 10.0,
+                     "detector.pump.calibration_eta": 0.99},
+         "detector.pump: eta_max must be in (0, 1], got 20.29912482813523"),
+        ("resolve", {"detector.pump.calibration_power_mw": 5.0e-324,
+                     "detector.pump.p_sat_mw": 1.0e300},
+         "detector.pump: calibration power 5e-324 mW against saturation power 1e+300 mW "
+         "gives 1 - exp(-P / p_sat) = 0, which cannot fix eta_max"),
+        ("resolve", {"detector.noise.calibration_noise_cps": 50.0},
+         "detector.noise: reference noise 50.0 cps is below the dark floor 100.0 cps"),
         ("scan", {"experiment.scan.start_fs": 1.0e16,
                   "experiment.scan.stop_fs": 1.00000000000001e16,
                   "experiment.scan.step_fs": 1.0},
@@ -643,7 +666,8 @@ class TestExitCodes:
         ("timebin", {"experiment.timebin.phase_rad": 1.0e308,
                      "experiment.timebin.phase_prime_rad": -1.0e308},
          "phase difference must be finite"),
-    ], ids=["noise-n0", "scan-rounded-coordinates", "report-short-scan", "timebin-phases"])
+    ], ids=["noise-n0", "pump-eta-max-above-1", "pump-no-saturation", "noise-below-dark",
+            "scan-rounded-coordinates", "report-short-scan", "timebin-phases"])
     def test_computed_values_are_refused(self, sub, edits, cause, tmp_path, capsys):
         scenario = tmp_path / "edge.scenario"
         scenario.write_text(edited(edits), encoding="utf-8")

@@ -17,12 +17,12 @@ from oracles import (
 )
 from scenario_edits import edited
 from ucspd.detector import (
-    NoiseModel,
-    PumpEfficiencyModel,
     detection_limit,
     efficiency_at_power,
     external_efficiency,
     noise_cps,
+    noise_n0,
+    pump_eta_max,
 )
 from ucspd.errors import NumericalError, ScenarioError, ValidationError
 from ucspd.scenario import parse_scenario
@@ -57,7 +57,7 @@ class TestEfficiencyChain:
     def test_factors_must_be_fractions(self, field):
         # each factor is held to its range where it enters, by the scenario
         # schema: the chain keys directly, the internal efficiency through
-        # its pump calibration (the pump model then keeps eta_max <= 1)
+        # its pump calibration (pump_eta_max then keeps eta_max <= 1)
         path = ("detector.pump.calibration_eta" if field == "internal_upconversion"
                 else f"detector.chain.{field}")
         for value in (1.5, -0.1):
@@ -67,8 +67,7 @@ class TestEfficiencyChain:
 
 class TestPumpEfficiencyModel:
     def test_zero_power_gives_zero(self):
-        model = PumpEfficiencyModel(eta_max=0.13, p_sat_mw=200.0)
-        assert efficiency_at_power(model, 0.0) == 0.0
+        assert efficiency_at_power(0.13, 200.0, 0.0) == 0.0
 
     def test_negative_power_rejected(self):
         # every power the model is evaluated at comes from these two keys
@@ -77,57 +76,57 @@ class TestPumpEfficiencyModel:
                 parse_scenario(edited({path: -1.0}))
 
     def test_calibrated_curve_reproduces_anchor(self):
-        model = PumpEfficiencyModel.from_calibration(300.0, 0.101, p_sat_mw=200.0)
-        assert efficiency_at_power(model, 300.0) == pytest.approx(0.101, rel=1e-12)
+        eta_max = pump_eta_max(300.0, 0.101, p_sat_mw=200.0)
+        assert efficiency_at_power(eta_max, 200.0, 300.0) == pytest.approx(0.101, rel=1e-12)
 
     def test_two_saturation_constants_value(self):
-        model = PumpEfficiencyModel(eta_max=0.13, p_sat_mw=200.0)
         expected = 0.13 * (1.0 - math.exp(-2.0))
-        assert efficiency_at_power(model, 400.0) == pytest.approx(expected, rel=1e-12)
+        assert efficiency_at_power(0.13, 200.0, 400.0) == pytest.approx(expected, rel=1e-12)
 
     def test_slope_strictly_decreasing(self):
-        model = PumpEfficiencyModel.from_calibration(300.0, 0.101, p_sat_mw=200.0)
+        eta_max = pump_eta_max(300.0, 0.101, p_sat_mw=200.0)
         powers = np.arange(0.0, 501.0, 1.0)
-        etas = np.array([efficiency_at_power(model, p) for p in powers])
+        etas = np.array([efficiency_at_power(eta_max, 200.0, p) for p in powers])
         slopes = np.diff(etas)
         assert np.all(np.diff(slopes) < 0.0)
-        assert np.all(etas <= model.eta_max)
+        assert np.all(etas <= eta_max)
 
     def test_parameter_ranges(self):
-        with pytest.raises(ValidationError):
-            PumpEfficiencyModel(eta_max=0.0, p_sat_mw=200.0)
-        with pytest.raises(ValidationError):
-            PumpEfficiencyModel(eta_max=1.2, p_sat_mw=200.0)
+        # positive inputs cannot make eta_max 0, but a calibration point
+        # above the curve's reach makes it exceed 1
+        with pytest.raises(ValidationError, match=r"eta_max must be in \(0, 1\], got 1\.2"):
+            pump_eta_max(200.0, 1.2 * -math.expm1(-1.0), p_sat_mw=200.0)
         with pytest.raises(ScenarioError, match=r"detector\.pump\.p_sat_mw: must be positive"):
             parse_scenario(edited({"detector.pump.p_sat_mw": 0.0}))
 
 
 class TestNoiseModel:
-    def make_model(self, length=2.0, dark=100.0, growth=40.0):
-        return NoiseModel.from_calibration(
+    def make_curve(self, length=2.0, dark=100.0, growth=40.0):
+        """``(dark_cps, n0_cps, growth_per_unit_eta)`` through the length's anchor."""
+        n0 = noise_n0(
             dark_cps=dark,
             growth_per_unit_eta=growth,
             eta_ref=ETA_INT_BY_LENGTH[length],
             noise_cps_ref=NOISE_CPS_BY_LENGTH[length],
         )
+        return dark, n0, growth
 
     def test_zero_efficiency_gives_dark_floor(self):
-        model = self.make_model()
-        assert noise_cps(model, 0.0) == pytest.approx(100.0)
+        assert noise_cps(*self.make_curve(), 0.0) == pytest.approx(100.0)
 
     @pytest.mark.parametrize("length", [1.0, 2.0, 3.0])
     def test_calibration_point_reproduced(self, length):
-        model = self.make_model(length)
-        assert noise_cps(model, ETA_INT_BY_LENGTH[length]) == pytest.approx(
+        curve = self.make_curve(length)
+        assert noise_cps(*curve, ETA_INT_BY_LENGTH[length]) == pytest.approx(
             NOISE_CPS_BY_LENGTH[length], rel=1e-12
         )
 
     def test_monotone_and_above_dark(self):
-        model = self.make_model()
+        curve = self.make_curve()
         etas = np.linspace(0.0, 0.2, 101)
-        rates = np.array([noise_cps(model, e) for e in etas])
+        rates = np.array([noise_cps(*curve, e) for e in etas])
         assert np.all(np.diff(rates) > 0.0)
-        assert np.all(rates >= model.dark_cps)
+        assert np.all(rates >= 100.0)
 
     def test_eta_outside_unit_interval_rejected(self):
         # the model is evaluated at its calibration efficiency and at pump
@@ -139,18 +138,18 @@ class TestNoiseModel:
 
     def test_reference_below_dark_rejected(self):
         with pytest.raises(ValidationError):
-            NoiseModel.from_calibration(100.0, 40.0, 0.1, 50.0)
+            noise_n0(100.0, 40.0, 0.1, 50.0)
 
     @pytest.mark.parametrize("growth", [0.0, 1e300])
     def test_calibration_without_a_finite_rising_curve_rejected(self, growth):
         with pytest.raises(ValidationError, match="cannot fix n0_cps"):
-            NoiseModel.from_calibration(100.0, growth, 0.1, 800.0)
+            noise_n0(100.0, growth, 0.1, 800.0)
 
     def test_overflowing_noise_rate_rejected(self):
-        model = NoiseModel.from_calibration(100.0, 7000.0, 0.1, 800.0)
-        assert noise_cps(model, 0.1) == pytest.approx(800.0, rel=1e-12)
+        n0 = noise_n0(100.0, 7000.0, 0.1, 800.0)
+        assert noise_cps(100.0, n0, 7000.0, 0.1) == pytest.approx(800.0, rel=1e-12)
         with pytest.raises(ValidationError, match="overflows"):
-            noise_cps(model, 0.2)
+            noise_cps(100.0, n0, 7000.0, 0.2)
 
 
 class TestDetectionLimit:
@@ -192,7 +191,7 @@ class TestDetectionLimit:
     def test_subnormal_products_lose_no_digits(self, integration_s):
         # on l2 the detected pulses T * R * eta hold fewer digits than a float
         scenario = parse_scenario(edited({"experiment.limits.integration_s": integration_s}))
-        noise, eta = scenario.noise_cps_at(), scenario.external_eta_at()
+        _, eta, noise = scenario.operating_point()
         rate = scenario.rep_rate_hz
         assert 0.0 < integration_s * rate * eta < sys.float_info.min
         limit = detection_limit(noise, integration_s, eta, rate)

@@ -1,6 +1,7 @@
 """Scenario documents: schema, validation diagnostics, and hashing."""
 
 import json
+import math
 import re
 from importlib import resources
 from pathlib import Path
@@ -69,10 +70,11 @@ class TestParseBundled:
 
     def test_calibration_anchors_reproduce(self):
         s = parse_scenario(bundled_text())
-        # the pump and noise models pass exactly through their anchors
-        assert s.internal_eta_at(300.0) == pytest.approx(0.101, rel=1e-12)
-        assert s.noise_cps_at(300.0) == pytest.approx(800.0, rel=1e-12)
-        assert s.external_eta_at() == pytest.approx(0.101 * 0.41 * 0.85 * 0.94, rel=1e-12)
+        # the pump and noise curves pass exactly through their anchors
+        internal, _, noise = s.operating_point(300.0)
+        assert internal == pytest.approx(0.101, rel=1e-12)
+        assert noise == pytest.approx(800.0, rel=1e-12)
+        assert s.operating_point()[1] == pytest.approx(0.101 * 0.41 * 0.85 * 0.94, rel=1e-12)
 
     @pytest.mark.parametrize("name", ["l1_300mw", "l2_300mw", "l3_300mw"])
     def test_all_bundled_scenarios_parse(self, name):
@@ -218,6 +220,11 @@ def _shuffled(node, data):
     return {k: _shuffled(node[k], data) for k in data.draw(st.permutations(list(node)))}
 
 
+# a positive value a key may hold, from 5e-324 up, and a fraction in (0, 1]
+POSITIVE = st.floats(0.0, 1e300, exclude_min=True)
+FRACTION = st.floats(0.0, 1.0, exclude_min=True)
+
+
 class TestProperties:
     @given(name=st.sampled_from(NAMES), data=st.data())
     def test_key_order_never_changes_hash(self, name, data):
@@ -280,6 +287,32 @@ class TestProperties:
         powers = limits.powers_mw()
         assert 1 <= len(powers) <= MAX_SAMPLES
         assert powers[0] == limits.power_start_mw
+
+    # the parser checks the noise rate at eta_max alone; that holds for every
+    # power only if no power takes the efficiency past eta_max and the noise
+    # curve stays above its dark floor.  The draws span every calibration the
+    # parser accepts: eta_max in (0, 1] fixes the pump's calibration_eta, and
+    # the noise curve's exponent at the larger of eta_max and its calibration
+    # efficiency is at most 710, past which exp overflows
+    @settings(max_examples=50, deadline=None)
+    @given(eta_max=FRACTION, p_sat=POSITIVE, power=POSITIVE, noise_eta=FRACTION,
+           exponent=st.floats(0.0, 710.0), dark=st.floats(0.0, 1e300),
+           excess=st.floats(0.0, 1e300), powers=st.lists(POSITIVE, min_size=1, max_size=8))
+    def test_every_accepted_calibration_is_finite_at_every_power(
+        self, eta_max, p_sat, power, noise_eta, exponent, dark, excess, powers
+    ):
+        s = accepted({"detector.pump.p_sat_mw": p_sat,
+                      "detector.pump.calibration_power_mw": power,
+                      "detector.pump.calibration_eta": eta_max * -math.expm1(-power / p_sat),
+                      "detector.noise.dark_cps": dark,
+                      "detector.noise.growth_per_unit_eta": exponent / max(eta_max, noise_eta),
+                      "detector.noise.calibration_eta": noise_eta,
+                      "detector.noise.calibration_noise_cps": dark + excess})
+        for p in powers:
+            internal, external, noise = s.operating_point(p)
+            assert all(map(math.isfinite, (internal, external, noise)))
+            assert internal <= s.pump_curve[0]
+            assert noise >= s.noise_curve[0]
 
 
 def accepted(edits):
