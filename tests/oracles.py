@@ -4,9 +4,10 @@ Everything here is computed from closed forms and scipy routines that do not
 touch the package code paths under test: the Gaussian-CDF expression for a
 Gaussian convolved with a rectangle, the erf difference of a Gaussian
 delay scan, direct quadrature for convolution peaks, scipy's ``curve_fit``
-as the reference for the gate fit, and plain arithmetic for rates and
-limits.  The frozen numbers were evaluated once with the helpers in this
-module and are asserted against the library.
+as the reference for the gate fit, a stable sort as the reference for the
+plots' per-column reduction, and plain arithmetic for rates and limits.
+The frozen numbers were evaluated once with the helpers in this module and
+are asserted against the library.
 """
 
 import math
@@ -95,6 +96,30 @@ def erf_gate_curve_fit(delays, counts, pump_fwhm_fs, signal_fwhm_fs):
                            bounds=bounds, jac=jacobian, maxfev=2000)
     return popt, np.sqrt(np.diag(pcov))
 
+
+
+def m4_lexsort(x, y, x_lo, x_hi, plot_w):
+    """Reference M4: each pixel column's first, last, lowest and highest vertex.
+
+    The columns' lowest and highest vertices come from a stable sort by
+    column, then y (``np.lexsort``), so of tied vertices, ``-0.0`` and
+    ``0.0`` included, a column keeps its first lowest and its last highest.
+    Keeps every vertex when a column is not finite or x decreases anywhere.
+    Returns the kept vertices in their original order.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        col = np.floor((x - x_lo) / (x_hi - x_lo) * plot_w)
+    if not np.isfinite(col).all() or (x[1:] < x[:-1]).any():
+        return x, y
+    col = np.minimum(col, plot_w - 1)
+    # x does not decrease, so each column is one run, at the same positions
+    # in the lexsort order (by column, then y) as in the series itself
+    first = np.flatnonzero(np.r_[True, col[1:] != col[:-1]])
+    last = np.r_[first[1:] - 1, col.size - 1]
+    by_y = np.lexsort((y, col))
+    keep = np.zeros(col.size, dtype=bool)
+    keep[first] = keep[last] = keep[by_y[first]] = keep[by_y[last]] = True
+    return x[keep], y[keep]
 
 # FWHM of a 200 fs Gaussian pump gated by 204.3 fs/mm rectangles of 1/2/3 mm.
 GATE_FWHM_BY_LENGTH = {

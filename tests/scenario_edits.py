@@ -12,6 +12,8 @@ from importlib import resources
 import yaml
 
 BUNDLED = resources.files("ucspd") / "scenarios"
+# libyaml's emitter writes the same text as PyYAML's pure-Python one, faster
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
 @functools.cache
@@ -28,4 +30,4 @@ def edited(edits: dict, name: str = "l2_300mw") -> str:
         for section in sections:
             node = node.setdefault(section, {})
         node[key] = value
-    return yaml.safe_dump(doc, sort_keys=False)
+    return yaml.dump(doc, Dumper=_DUMPER, sort_keys=False)

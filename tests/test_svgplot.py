@@ -1,6 +1,7 @@
-"""SVG plots: polyline vertices formatted as the per-vertex loop did, and
-long series reduced to each pixel column's first, last, lowest and highest
-vertex."""
+"""SVG plots: polyline vertices formatted as the per-vertex loop did, also
+where a long series is written from one byte buffer, and long series reduced
+to each pixel column's first, last, lowest and highest vertex, ties kept as a
+stable sort keeps them."""
 
 import math
 import re
@@ -14,10 +15,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import m4_lexsort
 from ucspd import svgplot
 from ucspd.svgplot import line_plot
 
 _PLOT_W = svgplot._WIDTH - svgplot._MARGIN_LEFT - svgplot._MARGIN_RIGHT
+_N = svgplot.ARRAY_MIN_VERTICES
 
 
 def _per_vertex_points(series):
@@ -87,8 +90,54 @@ def _long_series(draw):
     return x, np.where(np.isnan(spikes), y, spikes)
 
 
+def _signed_zero_ties():
+    """Eight vertices a column, tied lowest at -0.0 then 0.0 and tied highest at 2.0."""
+    x = np.repeat(np.arange(300, dtype=np.float64), 8)
+    y = np.tile([1.0, -0.0, 0.0, 2.0, 2.0, 0.0, -0.0, 1.0], 300)
+    return x, y
+
+
 _EDGE_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-300, 5e-324]
 _FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=True))
+
+
+def _on_halves(n):
+    """x in sixteenths and y in 32nds of [0, 1]: pixel coordinates 78 + 33.625 j
+    and 358 - 9.875 j, many of them exact halves of the .2f rounding."""
+    j = np.arange(n)
+    return (j % 17 / 16).tolist(), (j % 33 / 32).tolist()
+
+
+_OUTSIDE = [-0.0, -5e-324, 1000.0, 1e300, math.nan, math.inf, -math.inf]
+
+
+@st.composite
+def _coordinates(draw):
+    """x and y rows of a polyline's pixel coordinates, on either side of the
+    array formatter's threshold: halves of the .2f rounding in binary (k / 8,
+    exact) and in decimal (k / 100 + 0.005, just off a binary half), one ulp
+    either side of them, or anywhere in [0, 1000); now and then one
+    coordinate outside [0, 1000)."""
+    n = draw(st.integers(_N - 2, _N + 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    halves = np.where(
+        rng.integers(0, 2, (2, n)) == 1,
+        rng.integers(0, 8 * 1000, (2, n)) / 8,
+        (rng.integers(0, 100 * 1000, (2, n)) + 0.5) / 100,
+    )
+    xy = np.nextafter(halves, halves + rng.integers(-1, 2, (2, n)))
+    xy = np.where(rng.random((2, n)) < draw(st.floats(0.0, 1.0)), rng.random((2, n)) * 1000, xy)
+    if draw(st.booleans()):
+        xy[draw(st.integers(0, 1)), draw(st.integers(0, n - 1))] = draw(st.sampled_from(_OUTSIDE))
+    return xy
+
+
+def _exact_halves():
+    """Vertices on .2f halves, one ulp either side, and at the bounds of [0, 1000)."""
+    halves = [33.625, 33.875, 0.125, 0.005, 0.015, 100.005, 999.995]
+    row = halves + [math.nextafter(v, to) for v in halves for to in (0.0, 1000.0)]
+    row += [0.0, 5e-324, math.nextafter(1000.0, 0.0)]
+    return np.resize(row, (2, _N))
 
 
 @st.composite
@@ -111,6 +160,12 @@ class TestLinePlot:
     @example(series=[([0.0, 1.0, 2.0], [0.0, 0.0, 0.0], "zeros")])
     @example(series=[([5e-324], [5e-324], "subnormal")])
     @example(series=[([-1e308, 1e308], [1.7e308, -1.7e308], "overflowing span")])
+    @example(series=[(*_on_halves(_N - 1), "below"), (*_on_halves(_N), "at")])
+    # three of the edge floats are not finite, so _N vertices are drawn
+    @example(series=[(_EDGE_FLOATS + _on_halves(_N)[0][6:], _on_halves(_N + 3)[1], "edge floats")])
+    @example(series=[
+        ((np.linspace(-1.0, 1.0, _N) * 1e308).tolist(), _on_halves(_N)[1], "overflowing span")
+    ])
     def test_polylines_match_per_vertex_formatting(self, series):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "plot.svg"
@@ -118,11 +173,25 @@ class TestLinePlot:
             text = path.read_text(encoding="utf-8")
         assert re.findall(r'<polyline points="([^"]*)"', text) == _per_vertex_points(series)
 
+    @settings(max_examples=200, deadline=None)
+    @given(xy=_coordinates())
+    @example(xy=_exact_halves())
+    def test_vertices_either_side_of_the_array_threshold_match_per_vertex_formatting(self, xy):
+        x, y = xy
+        expected = " ".join(f"{xi:.2f},{yi:.2f}" for xi, yi in zip(x.tolist(), y.tolist()))
+        assert svgplot._points(x, y) == expected
+
     @settings(max_examples=40, deadline=None)
     @given(data=_long_series())
+    @example(data=_signed_zero_ties())
     def test_long_series_keep_each_columns_first_last_lowest_and_highest(self, data):
         x, y = data
-        kept_x, kept_y = svgplot._m4(x, y, *svgplot._finite_range(x), _PLOT_W)
+        bounds = (*svgplot._finite_range(x), _PLOT_W)
+        kept_x, kept_y = svgplot._m4(x, y, *bounds)
+        # the tied vertex a column keeps is the one a stable sort by y keeps,
+        # compared by bytes so that -0.0 and 0.0 differ
+        expected = [a.tobytes() for a in m4_lexsort(x, y, *bounds)]
+        assert [kept_x.tobytes(), kept_y.tobytes()] == expected
         assert max(Counter(_columns(kept_x)).values()) <= 4
         assert _column_summary(kept_x, kept_y) == _column_summary(x, y)
         # the kept vertices span the same axis ranges, so they format alike
