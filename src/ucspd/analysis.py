@@ -34,7 +34,7 @@ so exact model data reports (correctly) vanishing error bars.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,8 +66,7 @@ _ERF_FIT_MAX_EVALUATIONS = 2000
 # Richardson-Lucy deconvolution
 
 
-@dataclass(frozen=True)
-class DeconvolutionResult:
+class DeconvolutionResult(NamedTuple):
     """Estimate plus the numbers needed to judge it.
 
     ``stop_reason`` is ``"discrepancy"`` when the fit reached the Poisson
@@ -243,8 +242,7 @@ def deconvolve(
 # Sinusoidal visibility fit
 
 
-@dataclass(frozen=True)
-class SineFit:
+class SineFit(NamedTuple):
     """Fringe fit ``counts = offset * (1 + visibility * cos(phase - phase0))``."""
 
     offset: float
@@ -369,8 +367,7 @@ def erf_gate_model_and_jacobian(delay_fs, gate_width_fs, amplitude, center_fs, f
     return amplitude * shape + floor, jac
 
 
-@dataclass(frozen=True)
-class ErfGateFit:
+class ErfGateFit(NamedTuple):
     """Gate width recovered from a delay scan, with fit diagnostics."""
 
     gate_width_fs: float

@@ -7,8 +7,8 @@ tags every file with the scenario hash and renames it into place from a
 temporary name, so a failed write never leaves a partial file; ``artifacts``
 lists exactly the files written (a failed plot is skipped with a warning).
 CSV rows come from ``waveform.csv_text``, JSON payloads from the scenario
-records and result dataclasses, and ``report`` reuses the helpers of the
-other subcommands.  Re-running with the same scenario and seed reproduces
+and result records, and ``report`` reuses the helpers of the other
+subcommands.  Re-running with the same scenario and seed reproduces
 every artifact byte for byte, apart from the manifests' wall-clock
 ``generated_utc`` field, which no hash or comparison includes.
 
@@ -24,7 +24,6 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -92,9 +91,8 @@ def _build_parser() -> _Parser:
         ("report", "full pipeline summary as a single JSON file"),
     ):
         p = sub.add_parser(name, help=text)
-        p.add_argument("scenario_pos", nargs="?", metavar="SCENARIO",
+        p.add_argument("scenario", nargs="?", metavar="SCENARIO",
                        help="scenario file path or bundled scenario name")
-        p.add_argument("--scenario", help="scenario file path or bundled scenario name")
         p.add_argument("--out", help="output directory (default: scenario output_dir)")
         p.add_argument("--seed", type=int, help="override the scenario seed")
         p.add_argument("--format", choices=("csv", "json"), default="csv",
@@ -105,12 +103,6 @@ def _build_parser() -> _Parser:
 
 def _resolve_scenario(args) -> Scenario:
     ref = args.scenario
-    if args.scenario_pos is not None:
-        if ref is not None and ref != args.scenario_pos:
-            raise ScenarioError(
-                "scenario given both as a positional argument and with --scenario"
-            )
-        ref = args.scenario_pos
     if ref is None:
         raise ScenarioError(
             "no scenario given; pass a file path or one of the bundled names "
@@ -479,7 +471,7 @@ def _cmd_deconv(scenario: Scenario, files: _Artifacts) -> dict:
 def _cmd_fitvis(scenario: Scenario, files: _Artifacts) -> dict:
     phases, result, fit = _fit_sweep(scenario)
     files.json("fitvis_report.json", {
-        **asdict(fit),
+        **fit._asdict(),
         "dwell_s": scenario.sweep.dwell_s,
         "stage_seed": result.config.seed,
         "true_contrast": scenario.timebin.contrast,

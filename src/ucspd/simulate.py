@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -47,52 +46,46 @@ __all__ = [
 RNG_SCHEME = "pcg64 via SeedSequence(entropy=seed, spawn_key=(point_index,))"
 
 
-@dataclass(frozen=True)
-class ScanConfig:
+class ScanConfig(NamedTuple("ScanConfig", [
+    ("coordinates", np.ndarray), ("dwell_s", float), ("seed", int),
+])):
     """One counting scan: coordinates, dwell time per point, and the RNG seed.
 
     The coordinates are femtosecond delays or interferometer phases in
-    radians, strictly increasing either way.  The source flux is part of the
-    rate function a scan runs with, not of its configuration.
+    radians, strictly increasing either way, stored as a read-only float64
+    copy.  The source flux is part of the rate function a scan runs with,
+    not of its configuration.
     """
 
-    coordinates: np.ndarray
-    dwell_s: float = 1.0
-    seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        coords = np.array(self.coordinates, dtype=np.float64, copy=True)
+    # _replace and _make bypass this check
+    def __new__(cls, coordinates, dwell_s: float = 1.0, seed: int = 0) -> ScanConfig:
+        coords = np.array(coordinates, dtype=np.float64, copy=True)
         # a step below the spacing of floats near the start repeats a coordinate
         if coords.size > 1 and not np.all(np.diff(coords) > 0.0):
             raise ValidationError("scan coordinates must be strictly increasing")
         coords.setflags(write=False)
-        object.__setattr__(self, "coordinates", coords)
+        return super().__new__(cls, coords, dwell_s, seed)
 
     @property
     def n_points(self) -> int:
         return int(self.coordinates.size)
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(NamedTuple):
     """Counts, expectations, and provenance for one finished scan.
 
     ``expected`` holds the Poisson mean at each point (rate times dwell), so
     ``counts`` and ``expected`` are directly comparable column by column.
+    ``coordinates`` (the config's), ``counts`` (int64) and ``expected``
+    (float64) are read-only arrays.
     """
 
     coordinates: np.ndarray
     counts: np.ndarray
     expected: np.ndarray
     config: ScanConfig
-
-    def __post_init__(self) -> None:
-        counts = np.array(self.counts, dtype=np.int64, copy=True)
-        expected = np.array(self.expected, dtype=np.float64, copy=True)
-        coords = np.array(self.coordinates, dtype=np.float64, copy=True)
-        for name, arr in (("coordinates", coords), ("counts", counts), ("expected", expected)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
 
 def delay_rate_function(
@@ -478,7 +471,10 @@ def run_scan(
             f"Poisson mean {float(means[i])!r} at coordinate {coords[i]:g} is above "
             f"{_POISSON_LAM_MAX:.6g}, the largest the count sampler accepts"
         )
-    return ScanResult(coords, _poisson_counts(config.seed, means), means, config)
+    counts = _poisson_counts(config.seed, means)
+    counts.setflags(write=False)
+    means.setflags(write=False)
+    return ScanResult(coords, counts, means, config)
 
 
 def run_phase_sweep(

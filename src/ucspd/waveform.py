@@ -20,7 +20,7 @@ Richardson-Lucy deconvolution builds its blur and adjoint from it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,8 +65,7 @@ def check_sample_count(count: float, what: str) -> None:
         )
 
 
-@dataclass(frozen=True)
-class TimeGrid:
+class TimeGrid(NamedTuple):
     """Uniform time grid ``t_k = t0_fs + k * dt_fs`` with ``n`` samples."""
 
     t0_fs: float
@@ -85,8 +84,9 @@ class TimeGrid:
         return self.t0_fs + self.dt_fs * np.arange(self.n)
 
 
-@dataclass(frozen=True)
-class SampledWaveform:
+class SampledWaveform(NamedTuple("SampledWaveform", [
+    ("t0_fs", float), ("dt_fs", float), ("samples", np.ndarray),
+])):
     """Real-valued samples on a uniform femtosecond grid.
 
     Parameters
@@ -100,24 +100,23 @@ class SampledWaveform:
         non-negative; stored as a read-only float64 copy.
     """
 
-    t0_fs: float
-    dt_fs: float
-    samples: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        arr = np.array(self.samples, dtype=np.float64, copy=True)
+    # _replace and _make bypass these checks
+    def __new__(cls, t0_fs: float, dt_fs: float, samples) -> SampledWaveform:
+        arr = np.array(samples, dtype=np.float64, copy=True)
         if arr.size < 2:
             raise ValidationError(f"a waveform needs at least two samples, got {arr.size}")
         if not np.all(np.isfinite(arr)):
             raise ValidationError("waveform samples must be finite")
-        if not math.isfinite(self.t0_fs):
+        if not math.isfinite(t0_fs):
             raise ValidationError("waveform start time must be finite")
         if arr.min() < 0.0:
             raise ValidationError(
                 f"intensity waveforms cannot be negative (min sample {arr.min():g})"
             )
         arr.setflags(write=False)
-        object.__setattr__(self, "samples", arr)
+        return super().__new__(cls, t0_fs, dt_fs, arr)
 
     @property
     def n(self) -> int:

@@ -1,5 +1,6 @@
 """Deconvolution and fitting: recover pulse shapes and fringe visibility."""
 
+import inspect
 import math
 from unittest import mock
 
@@ -512,3 +513,32 @@ class TestErfGateFit:
             ) / (2.0 * step[j])
             scale = np.max(np.abs(analytic[:, j])) or 1.0
             assert np.max(np.abs(analytic[:, j] - numeric)) / scale < 1e-6
+
+
+class TestRecords:
+    def test_records_are_read_only_and_validate_by_keyword(self):
+        scan = simulate_delay_scan(2.0, 1e5, seed=1)
+        phases = np.linspace(0.0, 2.0 * math.pi, 24)
+        sweep = run_phase_sweep(phases, contrast=0.9, counts_scale=1.0e5, seed=2)
+        kernel = reference_kernel(dt_fs=5.0)
+        measured = convolve(gaussian_waveform(SIGNAL_FWHM, TimeGrid.symmetric(1500.0, 5.0)), kernel)
+        records = [
+            TimeGrid(0.0, 1.0, 3), kernel, scan.config, scan, sweep,
+            deconvolve(SampledWaveform(0.0, 5.0, 1e4 * measured.samples), kernel, background=0.0),
+            fit_sine(phases, sweep.counts),
+            fit_erf_gate(scan.coordinates, scan.counts, PUMP_FWHM, SIGNAL_FWHM),
+        ]
+        assert {type(record).__name__ for record in records} == {
+            "TimeGrid", "SampledWaveform", "ScanConfig", "ScanResult",
+            "DeconvolutionResult", "SineFit", "ErfGateFit",
+        }
+        for record in records:
+            for name in inspect.signature(type(record)).parameters:
+                with pytest.raises(AttributeError):
+                    setattr(record, name, getattr(record, name))
+        arrays = [kernel.samples, scan.config.coordinates, sweep.config.coordinates]
+        arrays += [getattr(result, name) for result in (scan, sweep)
+                   for name in ("coordinates", "counts", "expected")]
+        assert not any(array.flags.writeable for array in arrays)
+        with pytest.raises(ValidationError, match="at least two samples"):
+            SampledWaveform(t0_fs=0.0, dt_fs=1.0, samples=[1.0])
