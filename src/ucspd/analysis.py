@@ -22,10 +22,10 @@ closed-form weighted least squares with no iteration and no starting guess.
 ``fit_erf_gate`` estimates the gate width by fitting the erf-difference
 delay-scan shape; that one is genuinely nonlinear and is solved here by a
 bounded Levenberg-Marquardt iteration on its four parameters (damped
-Gauss-Newton steps clipped to the bounds), which evaluates ``erf`` once
-per trial point for both the model and its analytic Jacobian.  Both fits
-take plain arrays, the phases or delays and the counts at each, so no
-simulator type enters this module.
+Gauss-Newton steps clipped to the bounds), which evaluates libm's ``erf``
+(``math.erf``) once per trial point for both the model and its analytic
+Jacobian.  Both fits take plain arrays, the phases or delays and the counts
+at each, so no simulator type enters this module.
 
 Uncertainties come from the fit covariance scaled by the reduced chi-square,
 so exact model data reports (correctly) vanishing error bars.
@@ -54,6 +54,15 @@ __all__ = [
 ]
 
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
+
+
+def _erf(u: np.ndarray) -> np.ndarray:
+    """libm's ``math.erf`` per element; it is exactly +-1 wherever ``|u| >= 6``."""
+    out = np.sign(u)
+    near = np.abs(u) < 6.0
+    out[near] = np.fromiter(map(math.erf, u[near].tolist()), dtype=np.float64)
+    return out
+
 
 #: Richardson-Lucy iterations ``deconvolve`` runs at most.
 RL_MAX_ITERATIONS = 500
@@ -353,13 +362,13 @@ def erf_gate_model_and_jacobian(delay_fs, gate_width_fs, amplitude, center_fs, f
     ``tau = delay - center``; ``q`` bundles the pump and signal widths
     (:func:`erf_gate_q`) and is held fixed during fitting.  Jacobian columns
     are the partial derivatives with respect to
-    ``(gate_width_fs, amplitude, center_fs, floor)`` in that order.
+    ``(gate_width_fs, amplitude, center_fs, floor)`` in that order.  ``erf``
+    is libm's (``math.erf``), taken as ``sign(u)`` where ``|u| >= 6``.
     """
-    from scipy.special import erf  # loaded at the first call, not on import
     tau = np.asarray(delay_fs, dtype=np.float64) - center_fs
     u1 = q * (gate_width_fs - 2.0 * tau)
     u2 = q * (-gate_width_fs - 2.0 * tau)
-    shape = erf(u1) - erf(u2)
+    shape = _erf(u1) - _erf(u2)
     e1 = np.exp(-u1 ** 2)
     e2 = np.exp(-u2 ** 2)
     slope = amplitude * q * _TWO_OVER_SQRT_PI

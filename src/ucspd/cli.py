@@ -28,7 +28,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .analysis import RL_MAX_ITERATIONS, deconvolve, fit_erf_gate, fit_sine
@@ -57,7 +56,7 @@ _STAGE_DECONV = 3
 # the bundled scenarios; the package is read from the file system, not a zip
 _BUNDLED = Path(__file__).parent / "scenarios"
 
-_MODEL_VERSIONS = {"ucspd": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
+_MODEL_VERSIONS = {"ucspd": __version__, "numpy": np.__version__}
 
 
 class _Parser(argparse.ArgumentParser):

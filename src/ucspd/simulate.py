@@ -62,6 +62,8 @@ class ScanConfig(NamedTuple("ScanConfig", [
     # _replace and _make bypass this check
     def __new__(cls, coordinates, dwell_s: float = 1.0, seed: int = 0) -> ScanConfig:
         coords = np.array(coordinates, dtype=np.float64, copy=True)
+        if coords.ndim != 1:
+            raise ValidationError(f"scan coordinates must be 1-D, got shape {coords.shape}")
         # a step below the spacing of floats near the start repeats a coordinate
         if coords.size > 1 and not np.all(np.diff(coords) > 0.0):
             raise ValidationError("scan coordinates must be strictly increasing")

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+import scipy.special
 from scipy.signal import find_peaks
 
 from convolution_paths import PATHS, both_paths, forced_path
@@ -34,6 +35,15 @@ from ucspd.simulate import (
 )
 from ucspd.timebin import center_bin_expectation
 from ucspd.waveform import SampledWaveform, TimeGrid, convolve, fwhm, gaussian_waveform
+
+# where _erf changes branch (|u| = 6) and where floats are special
+TINY = np.finfo(np.float64).tiny
+ERF_EDGES = st.sampled_from([
+    s * x for s in (1.0, -1.0) for x in (
+        0.0, 5e-324, TINY, np.nextafter(TINY, 0.0),
+        np.nextafter(6.0, 0.0), 6.0, np.nextafter(6.0, 7.0), math.inf,
+    )
+])
 
 PUMP_FWHM = 200.0
 SIGNAL_FWHM = 240.0
@@ -513,6 +523,19 @@ class TestErfGateFit:
             ) / (2.0 * step[j])
             scale = np.max(np.abs(analytic[:, j])) or 1.0
             assert np.max(np.abs(analytic[:, j] - numeric)) / scale < 1e-6
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(ERF_EDGES, st.floats(-8.0, 8.0), st.floats(allow_nan=False)),
+                    max_size=40))
+    def test_erf_is_libms_and_within_4_ulp_of_scipys(self, values):
+        u = np.array(values, dtype=np.float64)
+        got = analysis._erf(u)
+        libm = np.array([math.erf(x) for x in values], dtype=np.float64)
+        # bit for bit, so the sign of a zero counts too
+        assert got.view(np.uint64).tolist() == libm.view(np.uint64).tolist()
+        ref = scipy.special.erf(u)
+        ulp = np.spacing(np.maximum(np.abs(got), np.abs(ref)))
+        assert np.all(np.abs(got - ref) <= 4.0 * ulp)
 
 
 class TestRecords:

@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -829,12 +828,16 @@ class TestArtifactWriter:
         assert os.listdir(out) == []
 
 
-# Runs in a fresh interpreter: what `import ucspd.cli` loads, then a gate fit.
-IMPORT_PROBE = textwrap.dedent("""
-    import json, math, sys
-    import ucspd.cli
-    heavy = ("scipy.signal", "scipy.optimize", "scipy.special")
-    loaded = sorted(m for m in sys.modules if m.startswith(heavy))
+# Runs in a fresh interpreter with scipy blocked, so that any scipy import
+# raises: every subcommand on l1 through main(), then a gate fit.
+BLOCKED_SCIPY_PROBE = textwrap.dedent("""
+    import contextlib, io, json, math, sys
+    sys.modules["scipy"] = None
+    from ucspd.cli import main
+    codes = {}
+    for sub in %r:
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes[sub] = main([sub, "l1_300mw", "--out", sys.argv[1], "--quiet"])
     import numpy as np
     from ucspd.analysis import erf_gate_model_and_jacobian, fit_erf_gate
     q = math.sqrt(math.log(2.0) / (200.0 ** 2 + 240.0 ** 2))
@@ -842,11 +845,14 @@ IMPORT_PROBE = textwrap.dedent("""
     expected, _ = erf_gate_model_and_jacobian(delays, 408.6, 1e4, 0.0, 5.0, q)
     fit = fit_erf_gate(delays, np.round(expected), 200.0, 240.0)
     print(json.dumps({
-        "loaded_by_cli": loaded,
-        "optimize_after_fit": "scipy.optimize" in sys.modules,
+        "exit_codes": codes,
+        "scipy_loaded": sorted(
+            m for m, mod in sys.modules.items()
+            if mod is not None and m.split(".")[0] == "scipy"
+        ),
         "gate_width_fs": fit.gate_width_fs,
     }))
-""")
+""" % (SUBCOMMANDS,))
 
 
 # top-level keys of every JSON artifact, plus the keys of its "config" or
@@ -910,25 +916,26 @@ class TestJsonKeys:
 
 
 class TestImportCost:
-    def test_cli_import_skips_scipy_submodules_and_a_fit_never_loads_optimize(self):
+    def test_every_subcommand_runs_with_scipy_blocked(self, tmp_path):
         env = dict(os.environ)
         src = str(Path(ucspd.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
-            [sys.executable, "-c", IMPORT_PROBE],
+            [sys.executable, "-c", BLOCKED_SCIPY_PROBE, str(tmp_path / "art")],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         probe = json.loads(proc.stdout)
-        assert probe["loaded_by_cli"] == []
-        assert probe["optimize_after_fit"] is False
+        assert probe["exit_codes"] == dict.fromkeys(SUBCOMMANDS, 0), proc.stderr
+        assert probe["scipy_loaded"] == []
         assert probe["gate_width_fs"] == pytest.approx(408.6, rel=1e-3)
 
-    @pytest.mark.parametrize("module", ["importlib.resources", "dataclasses"])
+    @pytest.mark.parametrize("module", ["importlib.resources", "dataclasses", "scipy"])
     def test_cli_import_loads_no(self, module):
         # -S skips the site .pth files, which may import importlib.resources
-        # themselves; the dependencies are put on the path directly
-        paths = {str(Path(m.__file__).resolve().parents[1]) for m in (ucspd, np, scipy, yaml)}
+        # themselves; the dependencies are put on the path directly, and
+        # scipy, installed beside numpy, stays importable
+        paths = {str(Path(m.__file__).resolve().parents[1]) for m in (ucspd, np, yaml)}
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sorted(paths)))
         probe = f"import sys, ucspd.cli; print({module!r} in sys.modules)"
         proc = subprocess.run(

@@ -46,6 +46,14 @@ class TestScanConfig:
         with pytest.raises(ValidationError, match="strictly increasing"):
             ScanConfig(np.array([0.0, 3.0, 1.0]))
 
+    def test_coordinates_must_be_one_dimensional(self):
+        # unchecked, a scalar would reach the sampler and a single row would
+        # pass the increasing check, each to fail later on an IndexError
+        with pytest.raises(ValidationError, match=r"1-D, got shape \(\)"):
+            run_scan(ScanConfig(5.0), lambda c: 100.0)
+        with pytest.raises(ValidationError, match=r"1-D, got shape \(1, 2\)"):
+            ScanConfig([[1.0, 2.0]])
+
     # dwell and seed come from the scenario, whose schema checks them, and
     # the scan section keeps the coordinates finite and non-empty; a step
     # that rounds away still repeats a coordinate, so the configuration
