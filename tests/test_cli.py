@@ -30,9 +30,9 @@ from ucspd.cli import main
 from ucspd.detector import detection_limit
 from ucspd.errors import ScenarioError
 from ucspd.scenario import _SCHEMA, parse_scenario
-from ucspd import svgplot
+from ucspd import svgplot, waveform
 from ucspd.simulate import derive_stage_seed
-from ucspd.waveform import fwhm
+from ucspd.waveform import ARRAY_MIN_ROWS, fwhm
 
 BUNDLED = resources.files("ucspd") / "scenarios"
 
@@ -760,6 +760,27 @@ class TestEdgeValues:
             assert KEY_PATH.search(message) or ARRAY_CAUSE.search(message), message
         if code == 2:
             assert message.startswith("ucspd: error: "), message
+
+
+class TestCsvBytes:
+    def test_dense_tables_are_the_same_bytes_either_side_of_the_cut(self, tmp_path, monkeypatch):
+        # l2 scanned at 1 fs: 3601 scan rows, and model-grid waveforms with
+        # values below 1e-13, whose rows the array path leaves to str.format
+        scenario = tmp_path / "l2_1fs.scenario"
+        scenario.write_text(edited({"experiment.scan.step_fs": 1.0}), encoding="utf-8")
+        names = ("scan.csv", "deconv_recovered.csv", "timebin_measured.csv")
+        written = {}
+        for rows in (1, 10 ** 9):
+            monkeypatch.setattr(waveform, "ARRAY_MIN_ROWS", rows)
+            out = tmp_path / f"cut_{rows}"
+            for sub in ("scan", "deconv", "timebin"):
+                assert run(sub, str(scenario), "--out", str(out), "--quiet") == 0
+            written[rows] = [(out / name).read_bytes() for name in names]
+        assert written[1] == written[10 ** 9]
+        tables = [read_table(tmp_path / "cut_1" / name)[2] for name in names]
+        assert all(len(table) > ARRAY_MIN_ROWS for table in tables)
+        for table in tables[1:]:
+            assert ((table[:, 1] > 0) & (table[:, 1] < 1e-13)).any()
 
 
 class TestArtifactWriter:

@@ -1,6 +1,7 @@
 """Waveform construction, convolution, width estimation, and CSV round trips."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from convolution_paths import PATHS, both_paths, forced_path
 from oracles import GATE_FWHM_BY_LENGTH, GAUSS312_RECT408_PEAK, gauss_rect_fwhm_oracle
 from waveform_csv import read_csv
 from waveform_measures import area, peak_time_fs
+from ucspd import waveform
 from ucspd.errors import GridMismatchError, NumericalError, ValidationError
 from ucspd.waveform import (
+    ARRAY_MIN_ROWS,
     FFT_THRESHOLD,
     SampledWaveform,
     TimeGrid,
@@ -402,16 +405,99 @@ def _columns(draw):
     return columns
 
 
+def _cut(rows):
+    """``csv_text`` writing tables from ``rows`` rows on from one byte buffer."""
+    return mock.patch.object(waveform, "ARRAY_MIN_ROWS", rows)
+
+
+def _ulps(value, k):
+    """``value`` and its neighbours within ``k`` ulp."""
+    near = [value]
+    for to in (-math.inf, math.inf):
+        step = value
+        for _ in range(k):
+            step = math.nextafter(step, to)
+            near.append(step)
+    return near
+
+
+# every power of ten the array path meets and its neighbours within 3 ulp;
+# decimal halves (k + 0.5) 10**j with k of 9 digits, doubles just off the
+# half; binary halves, which are exactly on it; ten digits of 9, which round
+# up to the next power of ten; the bounds of [1e-13, 1e9)
+_ARRAY_EDGES = [
+    *(near for j in range(-14, 10) for near in _ulps(float(f"1e{j}"), 3)),
+    *(float(f"{k}5e{j}") for k in (100000000, 123456789, 999999999) for j in range(-23, 1)),
+    *((2 * round(1.2345678e8 * 2.0 ** s / 10 ** s) + 1) / 2 ** (s + 1) for s in range(12)),
+    *(float(f"9999999996e{j}") for j in range(-23, 0)),
+    999999999.5, 999999998.5, *_ulps(1e-13, 1), *_ulps(1e9, 1),
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, math.nan, math.inf, -math.inf,
+]
+_ARRAY_INTS = [0, 1, -1, 10 ** 9 - 1, -(10 ** 9 - 1), 10 ** 9, -(10 ** 9), 2 ** 63 - 1, -(2 ** 63)]
+# a float64 of any bit pattern, signaling NaNs too
+_BIT_FLOATS = st.integers(0, 2 ** 64 - 1).map(
+    lambda bits: np.array(bits, dtype=np.uint64).view(np.float64)[()]
+)
+
+
+@st.composite
+def _array_table(draw):
+    """Float columns of any bit patterns, values the array path writes or edge
+    values, and an int64 column of any values or edge values."""
+    n = draw(st.integers(1, 40))
+    cells = st.one_of(_BIT_FLOATS, st.floats(1e-13, 1e9), st.sampled_from(_ARRAY_EDGES))
+    floats = [np.array(draw(st.lists(cells, min_size=n, max_size=n)), dtype=np.float64)
+              for _ in range(draw(st.integers(1, 2)))]
+    ints = st.one_of(_INTS, st.sampled_from(_ARRAY_INTS))
+    return [*floats, np.array(draw(st.lists(ints, min_size=n, max_size=n)), dtype=np.int64)]
+
+
 class TestCsvText:
     @settings(max_examples=200, deadline=None)
-    @given(columns=_columns())
-    @example(columns=[np.array([999999999.0, -999999999.0, 0.0])])
-    @example(columns=[np.array([3.0, 1e9]), [-1e9, 0.0]])
-    @example(columns=[np.array([3.0, -0.0]), np.array([800.0, 0.5])])
-    def test_rows_match_per_cell_formatting(self, columns):
-        text = csv_text("h", columns, {"kind": "table", "n": 3})
+    @given(columns=_columns(), array_min_rows=st.sampled_from([ARRAY_MIN_ROWS, 1]))
+    @example(columns=[np.array([999999999.0, -999999999.0, 0.0])], array_min_rows=ARRAY_MIN_ROWS)
+    @example(columns=[np.array([3.0, 1e9]), [-1e9, 0.0]], array_min_rows=ARRAY_MIN_ROWS)
+    @example(columns=[np.array([3.0, -0.0]), np.array([800.0, 0.5])],
+             array_min_rows=ARRAY_MIN_ROWS)
+    @example(columns=[np.array([999999999.0, -999999999.0, 0.0])], array_min_rows=1)
+    @example(columns=[np.array([3.0, 1e9]), [-1e9, 0.0]], array_min_rows=1)
+    @example(columns=[np.array([3.0, -0.0]), np.array([800.0, 0.5])], array_min_rows=1)
+    def test_rows_match_per_cell_formatting(self, columns, array_min_rows):
+        with _cut(array_min_rows):
+            text = csv_text("h", columns, {"kind": "table", "n": 3})
         assert text.endswith("\n")
         assert text.splitlines() == ["# kind=table", "# n=3", "h", *_per_cell_rows(columns)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(columns=_array_table())
+    def test_array_path_writes_what_str_format_writes(self, columns):
+        with _cut(1):
+            text = csv_text("h", columns, {})
+        assert text == "h\n" + "".join(row + "\n" for row in _per_cell_rows(columns))
+
+    def test_array_path_on_edge_values(self):
+        floats = np.array(_ARRAY_EDGES)
+        ints = np.resize(np.array(_ARRAY_INTS, dtype=np.int64), floats.size)
+        columns = [floats, ints, floats[::-1].copy()]
+        with _cut(1):
+            text = csv_text("h", columns, {})
+        assert text.splitlines()[1:] == _per_cell_rows(columns)
+
+    @pytest.mark.parametrize("error", [-0.45, 0.45])
+    def test_exponent_step_mends_an_inexact_log10(self, error):
+        # log10 off by nearly half a decade either way puts floor(log10 x) one
+        # decade off for about half the values: the one correction step must
+        # still write each of them itself, as str.format does
+        rng = np.random.default_rng(26)
+        near_powers = [v for v in _ARRAY_EDGES[:150] if 1e-13 <= v < 1e9]
+        x = np.r_[near_powers, 10 ** rng.uniform(-13, 9, 2000)]
+        log10 = np.log10
+        with mock.patch.object(np, "log10", lambda v: log10(v) + error):
+            low, high, ok = waveform._float_cells(x)
+        text = np.stack([low, high], axis=-1).astype("<u8").view("S16")[:, 0]
+        assert ok.all()
+        written = [cell.replace(b"\0", b"").decode() for cell in text]
+        assert written == [f"{v:.9g}" for v in x.tolist()]
 
     def test_write_csv_uses_the_same_rows(self, tmp_path):
         w = SampledWaveform(-2.5, 0.5, [0.0, 1.0 / 3.0, 2e-300, 7.0])
