@@ -38,8 +38,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FitConvergenceError, GridMismatchError, NumericalError, ValidationError
-from .waveform import DT_MATCH_RTOL, SampledWaveform, convolver
+from .errors import FitConvergenceError, NumericalError, ValidationError
+from .waveform import SampledWaveform, check_equal_spacing, convolver
 
 __all__ = [
     "RL_MAX_ITERATIONS",
@@ -49,7 +49,6 @@ __all__ = [
     "fit_sine",
     "ErfGateFit",
     "fit_erf_gate",
-    "erf_gate_q",
     "erf_gate_model_and_jacobian",
 ]
 
@@ -167,11 +166,7 @@ def deconvolve(
         If the measured counts (all zero included) do not exceed the
         background's total, so there is no signal left to deconvolve.
     """
-    if abs(measured.dt_fs - kernel.dt_fs) > DT_MATCH_RTOL * max(measured.dt_fs, kernel.dt_fs):
-        raise GridMismatchError(
-            f"deconvolution requires equal sample spacings, got "
-            f"{measured.dt_fs!r} and {kernel.dt_fs!r}"
-        )
+    check_equal_spacing(measured, kernel, "deconvolution")
     d = np.asarray(measured.samples, dtype=np.float64)
     k = np.asarray(kernel.samples, dtype=np.float64)
     k_sum = k.sum()
@@ -349,19 +344,14 @@ def fit_sine(phases_rad, counts) -> SineFit:
 # erf gate-width fit
 
 
-def erf_gate_q(pump_fwhm_fs: float, signal_fwhm_fs: float) -> float:
-    """The fixed ``q = sqrt(ln 2 / (dp^2 + ds^2))`` of :func:`erf_gate_model_and_jacobian`."""
-    return math.sqrt(math.log(2.0) / (pump_fwhm_fs ** 2 + signal_fwhm_fs ** 2))
-
-
 def erf_gate_model_and_jacobian(delay_fs, gate_width_fs, amplitude, center_fs, floor, q):
     """Delay-scan model and its analytic Jacobian, from one ``erf`` per delay.
 
     The model is the scaled erf-difference of the gated Gaussian pair,
     ``amplitude * [erf(q (w - 2 tau)) - erf(q (-w - 2 tau))] + floor`` with
-    ``tau = delay - center``; ``q`` bundles the pump and signal widths
-    (:func:`erf_gate_q`) and is held fixed during fitting.  Jacobian columns
-    are the partial derivatives with respect to
+    ``tau = delay - center``; ``q = sqrt(ln 2 / (dp^2 + ds^2))`` bundles the
+    pump and signal FWHM values ``dp`` and ``ds`` and is held fixed during
+    fitting.  Jacobian columns are the partial derivatives with respect to
     ``(gate_width_fs, amplitude, center_fs, floor)`` in that order.  ``erf``
     is libm's (``math.erf``), taken as ``sign(u)`` where ``|u| >= 6``.
     """
@@ -420,7 +410,7 @@ def fit_erf_gate(delays_fs, counts, pump_fwhm_fs: float, signal_fwhm_fs: float) 
     y = np.asarray(counts, dtype=np.float64)
     if delays.size < 8:
         raise ValidationError(f"need at least 8 scan points, got {delays.size}")
-    q = erf_gate_q(pump_fwhm_fs, signal_fwhm_fs)
+    q = math.sqrt(math.log(2.0) / (pump_fwhm_fs ** 2 + signal_fwhm_fs ** 2))
 
     floor0 = float(y.min())
     peak = float(y.max())

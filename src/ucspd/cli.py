@@ -12,8 +12,8 @@ subcommands.  Re-running with the same scenario and seed reproduces
 every artifact byte for byte, apart from the manifests' wall-clock
 ``generated_utc`` field, which no hash or comparison includes.
 
-Exit codes: 0 success, 1 validation or scenario errors and unusable output
-paths, 2 numerical failures (non-convergent fits and the like).
+Exit codes: 0 success, 1 usage, validation or scenario errors and unusable
+output paths, 2 numerical failures (non-convergent fits and the like).
 """
 
 from __future__ import annotations
@@ -60,15 +60,11 @@ _MODEL_VERSIONS = {"ucspd": __version__, "numpy": np.__version__}
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argparse that reports usage problems on exit code 1, not 2."""
+    """Argparse that prints its usage line and refuses on exit code 1, not 2."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise _UsageError(message)
-
-
-class _UsageError(Exception):
-    pass
+        raise UcspdError(message)
 
 
 # parse_args leaves the parser as it found it, so one parser serves every main()
@@ -165,10 +161,10 @@ class _Artifacts:
     def json(self, name: str, payload: dict) -> None:
         self._text(name, json.dumps(self._tagged(payload), sort_keys=True, indent=2) + "\n")
 
-    def manifest(self, name: str, stage: int, content: list, config: dict) -> None:
+    def manifest(self, name: str, stage_seed: int, content: list, config: dict) -> None:
         self.json(name, {
             "seed": self.scenario.seed,
-            "stage_seed": derive_stage_seed(self.scenario.seed, stage),
+            "stage_seed": stage_seed,
             "rng_scheme": RNG_SCHEME,
             "model_versions": _MODEL_VERSIONS,
             "config": config,
@@ -344,7 +340,7 @@ def _cmd_resolve(scenario: Scenario, files: _Artifacts) -> dict:
 def _cmd_scan(scenario: Scenario, files: _Artifacts) -> dict:
     result = _run_delay_scan(scenario, _STAGE_SCAN, _resolution_kernel(scenario))
     _write_delay_scan(files, "scan.csv", scenario, result)
-    files.manifest("scan_manifest.json", _STAGE_SCAN, ["scan.csv"], {
+    files.manifest("scan_manifest.json", result.config.seed, ["scan.csv"], {
         "kind": "delay", **scenario.scan._asdict(), "noise_cps": scenario.operating_point()[2],
     })
     files.plot(
@@ -360,7 +356,7 @@ def _cmd_sweep(scenario: Scenario, files: _Artifacts) -> dict:
     phases, result = _run_sweep(scenario)
     _write_counts(files, "sweep.csv", result, kind="phase_sweep",
                   contrast=scenario.timebin.contrast, dwell_s=scenario.sweep.dwell_s)
-    files.manifest("sweep_manifest.json", _STAGE_SWEEP, ["sweep.csv"], {
+    files.manifest("sweep_manifest.json", result.config.seed, ["sweep.csv"], {
         "kind": "phase", **scenario.sweep._asdict(), "contrast": scenario.timebin.contrast,
     })
     files.plot(
@@ -598,6 +594,7 @@ def _emit_success(args, files: _Artifacts, summary: dict) -> None:
 
 
 def _emit_error(args, exc: Exception, exit_code: int) -> None:
+    """A usage error comes before ``args`` holds a format, so it is always plain text."""
     if getattr(args, "format", "csv") == "json":
         error = {"type": type(exc).__name__, "message": str(exc), "exit_code": exit_code}
         print(json.dumps({"error": error}, sort_keys=True))
@@ -611,9 +608,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.subcommand is None:
-            parser.print_usage(sys.stderr)
-            print("ucspd: error: a subcommand is required", file=sys.stderr)
-            return 1
+            parser.error("a subcommand is required")
         scenario = _resolve_scenario(args)
         out = Path(args.out) if args.out else Path(scenario.output_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -621,9 +616,6 @@ def main(argv=None) -> int:
         summary = _DISPATCH[args.subcommand](scenario, files)
         _emit_success(args, files, summary)
         return 0
-    except _UsageError as exc:
-        print(f"ucspd: error: {exc}", file=sys.stderr)
-        return 1
     except NumericalError as exc:
         _emit_error(args, exc, 2)
         return 2

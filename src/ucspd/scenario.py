@@ -101,32 +101,20 @@ def _real(value, path):
     return value
 
 
-def _positive(value, path):
-    value = _real(value, path)
-    if value <= 0.0:
-        raise ScenarioError(f"{path}: must be positive, got {value}")
-    return value
+def _interval(inside, rule):
+    """A check that takes a finite real and refuses it unless ``inside(value)``."""
+    def check(value, path):
+        value = _real(value, path)
+        if not inside(value):
+            raise ScenarioError(f"{path}: must be {rule}, got {value}")
+        return value
+    return check
 
 
-def _nonnegative(value, path):
-    value = _real(value, path)
-    if value < 0.0:
-        raise ScenarioError(f"{path}: must be >= 0, got {value}")
-    return value
-
-
-def _fraction(value, path):
-    value = _real(value, path)
-    if not 0.0 <= value <= 1.0:
-        raise ScenarioError(f"{path}: must be in [0, 1], got {value}")
-    return value
-
-
-def _positive_fraction(value, path):
-    value = _real(value, path)
-    if not 0.0 < value <= 1.0:
-        raise ScenarioError(f"{path}: must be in (0, 1], got {value}")
-    return value
+_positive = _interval(lambda value: value > 0.0, "positive")
+_nonnegative = _interval(lambda value: value >= 0.0, ">= 0")
+_fraction = _interval(lambda value: 0.0 <= value <= 1.0, "in [0, 1]")
+_positive_fraction = _interval(lambda value: 0.0 < value <= 1.0, "in (0, 1]")
 
 
 def _integer(value, path):
@@ -294,9 +282,9 @@ def _check_together(tree: dict) -> None:
     start, stop, step = scan["start_fs"], scan["stop_fs"], scan["step_fs"]
     if stop <= start:
         raise ScenarioError(f"experiment.scan: scan stop {stop} must exceed start {start}")
-    _build("experiment.scan", check_sample_count, (stop - start) / step + 1.0, f"step_fs {step}")
-    # the ceiling of this ratio is the length of ScanSection.coordinates()
-    if (stop + 0.5 * step - start) / step <= 1.0:
+    count = ScanSection(**scan).point_count()
+    _build("experiment.scan", check_sample_count, count, f"step_fs {step}")
+    if count < 2.0:
         raise ScenarioError(
             f"experiment.scan: step_fs {step} leaves one scan point from start_fs {start} "
             f"to stop_fs {stop}; a scan needs at least 2"
@@ -326,6 +314,10 @@ class ScanSection(namedtuple("ScanSection", _EXPERIMENT["scan"])):
     def coordinates(self) -> np.ndarray:
         """Delays from ``start_fs`` in ``step_fs`` steps, up to ``stop_fs`` plus half a step."""
         return np.arange(self.start_fs, self.stop_fs + 0.5 * self.step_fs, self.step_fs)
+
+    def point_count(self) -> float:
+        """The length of :meth:`coordinates`, as ``np.arange`` counts it; inf if that overflows."""
+        return float(np.ceil((self.stop_fs + 0.5 * self.step_fs - self.start_fs) / self.step_fs))
 
 
 SweepSection = namedtuple("SweepSection", _EXPERIMENT["sweep"])

@@ -14,7 +14,9 @@ Of tied vertices it keeps the first lowest and the last highest, ``-0.0``
 tying ``0.0``.  That draws the same pixels at the SVG's own width.  The CSV
 artifacts next to each plot carry every sample, and identical data still
 gives identical bytes.  Each vertex is ``.2f`` of its exact binary value,
-rounded half to even, as ``"{:.2f}".format`` writes it.
+rounded half to even, as ``"{:.2f}".format`` writes it: a series whose
+vertices all lie in [0, 1000) is written from one byte buffer, and any other
+(an overflowing span) one vertex at a time.
 """
 
 from __future__ import annotations
@@ -72,10 +74,6 @@ def _m4(x, y, x_lo: float, x_hi: float, plot_w: int):
     return x[keep], y[keep]
 
 
-#: Vertices from which a series is written from one byte buffer: a warm loop
-#: over 24-112 vertices on a 2-CPU x86-64 host put it level with the
-#: per-vertex format at 56.
-ARRAY_MIN_VERTICES = 64
 # .2f in two 4-byte cells whose 0 bytes are dropped: the integer part without
 # leading zeros; "." and two fraction digits, then "," after x or " " after y
 _digits = np.indices((10, 10, 10)).reshape(3, 1000).T + 48
@@ -88,10 +86,10 @@ _INTEGER, _FRACTION = _integer.view(np.uint32)[:, 0], _fraction.view(np.uint32)[
 
 
 def _points(x, y) -> str:
-    """``"{:.2f},{:.2f}"`` of each vertex, joined by spaces: one at a time below
-    ``ARRAY_MIN_VERTICES`` or outside [0, 1000), as nan and inf are."""
-    v = np.stack([x, y], axis=-1) if x.size >= ARRAY_MIN_VERTICES else None
-    if v is None or not ((v < 1000.0) & ~np.signbit(v)).all():
+    """``"{:.2f},{:.2f}"`` of each vertex, joined by spaces: from one byte buffer,
+    or one at a time if a coordinate is outside [0, 1000), as nan and inf are."""
+    v = np.stack([x, y], axis=-1)
+    if not ((v < 1000.0) & ~np.signbit(v)).all():
         return " ".join(map("{:.2f},{:.2f}".format, x.tolist(), y.tolist()))
     # .2f rounds the exact v * 100 half to even; p is that product rounded,
     # and p on a half is settled by the sign of its exact error (Dekker's

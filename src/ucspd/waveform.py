@@ -33,6 +33,7 @@ from .errors import GridMismatchError, NumericalError, ValidationError
 __all__ = [
     "MAX_SAMPLES",
     "check_sample_count",
+    "check_equal_spacing",
     "TimeGrid",
     "SampledWaveform",
     "gaussian_waveform",
@@ -209,6 +210,14 @@ def convolver(kernel: np.ndarray, n: int, start: int, size: int):
     return apply
 
 
+def check_equal_spacing(a: SampledWaveform, b: SampledWaveform, operation: str) -> None:
+    """Refuse, naming ``operation``, sample spacings that differ by more than 1e-9 relative."""
+    if abs(a.dt_fs - b.dt_fs) > DT_MATCH_RTOL * max(a.dt_fs, b.dt_fs):
+        raise GridMismatchError(
+            f"{operation} requires equal sample spacings, got {a.dt_fs!r} and {b.dt_fs!r}"
+        )
+
+
 def convolve(a: SampledWaveform, b: SampledWaveform) -> SampledWaveform:
     """Convolve two waveforms sampled with the same spacing.
 
@@ -223,10 +232,7 @@ def convolve(a: SampledWaveform, b: SampledWaveform) -> SampledWaveform:
     GridMismatchError
         If the sample spacings differ by more than 1e-9 relative.
     """
-    if abs(a.dt_fs - b.dt_fs) > DT_MATCH_RTOL * max(a.dt_fs, b.dt_fs):
-        raise GridMismatchError(
-            f"convolution requires equal sample spacings, got {a.dt_fs!r} and {b.dt_fs!r}"
-        )
+    check_equal_spacing(a, b, "convolution")
     raw = convolver(b.samples, a.n, 0, a.n + b.n - 1)(a.samples)
     # FFT round-off can leave tiny negative samples; both inputs are
     # non-negative so the exact result is too

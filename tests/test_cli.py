@@ -178,6 +178,24 @@ class TestSweepAndFit:
         assert report["stage_seed"] == derive_stage_seed(20260815, 2)
         assert report["n_points"] == 24
 
+    def test_included_noise_raises_every_expected_count_by_its_dwell_counts(self, tmp_path):
+        # a dwell of 2 s tells noise_cps * dwell_s from noise_cps
+        tables, manifests = [], []
+        for include in (False, True):
+            text = edited({"experiment.sweep.include_noise": include,
+                           "experiment.sweep.dwell_s": 2.0})
+            path = tmp_path / f"noise_{include}.scenario"
+            path.write_text(text, encoding="utf-8")
+            out = tmp_path / f"art_{include}"
+            assert run("sweep", str(path), "--out", str(out), "--quiet") == 0
+            tables.append(read_table(out / "sweep.csv")[2])
+            manifests.append(json.loads((out / "sweep_manifest.json").read_text()))
+        noise = parse_scenario(text).operating_point()[2]
+        rise = tables[1][:, 2] - tables[0][:, 2]
+        # to the nine significant digits each expected count is written with
+        np.testing.assert_allclose(rise, noise * 2.0, rtol=0, atol=1e-9 * tables[1][:, 2].max())
+        assert [m["config"]["include_noise"] for m in manifests] == [False, True]
+
 
 class TestTimebin:
     def test_probabilities_and_waveforms(self, tmp_path):
@@ -487,6 +505,18 @@ class TestExitCodes:
             "ucspd: error: experiment.scan: step_fs 1e+300 leaves one scan point from "
             "start_fs -1000.0 to stop_fs 1000.0; a scan needs at least 2"
         )
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("sub", ["scan", "deconv", "report"])
+    def test_scan_whose_arange_count_overflows_is_refused_by_its_key(self, sub, tmp_path, capsys):
+        # (stop - start) / step is 179.7, but np.arange counts from
+        # stop + step / 2 - start, which overflows to inf
+        wide = tmp_path / "wide.scenario"
+        wide.write_text(edited({"experiment.scan.start_fs": -1.797e308,
+                                "experiment.scan.step_fs": 1.0e306}), encoding="utf-8")
+        assert run(sub, str(wide), "--out", str(tmp_path / "art")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ucspd: error: experiment.scan: step_fs 1e+306 needs inf samples")
         assert "Traceback" not in err
 
     def test_scan_shorter_than_a_fit_needs_still_runs(self, tmp_path):

@@ -1,5 +1,5 @@
 """SVG plots: polyline vertices formatted as the per-vertex loop did, also
-where a long series is written from one byte buffer, and long series reduced
+where a series is written from one byte buffer, and long series reduced
 to each pixel column's first, last, lowest and highest vertex, ties kept as a
 stable sort keeps them."""
 
@@ -20,7 +20,6 @@ from ucspd import svgplot
 from ucspd.svgplot import line_plot
 
 _PLOT_W = svgplot._WIDTH - svgplot._MARGIN_LEFT - svgplot._MARGIN_RIGHT
-_N = svgplot.ARRAY_MIN_VERTICES
 
 
 def _per_vertex_points(series):
@@ -113,12 +112,11 @@ _OUTSIDE = [-0.0, -5e-324, 1000.0, 1e300, math.nan, math.inf, -math.inf]
 
 @st.composite
 def _coordinates(draw):
-    """x and y rows of a polyline's pixel coordinates, on either side of the
-    array formatter's threshold: halves of the .2f rounding in binary (k / 8,
-    exact) and in decimal (k / 100 + 0.005, just off a binary half), one ulp
-    either side of them, or anywhere in [0, 1000); now and then one
-    coordinate outside [0, 1000)."""
-    n = draw(st.integers(_N - 2, _N + 2))
+    """x and y rows of a polyline's pixel coordinates, from one vertex on:
+    halves of the .2f rounding in binary (k / 8, exact) and in decimal
+    (k / 100 + 0.005, just off a binary half), one ulp either side of them,
+    or anywhere in [0, 1000); now and then one coordinate outside [0, 1000)."""
+    n = draw(st.integers(1, 80))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     halves = np.where(
         rng.integers(0, 2, (2, n)) == 1,
@@ -137,7 +135,7 @@ def _exact_halves():
     halves = [33.625, 33.875, 0.125, 0.005, 0.015, 100.005, 999.995]
     row = halves + [math.nextafter(v, to) for v in halves for to in (0.0, 1000.0)]
     row += [0.0, 5e-324, math.nextafter(1000.0, 0.0)]
-    return np.resize(row, (2, _N))
+    return np.array([row, row[::-1]])
 
 
 @st.composite
@@ -160,11 +158,10 @@ class TestLinePlot:
     @example(series=[([0.0, 1.0, 2.0], [0.0, 0.0, 0.0], "zeros")])
     @example(series=[([5e-324], [5e-324], "subnormal")])
     @example(series=[([-1e308, 1e308], [1.7e308, -1.7e308], "overflowing span")])
-    @example(series=[(*_on_halves(_N - 1), "below"), (*_on_halves(_N), "at")])
-    # three of the edge floats are not finite, so _N vertices are drawn
-    @example(series=[(_EDGE_FLOATS + _on_halves(_N)[0][6:], _on_halves(_N + 3)[1], "edge floats")])
+    @example(series=[(*_on_halves(1), "one"), (*_on_halves(64), "many")])
+    @example(series=[(_EDGE_FLOATS + _on_halves(64)[0], _on_halves(73)[1], "edge floats")])
     @example(series=[
-        ((np.linspace(-1.0, 1.0, _N) * 1e308).tolist(), _on_halves(_N)[1], "overflowing span")
+        ((np.linspace(-1.0, 1.0, 64) * 1e308).tolist(), _on_halves(64)[1], "overflowing span")
     ])
     def test_polylines_match_per_vertex_formatting(self, series):
         with tempfile.TemporaryDirectory() as tmp:
@@ -176,7 +173,7 @@ class TestLinePlot:
     @settings(max_examples=200, deadline=None)
     @given(xy=_coordinates())
     @example(xy=_exact_halves())
-    def test_vertices_either_side_of_the_array_threshold_match_per_vertex_formatting(self, xy):
+    def test_points_of_any_length_match_per_vertex_formatting(self, xy):
         x, y = xy
         expected = " ".join(f"{xi:.2f},{yi:.2f}" for xi, yi in zip(x.tolist(), y.tolist()))
         assert svgplot._points(x, y) == expected
