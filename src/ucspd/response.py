@@ -16,8 +16,6 @@ against that closed form, two independent routes to the same curve.
 
 from __future__ import annotations
 
-import math
-
 from .waveform import SampledWaveform, TimeGrid, convolve, gaussian_waveform, rect_waveform
 
 __all__ = ["resolution_function"]
@@ -40,13 +38,13 @@ def resolution_function(
         truncated.
     """
     pump_wave = gaussian_waveform(pump_fwhm_fs, grid)
-    # when half the gate width underflows to 0 steps, the gate is one sample wide
-    half_steps = max(1, math.ceil(0.5 * gate_width_fs / grid.dt_fs))
-    gate_grid = TimeGrid(-half_steps * grid.dt_fs, grid.dt_fs, 2 * half_steps + 1)
-    gate = rect_waveform(gate_width_fs, gate_grid)
+    # TimeGrid.symmetric gives the gate at least one step on each side of
+    # zero, so a gate narrower than a step is the one sample at zero
+    gate = rect_waveform(gate_width_fs, TimeGrid.symmetric(0.5 * gate_width_fs, grid.dt_fs))
     conv = convolve(pump_wave, gate)
     # the gate grid is symmetric, so dropping half_steps samples on each side
     # puts the result back on the requested grid
+    half_steps = gate.n // 2
     return SampledWaveform(
         grid.t0_fs, grid.dt_fs,
         conv.samples[half_steps:half_steps + grid.n],

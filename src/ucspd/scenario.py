@@ -294,8 +294,8 @@ def _check_together(tree: dict) -> None:
     if stop <= start:
         raise ScenarioError(f"experiment.limits: power sweep stop {stop} must exceed "
                             f"start {start}")
-    _build("experiment.limits", check_sample_count,
-           (stop * (1.0 + 1e-12) - start) / step + 1.0, f"power_step_mw {step}")
+    _build("experiment.limits", check_sample_count, LimitsSection(**limits).point_count(),
+           f"power_step_mw {step}")
 
 
 def _leaves(mapping: dict) -> list:
@@ -332,15 +332,14 @@ class LimitsSection(namedtuple("LimitsSection", _EXPERIMENT["limits"])):
 
     __slots__ = ()
 
+    def point_count(self) -> float:
+        """Whole steps up to 1e-12 relative past the stop, plus one; inf if that overflows."""
+        last = (self.power_stop_mw * (1.0 + 1e-12) - self.power_start_mw) / self.power_step_mw
+        return float(np.floor(last)) + 1.0
+
     def powers_mw(self) -> list:
-        out = []
-        k = 0
-        while True:
-            p = self.power_start_mw + k * self.power_step_mw
-            if p > self.power_stop_mw * (1.0 + 1e-12):
-                return out
-            out.append(p)
-            k += 1
+        """``point_count()`` powers from ``power_start_mw`` in ``power_step_mw`` steps."""
+        return (self.power_start_mw + self.power_step_mw * np.arange(self.point_count())).tolist()
 
 
 _SECTIONS = {

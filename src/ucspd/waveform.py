@@ -80,13 +80,15 @@ class TimeGrid(NamedTuple):
     @classmethod
     def symmetric(cls, half_span_fs: float, dt_fs: float) -> "TimeGrid":
         """Grid centered on zero covering at least ``[-half_span, +half_span]``."""
-        steps = half_span_fs / dt_fs - 1e-12
-        check_sample_count(2.0 * steps + 1.0, f"a time grid at {dt_fs!r} fs spacing")
-        k = max(1, math.ceil(steps))
-        return cls(-k * dt_fs, dt_fs, 2 * k + 1)
+        # k whole steps on each side, at least one; inf where the span overflows
+        k = max(1.0, float(np.ceil(half_span_fs / dt_fs - 1e-12)))
+        check_sample_count(2.0 * k + 1.0, f"a time grid at {dt_fs!r} fs spacing")
+        return cls(-int(k) * dt_fs, dt_fs, 2 * int(k) + 1)
 
     def times(self) -> np.ndarray:
-        return self.t0_fs + self.dt_fs * np.arange(self.n)
+        # the last times of a grid across the float range overflow to inf
+        with np.errstate(over="ignore"):
+            return self.t0_fs + self.dt_fs * np.arange(self.n)
 
 
 class SampledWaveform(NamedTuple("SampledWaveform", [
@@ -127,8 +129,7 @@ class SampledWaveform(NamedTuple("SampledWaveform", [
     def n(self) -> int:
         return int(self.samples.size)
 
-    def times(self) -> np.ndarray:
-        return self.t0_fs + self.dt_fs * np.arange(self.n)
+    times = TimeGrid.times
 
     @property
     def peak_value(self) -> float:
@@ -261,15 +262,10 @@ def fwhm(w: SampledWaveform) -> float:
     above = np.nonzero(y >= half)[0]
     first = int(above[0])
     last = int(above[-1])
-    if first == 0:
+    if first == 0 or last == w.n - 1:
         raise NumericalError(
-            "waveform is still at or above half maximum at the first sample; "
-            "width is unbounded on this grid"
-        )
-    if last == w.n - 1:
-        raise NumericalError(
-            "waveform is still at or above half maximum at the last sample; "
-            "width is unbounded on this grid"
+            "waveform is still at or above half maximum at the "
+            f"{'first' if first == 0 else 'last'} sample; width is unbounded on this grid"
         )
     t = w.times()
     t_left = t[first - 1] + (half - y[first - 1]) / (y[first] - y[first - 1]) * w.dt_fs

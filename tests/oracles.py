@@ -5,7 +5,8 @@ touch the package code paths under test: the Gaussian-CDF expression for a
 Gaussian convolved with a rectangle, the erf difference of a Gaussian
 delay scan, direct quadrature for convolution peaks, scipy's ``curve_fit``
 as the reference for the gate fit, a stable sort as the reference for the
-plots' per-column reduction, and plain arithmetic for rates and limits.
+plots' per-column reduction, a loop over the powers as the reference for the
+power list, and plain arithmetic for rates and limits.
 The frozen numbers were evaluated once with the helpers in this module and
 are asserted against the library.
 """
@@ -96,6 +97,21 @@ def erf_gate_curve_fit(delays, counts, pump_fwhm_fs, signal_fwhm_fs):
                            bounds=bounds, jac=jacobian, maxfev=2000)
     return popt, np.sqrt(np.diag(pcov))
 
+
+def power_list_loop(start_mw, stop_mw, step_mw):
+    """Reference power list: ``start + k * step`` for k = 0, 1, ... up to the stop.
+
+    Each power is kept while it is at most 1e-12 relative past the stop, so
+    the rounded power itself decides where the list ends.
+    """
+    out = []
+    k = 0
+    while True:
+        p = start_mw + k * step_mw
+        if p > stop_mw * (1.0 + 1e-12):
+            return out
+        out.append(p)
+        k += 1
 
 
 def m4_lexsort(x, y, x_lo, x_hi, plot_w):

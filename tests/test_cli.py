@@ -519,6 +519,24 @@ class TestExitCodes:
         assert err.startswith("ucspd: error: experiment.scan: step_fs 1e+306 needs inf samples")
         assert "Traceback" not in err
 
+    # scans across about 1e308 fs overflow the gate fit's erf model, the fit's
+    # bounds and the kernel grid's last times to inf; each exits with its own
+    # code and no overflow warning
+    @pytest.mark.parametrize("sub, scan, code", [
+        ("report", {"start_fs": -5e307, "stop_fs": 5e307, "step_fs": 1e306}, 2),
+        ("report", {"start_fs": -8e307, "stop_fs": 8e307, "step_fs": 1e306}, 2),
+        ("deconv", {"start_fs": -1e308, "stop_fs": 0.0, "step_fs": 1e308}, 0),
+    ], ids=["erf-model", "fit-bounds", "kernel-times"])
+    def test_scans_across_the_float_range_overflow_without_a_warning(
+        self, sub, scan, code, tmp_path
+    ):
+        wide = tmp_path / "wide.scenario"
+        wide.write_text(edited({f"experiment.scan.{key}": value for key, value in scan.items()},
+                               "l1_300mw"), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(sub, str(wide), "--out", str(tmp_path / "art"), "--quiet") == code
+
     def test_scan_shorter_than_a_fit_needs_still_runs(self, tmp_path):
         # only report's gate fit needs 8 points; see report-short-scan below
         short = tmp_path / "short.scenario"

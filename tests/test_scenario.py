@@ -11,11 +11,13 @@ import yaml
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from oracles import power_list_loop
 from scenario_edits import edited
 from ucspd import scenario as scenario_module
 from ucspd.errors import ScenarioError
 from ucspd.scenario import (
-    _REQUIRED, _SCHEMA, _default, load_scenario, parse_scenario, scenario_with_seed,
+    _REQUIRED, _SCHEMA, LimitsSection, _default, load_scenario, parse_scenario,
+    scenario_with_seed,
 )
 from ucspd.waveform import MAX_SAMPLES
 
@@ -223,6 +225,10 @@ def _shuffled(node, data):
 # a positive value a key may hold, from 5e-324 up, and a fraction in (0, 1]
 POSITIVE = st.floats(0.0, 1e300, exclude_min=True)
 FRACTION = st.floats(0.0, 1.0, exclude_min=True)
+# whole, decimal and real starts and steps of a grid-like power sweep
+GRID_VALUES = st.one_of(st.integers(1, 10_000).map(float),
+                        st.integers(1, 1_000_000).map(lambda k: k / 1000),
+                        st.floats(1e-3, 1e4))
 
 
 class TestProperties:
@@ -292,6 +298,19 @@ class TestProperties:
         powers = limits.powers_mw()
         assert 1 <= len(powers) <= MAX_SAMPLES
         assert powers[0] == limits.power_start_mw
+
+    # grid-like sweeps: whole, decimal or real starts and steps, and a stop a
+    # whole number of steps and at most 0.99 of a step past the start.  The
+    # count and the loop can decide a power apart only when it lies within
+    # rounding of the stop and the step is a few hundred ulp of the start
+    @settings(deadline=None)
+    @given(start=GRID_VALUES, step=GRID_VALUES, n=st.integers(1, 5000),
+           past=st.floats(0.0, 0.99))
+    def test_power_list_matches_the_loop_on_grid_like_sweeps(self, start, step, n, past):
+        stop = start + (n - 1 + past) * step
+        limits = LimitsSection(power_start_mw=start, power_stop_mw=stop, power_step_mw=step,
+                               integration_s=1.0)
+        assert limits.powers_mw() == power_list_loop(start, stop, step)
 
     # the parser checks the noise rate at eta_max alone; that holds for every
     # power only if no power takes the efficiency past eta_max and the noise
@@ -464,6 +483,25 @@ class TestSections:
         assert powers[0] == 50.0
         assert powers[-1] == 500.0
         assert len(powers) == 19
+
+    # the refusal counts the powers the list holds: MAX_SAMPLES of them pass
+    @pytest.mark.parametrize("stop, refusal", [
+        (1.0e6, None),
+        (1000001.0, "experiment.limits: power_step_mw 1.0 needs 1000001 samples, "
+                    "more than the 1000000 allowed"),
+    ], ids=["max-samples", "one-more"])
+    def test_power_list_holds_the_count_its_refusal_names(self, stop, refusal):
+        text = edited({"experiment.limits.power_start_mw": 1.0,
+                       "experiment.limits.power_stop_mw": stop,
+                       "experiment.limits.power_step_mw": 1.0})
+        if refusal is not None:
+            with pytest.raises(ScenarioError) as err:
+                parse_scenario(text)
+            assert str(err.value) == refusal
+            return
+        powers = parse_scenario(text).limits.powers_mw()
+        assert len(powers) == MAX_SAMPLES
+        assert powers[-1] == stop
 
     def test_defaults_fill_in(self):
         text = """

@@ -38,12 +38,32 @@ class TestTimeGrid:
         assert np.allclose(np.diff(t), 0.5)
         assert t[-1] == pytest.approx(5.0)
 
-    def test_symmetric_covers_span(self):
-        g = TimeGrid.symmetric(1000.0, 3.0)
+    # half spans from under one step to past MAX_SAMPLES / 2 steps, at any
+    # scale; the sample count checked is the count allocated, or inf
+    @settings(deadline=None)
+    @given(dt=st.floats(1e-300, 1e300), steps=st.floats(1e-3, 2e6))
+    @example(dt=3.0, steps=1000.0 / 3.0)
+    @example(dt=1.0, steps=499999.5)
+    @example(dt=1.0, steps=499999.4)
+    @example(dt=1.0, steps=math.inf)
+    def test_symmetric_covers_span(self, dt, steps):
+        half_span = dt * steps
+        with mock.patch.object(waveform, "check_sample_count",
+                               wraps=waveform.check_sample_count) as check:
+            try:
+                g = TimeGrid.symmetric(half_span, dt)
+            except ValidationError:
+                count = check.call_args.args[0]
+                assert count > waveform.MAX_SAMPLES
+                assert count == math.inf or count == math.floor(count)
+                return
+        assert check.call_args.args[0] == g.n
+        assert g.n % 2 == 1 and g.n <= waveform.MAX_SAMPLES
+        assert g.t0_fs == -(g.n // 2) * dt
         t = g.times()
-        assert t[0] <= -1000.0
-        assert t[-1] >= 1000.0
         assert t[0] == -t[-1]
+        # a span under 1e-12 steps past a whole number of steps ends at that number
+        assert t[-1] >= half_span * (1.0 - 2e-12)
 
 
 class TestSampledWaveform:
@@ -287,11 +307,18 @@ class TestFwhm:
         assert narrow == pytest.approx(g, rel=0.02)
         assert wide == pytest.approx(10.0 * g, rel=0.02)
 
-    def test_unbounded_width_raises(self):
-        # Gaussian centered on the right edge: no crossing on that side.
-        g = gaussian_waveform(200.0, TimeGrid(-600.0, 1.0, 601))
-        with pytest.raises(NumericalError):
+    # a Gaussian centered on an edge of the grid has no crossing on that side
+    @pytest.mark.parametrize("t0_fs, message", [
+        (0.0, "waveform is still at or above half maximum at the first sample; "
+              "width is unbounded on this grid"),
+        (-600.0, "waveform is still at or above half maximum at the last sample; "
+                 "width is unbounded on this grid"),
+    ], ids=["first", "last"])
+    def test_unbounded_width_raises(self, t0_fs, message):
+        g = gaussian_waveform(200.0, TimeGrid(t0_fs, 1.0, 601))
+        with pytest.raises(NumericalError) as err:
             fwhm(g)
+        assert str(err.value) == message
 
     def test_all_zero_raises(self):
         w = SampledWaveform(0.0, 1.0, np.zeros(10))
