@@ -81,8 +81,7 @@ def synthesize_waveform(
     weights = np.abs(amplitudes) ** 2
     total = np.zeros(grid.n)
     for center, weight in zip(centers, weights):
-        if weight > 0.0:
-            total += weight * gaussian_waveform(pulse_fwhm_fs, grid, center).samples
+        total += weight * gaussian_waveform(pulse_fwhm_fs, grid, center).samples
     return SampledWaveform(grid.t0_fs, grid.dt_fs, total)
 
 
@@ -106,7 +105,6 @@ def center_bin_expectation(phase_diff_rad, contrast: float = 1.0):
     # a difference of two finite phases can overflow, and math.cos refuses inf
     if not np.all(np.isfinite(phases)):
         raise ValidationError("phase difference must be finite")
-    if phases.ndim == 0:
-        return (1.0 + contrast * math.cos(phase_diff_rad)) / 3.0
-    cos = np.fromiter(map(math.cos, phases.tolist()), np.float64, phases.size)
-    return (1.0 + contrast * cos) / 3.0
+    cos = np.fromiter(map(math.cos, phases.ravel().tolist()), np.float64, phases.size)
+    # arithmetic on a 0-d array gives an np.float64, which is a float
+    return (1.0 + contrast * cos.reshape(phases.shape)) / 3.0

@@ -66,7 +66,7 @@ def check_sample_count(count: float, what: str) -> None:
     """Refuse ``count`` samples (possibly inf) beyond :data:`MAX_SAMPLES`, before allocating."""
     if count > MAX_SAMPLES:
         raise ValidationError(
-            f"{what} needs {count:.8g} samples, more than the {MAX_SAMPLES} allowed"
+            f"{what} needs {count:.16g} samples, more than the {MAX_SAMPLES} allowed"
         )
 
 

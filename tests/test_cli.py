@@ -196,6 +196,22 @@ class TestSweepAndFit:
         np.testing.assert_allclose(rise, noise * 2.0, rtol=0, atol=1e-9 * tables[1][:, 2].max())
         assert [m["config"]["include_noise"] for m in manifests] == [False, True]
 
+    def test_dense_sweep_plot_is_reproducible_without_a_warning(self, tmp_path):
+        dense = tmp_path / "dense.scenario"
+        dense.write_text(edited({"experiment.sweep.n_points": 4096}), encoding="utf-8")
+        a, b = tmp_path / "a", tmp_path / "b"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for out in (a, b):
+                assert run("sweep", str(dense), "--out", str(out), "--quiet") == 0
+        assert read_table(a / "sweep.csv")[2].shape[0] == 4096
+        svg = (a / "sweep.svg").read_bytes()
+        assert svg == (b / "sweep.svg").read_bytes()
+        # each polyline is reduced per pixel column
+        plot_w = svgplot._WIDTH - svgplot._MARGIN_LEFT - svgplot._MARGIN_RIGHT
+        for points in re.findall(rb'<polyline points="([^"]*)"', svg):
+            assert len(points.split()) <= 4 * plot_w
+
 
 class TestTimebin:
     def test_probabilities_and_waveforms(self, tmp_path):
@@ -464,7 +480,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("sub, path, value, cause", [
         ("limits", ("experiment", "limits", "power_step_mw"), 1.0e-300,
-         "experiment.limits: power_step_mw 1e-300 needs 4.5e+302 samples"),
+         "experiment.limits: power_step_mw 1e-300 needs 4.500000000005001e+302 samples"),
         ("scan", ("experiment", "scan", "step_fs"), 1.0e-300,
          "experiment.scan: step_fs 1e-300 needs 3.6e+303 samples"),
         ("deconv", ("experiment", "scan", "step_fs"), 5.0e-324,
@@ -720,6 +736,35 @@ class TestExitCodes:
         assert run(sub, str(scenario), "--out", str(tmp_path / "art")) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"ucspd: error: {cause}")
+        assert "Traceback" not in err
+
+    # refusals of single edits of l2: each exits with its code and names its
+    # cause, with no traceback
+    @pytest.mark.parametrize("sub, text, code, cause", [
+        ("resolve", edited({"experiment.dt_fs": 1.0e300}), 1,
+         "ucspd: error: experiment.dt_fs: must be at most half of source.pump_fwhm_fs "
+         "(200.0 fs), got 1e+300\n"),
+        ("sweep", edited({"experiment.sweep.n_points": 3}), 1,
+         "ucspd: error: experiment.sweep.n_points: must be at least 5, got 3\n"),
+        ("resolve", edited({"detector.crystal.length_mm": 1.7976931348623157e308}), 1,
+         "ucspd: error: a time grid at 1.0 fs spacing needs inf samples, "
+         "more than the 1000000 allowed\n"),
+        ("limits", edited({"experiment.limits.integration_s": 1.7976931348623157e308}), 2,
+         "ucspd: error: noise_rate_cps * integration_s = 127.07379529840617 * "
+         "1.7976931348623157e+308 overflows, so the limit per pulse is undefined\n"),
+        # a key written twice, which a YAML mapping cannot hold
+        ("resolve", (BUNDLED / "l2_300mw.scenario").read_text(encoding="utf-8").replace(
+            "    length_mm: 2.0\n", "    length_mm: 2.0\n    length_mm: 3.0\n"), 1,
+         "found duplicate key 'length_mm'"),
+    ], ids=["coarse", "few", "long", "endless", "twice"])
+    def test_edited_scenario_is_refused_by_its_cause(
+        self, sub, text, code, cause, tmp_path, capsys
+    ):
+        scenario = tmp_path / "edited.scenario"
+        scenario.write_text(text, encoding="utf-8")
+        assert run(sub, str(scenario), "--out", str(tmp_path / "art")) == code
+        err = capsys.readouterr().err
+        assert cause in err
         assert "Traceback" not in err
 
     def test_options_do_not_carry_over_between_calls(self, tmp_path, capsys):

@@ -65,6 +65,13 @@ class TestTimeGrid:
         # a span under 1e-12 steps past a whole number of steps ends at that number
         assert t[-1] >= half_span * (1.0 - 2e-12)
 
+    def test_refusal_names_the_exact_sample_count(self):
+        with pytest.raises(ValidationError) as refused:
+            TimeGrid.symmetric(5.0e7, 1.0)
+        assert str(refused.value) == (
+            "a time grid at 1.0 fs spacing needs 100000001 samples, more than the 1000000 allowed"
+        )
+
 
 class TestSampledWaveform:
     def test_samples_are_read_only(self):
