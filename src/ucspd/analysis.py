@@ -355,13 +355,11 @@ def erf_gate_model_and_jacobian(delay_fs, gate_width_fs, amplitude, center_fs, f
     ``(gate_width_fs, amplitude, center_fs, floor)`` in that order.  ``erf``
     is libm's (``math.erf``), taken as ``sign(u)`` where ``|u| >= 6``.
     """
-    # across the float range u overflows to +-inf: its erf is +-1, its exp(-u^2) 0
-    with np.errstate(over="ignore"):
-        tau = np.asarray(delay_fs, dtype=np.float64) - center_fs
-        u1 = q * (gate_width_fs - 2.0 * tau)
-        u2 = q * (-gate_width_fs - 2.0 * tau)
-        e1 = np.exp(-u1 ** 2)
-        e2 = np.exp(-u2 ** 2)
+    tau = np.asarray(delay_fs, dtype=np.float64) - center_fs
+    u1 = q * (gate_width_fs - 2.0 * tau)
+    u2 = q * (-gate_width_fs - 2.0 * tau)
+    e1 = np.exp(-u1 ** 2)
+    e2 = np.exp(-u2 ** 2)
     shape = _erf(u1) - _erf(u2)
     slope = amplitude * q * _TWO_OVER_SQRT_PI
     jac = np.column_stack([slope * (e1 + e2), shape, 2.0 * slope * (e1 - e2), np.ones_like(e1)])
@@ -423,9 +421,8 @@ def fit_erf_gate(delays_fs, counts, pump_fwhm_fs: float, signal_fwhm_fs: float) 
     above = np.nonzero(y - floor0 >= 0.5 * (peak - floor0))[0]
     width0 = max(float(delays[above[-1]] - delays[above[0]]), float(span) / 50.0)
     amp0 = (peak - floor0) / 2.0
-    with np.errstate(over="ignore"):
-        lower = np.array([1e-6, 0.0, delays[0] - span, 0.0])
-        upper = np.array([2.0 * span, np.inf, delays[-1] + span, np.inf])
+    lower = np.array([1e-6, 0.0, delays[0] - span, 0.0])
+    upper = np.array([2.0 * span, np.inf, delays[-1] + span, np.inf])
     weight = 1.0 / np.sqrt(np.maximum(y, 1.0))
 
     def evaluate(p):

@@ -206,21 +206,9 @@ def _resolution_kernel(scenario: Scenario) -> SampledWaveform:
     return resolution_function(scenario.pump_fwhm_fs, scenario.gate_width_fs, grid)
 
 
-def _detection_limit(scenario: Scenario, point: tuple, power_mw: float | None = None) -> float:
-    """The limit per pulse at ``point``, the scenario's operating point at ``power_mw``."""
-    internal, eta, noise = point
-    chain = (scenario.apd_efficiency, scenario.fiber_coupling, scenario.filter_transmittance)
-    # with every chain fraction above 0, a zero efficiency is an underflow (the
-    # schema keeps the pump's inputs positive); efficiency grows with power, so
-    # a limits sweep meets it at its first power
-    if eta == 0.0 and 0.0 not in chain:
-        key = "source.pump_power_mw" if power_mw is None else "experiment.limits.power_start_mw"
-        power = scenario.pump_power_mw if power_mw is None else power_mw
-        raise NumericalError(
-            f"external efficiency at {key} = {power!r} mW underflows to 0: internal "
-            f"efficiency {internal!r} (detector.pump) times "
-            f"detector.chain {' * '.join(map(repr, chain))}, so the limit per pulse is undefined"
-        )
+def _detection_limit(scenario: Scenario, point: tuple) -> float:
+    """The limit per pulse at ``point``, one of the scenario's operating points."""
+    _, eta, noise = point
     return detection_limit(noise, scenario.limits.integration_s, eta, scenario.rep_rate_hz)
 
 
@@ -396,7 +384,7 @@ def _cmd_limits(scenario: Scenario, files: _Artifacts) -> dict:
     section = scenario.limits
     powers = section.powers_mw()
     points = [scenario.operating_point(power) for power in powers]
-    limits = [_detection_limit(scenario, point, power) for point, power in zip(points, powers)]
+    limits = [_detection_limit(scenario, point) for point in points]
     columns = [powers, *zip(*points), limits]
     files.table(
         "limits.csv",

@@ -13,14 +13,15 @@ The detection limit follows counting statistics: with a noise rate N over an
 integration time T the count fluctuation is sqrt(N T), and a signal is
 called detectable at three such standard deviations.  Expressed per incident
 pulse that is ``3 sqrt(N T) / (T R eta)`` for repetition rate R and external
-efficiency eta.  The scenario schema checks the arguments; this module
-refuses only what it computes from them.
+efficiency eta.  The scenario schema checks the arguments, and its ranges
+keep every value computed here finite and normal; this module refuses only
+calibrations the curves cannot pass through and a limit with no detected
+pulse.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 
 from .errors import NumericalError, ValidationError
 
@@ -47,14 +48,8 @@ def pump_eta_max(calibration_power_mw: float, calibration_eta: float, p_sat_mw: 
     ``eta(P) = eta_max * (1 - exp(-P / p_sat_mw))``: linear at low power,
     flattening once the pump depletes the available conversion bandwidth.
     """
-    saturation = -math.expm1(-calibration_power_mw / p_sat_mw)
-    if saturation == 0.0:
-        raise ValidationError(
-            f"calibration power {calibration_power_mw} mW against saturation power {p_sat_mw} mW "
-            "gives 1 - exp(-P / p_sat) = 0, which cannot fix eta_max"
-        )
-    eta_max = calibration_eta / saturation
-    if not (math.isfinite(eta_max) and 0.0 < eta_max <= 1.0):
+    eta_max = calibration_eta / -math.expm1(-calibration_power_mw / p_sat_mw)
+    if eta_max > 1.0:
         raise ValidationError(f"eta_max must be in (0, 1], got {eta_max}")
     return eta_max
 
@@ -77,33 +72,19 @@ def noise_n0(dark_cps: float, growth_per_unit_eta: float, eta_ref: float,
         raise ValidationError(
             f"reference noise {noise_cps_ref} cps is below the dark floor {dark_cps} cps"
         )
-    try:
-        scale = math.expm1(growth_per_unit_eta * eta_ref)
-    except OverflowError:
-        scale = math.inf
-    if scale == 0.0 or math.isinf(scale):
+    scale = math.expm1(growth_per_unit_eta * eta_ref)
+    if scale == 0.0:
         raise ValidationError(
             f"growth_per_unit_eta {growth_per_unit_eta} with eta_ref {eta_ref} gives "
             f"exp(growth * eta_ref) - 1 = {scale}, which cannot fix n0_cps"
         )
-    n0 = (noise_cps_ref - dark_cps) / scale
-    # n0 overflows when the term it divides by is subnormal
-    if not (math.isfinite(n0) and n0 >= 0.0):
-        raise ValidationError(f"n0_cps must be >= 0, got {n0}")
-    return n0
+    return (noise_cps_ref - dark_cps) / scale
 
 
 def noise_cps(dark_cps: float, n0_cps: float, growth_per_unit_eta: float,
               internal_eta: float) -> float:
     """Noise rate at the given internal efficiency operating point."""
-    try:
-        growth = math.expm1(growth_per_unit_eta * internal_eta)
-    except OverflowError:
-        growth = math.inf
-    noise = dark_cps + n0_cps * growth
-    if not math.isfinite(noise):
-        raise ValidationError(f"noise rate overflows at internal efficiency {internal_eta}")
-    return noise
+    return dark_cps + n0_cps * math.expm1(growth_per_unit_eta * internal_eta)
 
 
 def detection_limit(
@@ -118,33 +99,13 @@ def detection_limit(
     to the source through the external efficiency and repetition rate:
     ``3 sqrt(noise * T) / (T * R * eta)``.  Scales as ``1 / sqrt(T)`` and as
     ``1 / eta``, so halving the efficiency doubles the limit.  When
-    ``noise * T`` or ``T * R * eta`` is subnormal, and so holds fewer digits
-    than a float, the limit is ``3 sqrt(noise) / (sqrt(T) * R * eta)``
-    instead, divided factor by factor if that denominator is subnormal too.
-    When ``T * R * eta`` is 0 (a factor is 0, or the product underflows) no
-    pulse is detected, and when ``noise * T``, ``T * R * eta`` or the limit
-    itself overflows there is no finite limit; NumericalError says which.
+    ``T * R * eta`` is 0, because a chain factor is 0, no pulse is detected
+    and NumericalError says so.
     """
-    noise_counts = noise_rate_cps * integration_s
     pulses_detected = integration_s * rep_rate_hz * external_eta
-    if not math.isfinite(noise_counts):
-        problem = f"noise_rate_cps * integration_s = {noise_rate_cps} * {integration_s} overflows"
-    elif not math.isfinite(pulses_detected) or pulses_detected == 0.0:
-        zero = 0.0 in (integration_s, rep_rate_hz, external_eta)
-        outcome = ("overflows" if not math.isfinite(pulses_detected)
-                   else "is 0" if zero else "underflows to 0")
-        problem = (f"integration_s * rep_rate_hz * external_eta = {integration_s} * "
-                   f"{rep_rate_hz} * {external_eta} {outcome}")
-    else:
-        limit = 3.0 * math.sqrt(noise_counts) / pulses_detected
-        if 0.0 < noise_counts < sys.float_info.min or pulses_detected < sys.float_info.min:
-            root_t = math.sqrt(integration_s)
-            sigma, reduced = 3.0 * math.sqrt(noise_rate_cps), root_t * rep_rate_hz * external_eta
-            # a subnormal reduced product has R * eta < 1: no quotient overflows before the limit
-            limit = (sigma / reduced if reduced >= sys.float_info.min
-                     else sigma / root_t / rep_rate_hz / external_eta)
-        if not math.isinf(limit):
-            return limit
-        problem = (f"3 * sqrt(noise_rate_cps * integration_s) / (integration_s * rep_rate_hz * "
-                   f"external_eta) = 3 * sqrt({noise_counts}) / {pulses_detected} overflows")
-    raise NumericalError(f"{problem}, so the limit per pulse is undefined")
+    if pulses_detected == 0.0:
+        raise NumericalError(
+            f"integration_s * rep_rate_hz * external_eta = {integration_s} * {rep_rate_hz} * "
+            f"{external_eta} is 0, so the limit per pulse is undefined"
+        )
+    return 3.0 * math.sqrt(noise_rate_cps * integration_s) / pulses_detected

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import io
 import json
-import math
 import re
 from collections import namedtuple
 
@@ -92,29 +92,26 @@ def _loader(base):
 _LOADER = _loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
 
 
-def _real(value, path):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{path}: expected a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ScenarioError(f"{path}: must be finite, got {value!r}")
-    return value
+class _Interval(namedtuple("_Interval", "low high zero", defaults=(False,))):
+    """A key's range: a real in ``[low, high]``, and 0 as well if ``zero``.
 
+    The ranges hold every detector a lab could build and keep each quantity
+    the model derives from them finite and normal, so no model code guards
+    against overflow or subnormal values.
+    """
 
-def _interval(inside, rule):
-    """A check that takes a finite real and refuses it unless ``inside(value)``."""
-    def check(value, path):
-        value = _real(value, path)
-        if not inside(value):
-            raise ScenarioError(f"{path}: must be {rule}, got {value}")
-        return value
-    return check
+    __slots__ = ()
 
+    def __str__(self) -> str:
+        return f"in [{self.low:g}, {self.high:g}]" + (" or 0" if self.zero else "")
 
-_positive = _interval(lambda value: value > 0.0, "positive")
-_nonnegative = _interval(lambda value: value >= 0.0, ">= 0")
-_fraction = _interval(lambda value: 0.0 <= value <= 1.0, "in [0, 1]")
-_positive_fraction = _interval(lambda value: 0.0 < value <= 1.0, "in (0, 1]")
+    def __call__(self, value, path):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ScenarioError(f"{path}: expected a number, got {value!r}")
+        # compared before the conversion, which an int too large for a float refuses
+        if not (self.low <= value <= self.high or self.zero and value == 0):
+            raise ScenarioError(f"{path}: must be {self}, got {value}")
+        return float(value)
 
 
 def _integer(value, path):
@@ -170,64 +167,66 @@ _SCHEMA = {
     "output_dir": (_string, "out"),
     "detector": {
         "crystal": {
-            "length_mm": (_positive, _REQUIRED),
+            "length_mm": (_Interval(1e-3, 1e3), _REQUIRED),
             # the pump/signal group-delay difference of PPMgSLT at the
             # operating wavelengths; the gate is tau_g * L wide
-            "tau_g_fs_per_mm": (_positive, 204.3),
+            "tau_g_fs_per_mm": (_Interval(1e-3, 1e4), 204.3),
             "label": (_label, ""),  # names the crystal on plots, enters no calculation
         },
         # the reference setup: a silicon APD, single-mode fiber re-coupling
         # of the up-converted light, and the pump/background rejection filters
         "chain": {
-            "apd_efficiency": (_fraction, 0.41),
-            "fiber_coupling": (_fraction, 0.85),
-            "filter_transmittance": (_fraction, 0.94),
+            "apd_efficiency": (_Interval(1e-6, 1.0, zero=True), 0.41),
+            "fiber_coupling": (_Interval(1e-6, 1.0, zero=True), 0.85),
+            "filter_transmittance": (_Interval(1e-6, 1.0, zero=True), 0.94),
         },
         "pump": {
-            "p_sat_mw": (_positive, _REQUIRED),
-            "calibration_power_mw": (_positive, _REQUIRED),
-            "calibration_eta": (_positive_fraction, _REQUIRED),
+            "p_sat_mw": (_Interval(1e-3, 1e6), _REQUIRED),
+            "calibration_power_mw": (_Interval(1e-3, 1e6), _REQUIRED),
+            "calibration_eta": (_Interval(1e-6, 1.0), _REQUIRED),
         },
         "noise": {
-            "dark_cps": (_nonnegative, _REQUIRED),
-            "growth_per_unit_eta": (_nonnegative, _REQUIRED),
-            "calibration_eta": (_positive_fraction, _REQUIRED),
-            "calibration_noise_cps": (_real, _REQUIRED),
+            "dark_cps": (_Interval(1e-3, 1e9, zero=True), _REQUIRED),
+            # exp(growth * eta) stays finite for every eta up to 1
+            "growth_per_unit_eta": (_Interval(1e-3, 500.0, zero=True), _REQUIRED),
+            "calibration_eta": (_Interval(1e-6, 1.0), _REQUIRED),
+            "calibration_noise_cps": (_Interval(1e-3, 1e9, zero=True), _REQUIRED),
         },
     },
     "source": {
-        "pump_fwhm_fs": (_positive, _REQUIRED),
-        "signal_fwhm_fs": (_positive, _REQUIRED),
-        "mean_photons_per_pulse": (_nonnegative, 0.1),
-        "rep_rate_hz": (_positive, 76.3e6),
-        "pump_power_mw": (_positive, _REQUIRED),
+        "pump_fwhm_fs": (_Interval(1.0, 1e6), _REQUIRED),
+        "signal_fwhm_fs": (_Interval(1.0, 1e6), _REQUIRED),
+        "mean_photons_per_pulse": (_Interval(1e-12, 1e12, zero=True), 0.1),
+        "rep_rate_hz": (_Interval(1.0, 1e12), 76.3e6),
+        "pump_power_mw": (_Interval(1e-3, 1e6), _REQUIRED),
     },
     "experiment": {
-        "dt_fs": (_positive, 1.0),
+        "dt_fs": (_Interval(1e-3, 1e4), 1.0),
         "scan": {
-            "start_fs": (_real, _REQUIRED),
-            "stop_fs": (_real, _REQUIRED),
-            "step_fs": (_positive, _REQUIRED),
-            "dwell_s": (_positive, 1.0),
+            "start_fs": (_Interval(-1e9, 1e9), _REQUIRED),
+            "stop_fs": (_Interval(-1e9, 1e9), _REQUIRED),
+            "step_fs": (_Interval(1e-3, 1e9), _REQUIRED),
+            "dwell_s": (_Interval(1e-6, 1e6), 1.0),
             "signal": (_signal, "gaussian"),
         },
         "sweep": {
             "n_points": (_sweep_points, 24),
-            "dwell_s": (_positive, 1.0),
-            "counts_scale": (_positive, _REQUIRED),
+            "dwell_s": (_Interval(1e-6, 1e6), 1.0),
+            # wide enough that a mean above the Poisson sampler's limit stays possible
+            "counts_scale": (_Interval(1e-3, 1e20), _REQUIRED),
             "include_noise": (_boolean, False),
         },
         "timebin": {
-            "slot_spacing_fs": (_positive, _REQUIRED),
-            "phase_rad": (_real, 0.0),
-            "phase_prime_rad": (_real, 0.0),
-            "contrast": (_positive_fraction, 1.0),
+            "slot_spacing_fs": (_Interval(1.0, 1e6), _REQUIRED),
+            "phase_rad": (_Interval(-1e6, 1e6), 0.0),
+            "phase_prime_rad": (_Interval(-1e6, 1e6), 0.0),
+            "contrast": (_Interval(1e-6, 1.0), 1.0),
         },
         "limits": {
-            "power_start_mw": (_positive, _REQUIRED),
-            "power_stop_mw": (_real, _REQUIRED),
-            "power_step_mw": (_positive, _REQUIRED),
-            "integration_s": (_positive, 1.0),
+            "power_start_mw": (_Interval(1e-3, 1e6), _REQUIRED),
+            "power_stop_mw": (_Interval(1e-3, 1e6), _REQUIRED),
+            "power_step_mw": (_Interval(1e-3, 1e6), _REQUIRED),
+            "integration_s": (_Interval(1e-6, 1e6), 1.0),
         },
     },
 }
@@ -316,7 +315,7 @@ class ScanSection(namedtuple("ScanSection", _EXPERIMENT["scan"])):
         return np.arange(self.start_fs, self.stop_fs + 0.5 * self.step_fs, self.step_fs)
 
     def point_count(self) -> float:
-        """The length of :meth:`coordinates`, as ``np.arange`` counts it; inf if that overflows."""
+        """The length of :meth:`coordinates`, as ``np.arange`` counts it."""
         return float(np.ceil((self.stop_fs + 0.5 * self.step_fs - self.start_fs) / self.step_fs))
 
 
@@ -333,7 +332,7 @@ class LimitsSection(namedtuple("LimitsSection", _EXPERIMENT["limits"])):
     __slots__ = ()
 
     def point_count(self) -> float:
-        """Whole steps up to 1e-12 relative past the stop, plus one; inf if that overflows."""
+        """Whole steps up to 1e-12 relative past the stop, plus one."""
         last = (self.power_stop_mw * (1.0 + 1e-12) - self.power_start_mw) / self.power_step_mw
         return float(np.floor(last)) + 1.0
 
@@ -396,8 +395,8 @@ def _canonical_json(effective: dict) -> str:
 
 
 @functools.lru_cache(maxsize=8)
-def parse_scenario(text: str) -> Scenario:
-    """Parse and validate a scenario document.
+def parse_scenario(text: str, path: str | None = None) -> Scenario:
+    """Parse and validate a scenario document, read from the file ``path`` if given.
 
     The last few texts are cached: the same text returns the same object,
     which is immutable, and a text that is refused raises on every call.
@@ -406,10 +405,16 @@ def parse_scenario(text: str) -> Scenario:
     ------
     ScenarioError
         Malformed YAML, missing or unknown keys, or values out of range alone
-        or together; the message names the key or section path.
+        or together; the message names the key or section path, and a YAML
+        error's line marks name ``path``.
     """
+    stream = text
+    if path is not None:
+        # the loader names a stream's file in its marks
+        stream = io.StringIO(text)
+        stream.name = path
     try:
-        doc = yaml.load(text, Loader=_LOADER)
+        doc = yaml.load(stream, Loader=_LOADER)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"scenario is not valid YAML: {exc}") from exc
     if doc is None or doc == {}:
@@ -425,9 +430,6 @@ def parse_scenario(text: str) -> Scenario:
     n0_cps = _build("detector.noise", noise_n0, noise["dark_cps"], noise["growth_per_unit_eta"],
                     noise["calibration_eta"], noise["calibration_noise_cps"])
     noise_curve = (noise["dark_cps"], n0_cps, noise["growth_per_unit_eta"])
-    # noise grows with efficiency, and no pump power takes the efficiency
-    # beyond eta_max, so a noise rate that is finite there is finite everywhere
-    _build("detector.noise", noise_cps, *noise_curve, eta_max)
     return Scenario(
         **{key: tree[key] for key in _leaves(tree)},
         output_dir=output_dir,
@@ -449,7 +451,7 @@ def load_scenario(path) -> Scenario:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario {path!r}: {exc}") from exc
-    return parse_scenario(text)
+    return parse_scenario(text, str(path))
 
 
 def scenario_with_seed(scenario: Scenario, seed: int) -> Scenario:

@@ -463,9 +463,7 @@ def run_scan(
             f"rate function returned {float(rates[i])!r} at coordinate {coords[i]:g}; "
             "expected a finite non-negative rate"
         )
-    # a mean that overflows to inf is refused below, with its coordinate
-    with np.errstate(over="ignore"):
-        means = rates * config.dwell_s
+    means = rates * config.dwell_s
     too_large = means > _POISSON_LAM_MAX
     if too_large.any():
         i = int(np.argmax(too_large))
@@ -498,7 +496,5 @@ def run_phase_sweep(
     """
     config = ScanConfig(np.asarray(phases_rad, dtype=np.float64), dwell_s=dwell_s, seed=seed)
     fringe = center_bin_expectation(config.coordinates - decode_phase_rad, contrast)
-    # a rate that overflows to inf is refused by run_scan, with its coordinate
-    with np.errstate(over="ignore"):
-        rates = (counts_scale * fringe) / dwell_s + noise_cps
+    rates = (counts_scale * fringe) / dwell_s + noise_cps
     return run_scan(config, lambda _: rates)

@@ -80,15 +80,13 @@ class TimeGrid(NamedTuple):
     @classmethod
     def symmetric(cls, half_span_fs: float, dt_fs: float) -> "TimeGrid":
         """Grid centered on zero covering at least ``[-half_span, +half_span]``."""
-        # k whole steps on each side, at least one; inf where the span overflows
+        # k whole steps on each side, at least one
         k = max(1.0, float(np.ceil(half_span_fs / dt_fs - 1e-12)))
         check_sample_count(2.0 * k + 1.0, f"a time grid at {dt_fs!r} fs spacing")
         return cls(-int(k) * dt_fs, dt_fs, 2 * int(k) + 1)
 
     def times(self) -> np.ndarray:
-        # the last times of a grid across the float range overflow to inf
-        with np.errstate(over="ignore"):
-            return self.t0_fs + self.dt_fs * np.arange(self.n)
+        return self.t0_fs + self.dt_fs * np.arange(self.n)
 
 
 class SampledWaveform(NamedTuple("SampledWaveform", [

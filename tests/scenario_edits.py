@@ -2,7 +2,9 @@
 
 A scenario value's own range is checked once, by the schema in
 ``ucspd.scenario``, so a test of a refused value edits a real scenario and
-parses it, rather than passing the value to the model code.
+parses it, rather than passing the value to the model code.  ``RANGES``
+reads each real-valued key's range from that schema, so the tests hold no
+second copy of the bounds.
 """
 
 import copy
@@ -10,6 +12,8 @@ import functools
 from importlib import resources
 
 import yaml
+
+from ucspd.scenario import _SCHEMA, _Interval
 
 BUNDLED = resources.files("ucspd") / "scenarios"
 # libyaml's emitter writes the same text as PyYAML's pure-Python one, faster
@@ -31,3 +35,21 @@ def edited(edits: dict, name: str = "l2_300mw") -> str:
             node = node.setdefault(section, {})
         node[key] = value
     return yaml.dump(doc, Dumper=_DUMPER, sort_keys=False)
+
+
+def _ranges(table: dict, prefix: str = ""):
+    for key, spec in table.items():
+        path = f"{prefix}.{key}" if prefix else key
+        if isinstance(spec, dict):
+            yield from _ranges(spec, path)
+        elif isinstance(spec[0], _Interval):
+            yield path, spec[0]
+
+
+#: every real-valued key's dotted path and its range, in schema order
+RANGES = dict(_ranges(_SCHEMA))
+
+
+def range_refusal(path: str, value) -> str:
+    """The parser's refusal of ``value`` for the key ``path``, which is outside its range."""
+    return f"{path}: must be {RANGES[path]}, got {value}"

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -22,14 +23,13 @@ from scipy.signal import find_peaks
 
 import ucspd
 import ucspd.scenario
-from scenario_edits import edited
+from scenario_edits import RANGES, edited, range_refusal
 from waveform_csv import read_csv
 from waveform_measures import peak_time_fs
 from ucspd.analysis import deconvolve
 from ucspd.cli import main
 from ucspd.detector import detection_limit
-from ucspd.errors import ScenarioError
-from ucspd.scenario import _SCHEMA, parse_scenario
+from ucspd.scenario import parse_scenario
 from ucspd import svgplot, waveform
 from ucspd.simulate import derive_stage_seed
 from ucspd.waveform import ARRAY_MIN_ROWS, fwhm
@@ -453,21 +453,18 @@ class TestExitCodes:
         assert code == 2
         assert "gate" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("sub, path, value", [
-        ("scan", ("source", "mean_photons_per_pulse"), 1.0e20),
-        ("scan", ("experiment", "scan", "dwell_s"), 1.0e15),
-        ("sweep", ("experiment", "sweep", "counts_scale"), 1.0e20),
+    # in-range values whose largest mean, about 2.5e19, 2.5e20 and 3.3e19,
+    # is above the sampler's limit of about 9.2e18
+    @pytest.mark.parametrize("sub, edits", [
+        ("scan", {"source.mean_photons_per_pulse": 1.0e11, "experiment.scan.dwell_s": 100.0}),
+        ("scan", {"experiment.scan.dwell_s": 1.0e5, "source.mean_photons_per_pulse": 1.0e9}),
+        ("sweep", {"experiment.sweep.counts_scale": 5.0e19}),
     ], ids=["scan-mean_photons", "scan-dwell", "sweep-counts_scale"])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_mean_above_the_poisson_limit_exits_2(self, sub, path, value, fmt, tmp_path, capsys):
-        doc = yaml.safe_load((BUNDLED / "l2_300mw.scenario").read_text(encoding="utf-8"))
-        section = doc
-        for key in path[:-1]:
-            section = section[key]
-        section[path[-1]] = value
-        edited = tmp_path / "huge.scenario"
-        edited.write_text(yaml.safe_dump(doc, sort_keys=False), encoding="utf-8")
-        assert run(sub, str(edited), "--out", str(tmp_path / "art"), "--format", fmt) == 2
+    def test_mean_above_the_poisson_limit_exits_2(self, sub, edits, fmt, tmp_path, capsys):
+        huge = tmp_path / "huge.scenario"
+        huge.write_text(edited(edits), encoding="utf-8")
+        assert run(sub, str(huge), "--out", str(tmp_path / "art"), "--format", fmt) == 2
         captured = capsys.readouterr()
         if fmt == "json":
             error = json.loads(captured.out)["error"]
@@ -478,80 +475,83 @@ class TestExitCodes:
         assert "Poisson mean" in message and "at coordinate" in message
         assert "the largest the count sampler accepts" in message
 
-    @pytest.mark.parametrize("sub, path, value, cause", [
-        ("limits", ("experiment", "limits", "power_step_mw"), 1.0e-300,
-         "experiment.limits: power_step_mw 1e-300 needs 4.500000000005001e+302 samples"),
-        ("scan", ("experiment", "scan", "step_fs"), 1.0e-300,
-         "experiment.scan: step_fs 1e-300 needs 3.6e+303 samples"),
-        ("deconv", ("experiment", "scan", "step_fs"), 5.0e-324,
-         "experiment.scan: step_fs 5e-324 needs inf samples"),
-        ("resolve", ("experiment", "dt_fs"), 1.0e-300,
-         "a time grid at 1e-300 fs spacing needs 1.6086e+303 samples"),
-        ("resolve", ("experiment", "dt_fs"), 5.0e-324,
-         "a time grid at 5e-324 fs spacing needs inf samples"),
-        ("timebin", ("experiment", "dt_fs"), 5.0e-324,
-         "a time grid at 5e-324 fs spacing needs inf samples"),
-        ("sweep", ("experiment", "sweep", "n_points"), 10 ** 12,
-         "experiment.sweep.n_points: 1000000000000 points"),
+    # a fine in-range step over a wide in-range span; a subnormal step, which
+    # would need inf samples, is outside its key's range and refused by it
+    @pytest.mark.parametrize("sub, edits, cause", [
+        ("limits", {"experiment.limits.power_step_mw": 0.002,
+                    "experiment.limits.power_stop_mw": 5000.0},
+         "experiment.limits: power_step_mw 0.002 needs 2475001 samples, "
+         "more than the 1000000 allowed"),
+        ("scan", {"experiment.scan.step_fs": 0.002},
+         "experiment.scan: step_fs 0.002 needs 1800001 samples, more than the 1000000 allowed"),
+        ("deconv", {"experiment.scan.step_fs": 5.0e-324},
+         range_refusal("experiment.scan.step_fs", 5e-324)),
+        ("resolve", {"experiment.dt_fs": 0.01, "detector.crystal.length_mm": 100.0},
+         "a time grid at 0.01 fs spacing needs 2163003 samples, more than the 1000000 allowed"),
+        ("resolve", {"experiment.dt_fs": 5.0e-324}, range_refusal("experiment.dt_fs", 5e-324)),
+        ("timebin", {"experiment.dt_fs": 5.0e-324}, range_refusal("experiment.dt_fs", 5e-324)),
+        ("sweep", {"experiment.sweep.n_points": 10 ** 12},
+         "experiment.sweep.n_points: 1000000000000 points are more than the 1000000 allowed"),
     ], ids=["limits-power_step", "scan-step", "deconv-step-subnormal", "resolve-dt",
             "resolve-dt-subnormal", "timebin-dt-subnormal", "sweep-n_points"])
-    def test_oversized_arrays_are_refused(self, sub, path, value, cause, tmp_path, capsys):
-        doc = yaml.safe_load((BUNDLED / "l2_300mw.scenario").read_text(encoding="utf-8"))
-        section = doc
-        for key in path[:-1]:
-            section = section[key]
-        section[path[-1]] = value
-        edited = tmp_path / "oversized.scenario"
-        edited.write_text(yaml.safe_dump(doc, sort_keys=False), encoding="utf-8")
-        assert run(sub, str(edited), "--out", str(tmp_path / "art")) == 1
+    def test_oversized_arrays_are_refused(self, sub, edits, cause, tmp_path, capsys):
+        oversized = tmp_path / "oversized.scenario"
+        oversized.write_text(edited(edits), encoding="utf-8")
+        assert run(sub, str(oversized), "--out", str(tmp_path / "art")) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"ucspd: error: {cause}")
-        assert "more than the 1000000 allowed" in err
-        assert "Traceback" not in err
+        assert err == f"ucspd: error: {cause}\n"
 
     @pytest.mark.parametrize("sub", ["scan", "deconv", "report"])
     def test_one_point_scan_is_refused_by_its_key(self, sub, tmp_path, capsys):
         # a step wider than the scan leaves one point, and so no step at all
+        step = RANGES["experiment.scan.step_fs"].high
         short = tmp_path / "short.scenario"
-        short.write_text(edited({"experiment.scan.step_fs": 1.0e300}, "l1_300mw"),
-                         encoding="utf-8")
+        short.write_text(edited({"experiment.scan.step_fs": step}, "l1_300mw"), encoding="utf-8")
         assert run(sub, str(short), "--out", str(tmp_path / "art")) == 1
         err = capsys.readouterr().err
         assert err.startswith(
-            "ucspd: error: experiment.scan: step_fs 1e+300 leaves one scan point from "
+            f"ucspd: error: experiment.scan: step_fs {step} leaves one scan point from "
             "start_fs -1000.0 to stop_fs 1000.0; a scan needs at least 2"
         )
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("sub", ["scan", "deconv", "report"])
     def test_scan_whose_arange_count_overflows_is_refused_by_its_key(self, sub, tmp_path, capsys):
-        # (stop - start) / step is 179.7, but np.arange counts from
-        # stop + step / 2 - start, which overflows to inf
+        # np.arange would count from stop + step / 2 - start, which overflows
+        # to inf; a start this far out is outside its key's range
         wide = tmp_path / "wide.scenario"
         wide.write_text(edited({"experiment.scan.start_fs": -1.797e308,
                                 "experiment.scan.step_fs": 1.0e306}), encoding="utf-8")
         assert run(sub, str(wide), "--out", str(tmp_path / "art")) == 1
         err = capsys.readouterr().err
-        assert err.startswith("ucspd: error: experiment.scan: step_fs 1e+306 needs inf samples")
-        assert "Traceback" not in err
+        assert err == f"ucspd: error: {range_refusal('experiment.scan.start_fs', -1.797e308)}\n"
 
-    # scans across about 1e308 fs overflow the gate fit's erf model, the fit's
-    # bounds and the kernel grid's last times to inf; each exits with its own
-    # code and no overflow warning
-    @pytest.mark.parametrize("sub, scan, code", [
+    # scans across about 1e308 fs would overflow the gate fit's erf model,
+    # the fit's bounds and the kernel grid's last times to inf; they are
+    # refused by their start's range, and the same scans scaled into range
+    # exit with their own code and no overflow warning
+    @pytest.mark.parametrize("sub, scan, exit_code", [
         ("report", {"start_fs": -5e307, "stop_fs": 5e307, "step_fs": 1e306}, 2),
         ("report", {"start_fs": -8e307, "stop_fs": 8e307, "step_fs": 1e306}, 2),
         ("deconv", {"start_fs": -1e308, "stop_fs": 0.0, "step_fs": 1e308}, 0),
     ], ids=["erf-model", "fit-bounds", "kernel-times"])
     def test_scans_across_the_float_range_overflow_without_a_warning(
-        self, sub, scan, code, tmp_path
+        self, sub, scan, exit_code, tmp_path, capsys
     ):
-        wide = tmp_path / "wide.scenario"
-        wide.write_text(edited({f"experiment.scan.{key}": value for key, value in scan.items()},
-                               "l1_300mw"), encoding="utf-8")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            assert run(sub, str(wide), "--out", str(tmp_path / "art"), "--quiet") == code
+        scale = RANGES["experiment.scan.stop_fs"].high / -scan["start_fs"]
+        scaled = {key: scale * value for key, value in scan.items()}
+        for i, (values, expected) in enumerate(((scan, 1), (scaled, exit_code))):
+            wide = tmp_path / f"wide{i}.scenario"
+            wide.write_text(edited({f"experiment.scan.{key}": value
+                                    for key, value in values.items()}, "l1_300mw"),
+                            encoding="utf-8")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code = run(sub, str(wide), "--out", str(tmp_path / f"art{i}"), "--quiet")
+            assert code == expected
+        assert capsys.readouterr().err.startswith(
+            "ucspd: error: experiment.scan.start_fs: must be "
+        )
 
     def test_scan_shorter_than_a_fit_needs_still_runs(self, tmp_path):
         # only report's gate fit needs 8 points; see report-short-scan below
@@ -583,11 +583,15 @@ class TestExitCodes:
         assert run("limits", "l2_300mw", "--out", str(out), "--quiet") == 0
         assert capsys.readouterr().out == ""
 
+    # a growth of 0 fixes no curve; one whose exp(growth * eta) can overflow
+    # is outside the key's range
     @pytest.mark.parametrize("growth, cause", [
-        ("0.0", "cannot fix n0_cps"),
-        ("1.0e+300", "cannot fix n0_cps"),
-        ("7000.0", "noise rate overflows"),
-    ])
+        ("0.0", "detector.noise: growth_per_unit_eta 0.0 with eta_ref 0.101 gives "
+                "exp(growth * eta_ref) - 1 = 0.0, which cannot fix n0_cps"),
+        ("1.0e+300", range_refusal("detector.noise.growth_per_unit_eta", 1e300)),
+        ("7000.0", range_refusal("detector.noise.growth_per_unit_eta", 7000.0)),
+    ], ids=["0.0-cannot fix n0_cps", "1.0e+300-growth_per_unit_eta range",
+            "7000.0-growth_per_unit_eta range"])
     def test_unusable_noise_growth_is_refused(self, growth, cause, tmp_path, capsys):
         text = (BUNDLED / "l2_300mw.scenario").read_text(encoding="utf-8")
         edited = tmp_path / "noisy.scenario"
@@ -596,11 +600,11 @@ class TestExitCodes:
             encoding="utf-8",
         )
         assert run("limits", str(edited), "--out", str(tmp_path / "art")) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("ucspd: error: detector.noise: ")
-        assert cause in err
+        assert capsys.readouterr().err == f"ucspd: error: {cause}\n"
 
     def test_underflowing_pump_calibration_is_refused(self, tmp_path, capsys):
+        # 1 - exp(-P / p_sat) would underflow to 0 for a subnormal power, which is
+        # outside the key's range
         text = (BUNDLED / "l2_300mw.scenario").read_text(encoding="utf-8")
         edited = tmp_path / "underflow.scenario"
         edited.write_text(
@@ -609,44 +613,47 @@ class TestExitCodes:
         )
         assert run("resolve", str(edited), "--out", str(tmp_path / "art")) == 1
         err = capsys.readouterr().err
-        assert err.startswith("ucspd: error: detector.pump: calibration power 5e-324 mW")
-        assert "Traceback" not in err
+        assert err == (
+            f"ucspd: error: {range_refusal('detector.pump.calibration_power_mw', 5e-324)}\n"
+        )
 
     @pytest.mark.parametrize("sub", ["limits", "report"])
     def test_underflowing_detected_pulse_count_is_a_numerical_error(self, sub, tmp_path, capsys):
-        text = (BUNDLED / "l2_300mw.scenario").read_text(encoding="utf-8")
-        edited = tmp_path / "slow.scenario"
-        edited.write_text(
-            text.replace("rep_rate_hz: 76300000.0", "rep_rate_hz: 5.0e-324"), encoding="utf-8"
-        )
-        assert run(sub, str(edited), "--out", str(tmp_path / "art")) == 2
+        # T * R * eta would underflow to 0 for a subnormal rate, which is outside
+        # the key's range; at the lowest rate, time and chain in range the
+        # product is normal and the limit finite
+        slow = tmp_path / "slow.scenario"
+        slow.write_text(edited({"source.rep_rate_hz": 5.0e-324}), encoding="utf-8")
+        assert run(sub, str(slow), "--out", str(tmp_path / "art")) == 1
         err = capsys.readouterr().err
-        assert err.startswith(
-            "ucspd: error: integration_s * rep_rate_hz * external_eta = 1.0 * 5e-324 * "
-        )
-        assert "underflows to 0" in err
-        assert "Traceback" not in err
+        assert err == f"ucspd: error: {range_refusal('source.rep_rate_hz', 5e-324)}\n"
+        lowest = {path: RANGES[path].low for path in (
+            "source.rep_rate_hz", "experiment.limits.integration_s",
+            "detector.chain.apd_efficiency", "detector.chain.fiber_coupling",
+            "detector.chain.filter_transmittance")}
+        slow.write_text(edited(lowest), encoding="utf-8")
+        out = tmp_path / "lowest"
+        assert run(sub, str(slow), "--out", str(out), "--quiet") == 0
+        for artifact in out.glob("*.json"):
+            json.loads(artifact.read_text(encoding="utf-8"), parse_constant=_refuse_constant)
 
-    # a chain fraction of 0 is a zero factor; an efficiency that underflows
-    # to 0 names the pump power's key and the models it went through
+    # a chain fraction of 0 is a zero factor, and exits 2; an efficiency
+    # would underflow to 0 only from a subnormal power or calibration, which is
+    # outside its key's range
     @pytest.mark.parametrize("sub, path, value, cause", [
         ("limits", "experiment.limits.power_start_mw", 5.0e-324,
-         "external efficiency at experiment.limits.power_start_mw = 5e-324 mW underflows to 0: "
-         "internal efficiency 0.0 (detector.pump)"),
+         range_refusal("experiment.limits.power_start_mw", 5e-324)),
         ("limits", "detector.chain.apd_efficiency", 0.0,
-         "integration_s * rep_rate_hz * external_eta = 1.0 * 76300000.0 * 0.0 is 0"),
+         "integration_s * rep_rate_hz * external_eta = 1.0 * 76300000.0 * 0.0 is 0, "
+         "so the limit per pulse is undefined"),
         ("limits", "source.pump_power_mw", 5.0e-324,
-         "external efficiency at source.pump_power_mw = 5e-324 mW underflows to 0: "
-         "internal efficiency 0.0 (detector.pump)"),
+         range_refusal("source.pump_power_mw", 5e-324)),
         ("report", "source.pump_power_mw", 5.0e-324,
-         "external efficiency at source.pump_power_mw = 5e-324 mW underflows to 0: "
-         "internal efficiency 0.0 (detector.pump)"),
+         range_refusal("source.pump_power_mw", 5e-324)),
         ("limits", "detector.pump.calibration_eta", 5.0e-324,
-         "external efficiency at experiment.limits.power_start_mw = 50.0 mW underflows to 0: "
-         "internal efficiency 0.0 (detector.pump)"),
+         range_refusal("detector.pump.calibration_eta", 5e-324)),
         ("report", "detector.pump.calibration_eta", 5.0e-324,
-         "external efficiency at source.pump_power_mw = 300.0 mW underflows to 0: "
-         "internal efficiency 5e-324 (detector.pump) times detector.chain 0.41 * 0.85 * 0.94"),
+         range_refusal("detector.pump.calibration_eta", 5e-324)),
     ], ids=["power_start-underflow", "apd-zero", "pump_power-underflow",
             "pump_power-underflow-report", "calibration_eta-underflow",
             "calibration_eta-underflow-report"])
@@ -655,18 +662,17 @@ class TestExitCodes:
     ):
         scenario = tmp_path / "dim.scenario"
         scenario.write_text(edited({path: value}), encoding="utf-8")
-        assert run(sub, str(scenario), "--out", str(tmp_path / "art")) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"ucspd: error: {cause}")
-        assert err.rstrip().endswith("so the limit per pulse is undefined")
-        assert "Traceback" not in err
+        code = run(sub, str(scenario), "--out", str(tmp_path / "art"))
+        assert code == (2 if value == 0.0 else 1)
+        assert capsys.readouterr().err == f"ucspd: error: {cause}\n"
 
     @pytest.mark.parametrize("sub", ["resolve", "scan", "timebin", "deconv"])
     def test_gate_narrower_than_a_grid_step_runs(self, sub, tmp_path, capsys):
-        # half a 5e-324 fs gate rounds up to 0 steps of the 1 fs model grid,
-        # and with a 5e-324 mm crystal the gate width underflows to 0
-        thin = {"detector.crystal.tau_g_fs_per_mm": 5.0e-324}
-        for i, edits in enumerate((thin, {**thin, "detector.crystal.length_mm": 5.0e-324})):
+        # half the gate of the lowest tau_g, and of the lowest tau_g and
+        # length together, rounds up to 0 steps of the 1 fs model grid
+        thin = {"detector.crystal.tau_g_fs_per_mm": RANGES["detector.crystal.tau_g_fs_per_mm"].low}
+        thinnest = {**thin, "detector.crystal.length_mm": RANGES["detector.crystal.length_mm"].low}
+        for i, edits in enumerate((thin, thinnest)):
             scenario = tmp_path / f"thin{i}.scenario"
             scenario.write_text(edited(edits, "l1_300mw"), encoding="utf-8")
             assert run(sub, str(scenario), "--out", str(tmp_path / f"art{i}"), "--quiet") == 0
@@ -674,7 +680,7 @@ class TestExitCodes:
 
     def test_gate_narrower_than_a_grid_step_is_one_sample_wide(self, tmp_path):
         rows = []
-        for tau in (5.0e-324, 1.0e-300):
+        for tau in (RANGES["detector.crystal.tau_g_fs_per_mm"].low, 0.5):
             scenario = tmp_path / f"thin-{tau}.scenario"
             scenario.write_text(
                 edited({"detector.crystal.tau_g_fs_per_mm": tau}, "l1_300mw"), encoding="utf-8"
@@ -685,49 +691,65 @@ class TestExitCodes:
         np.testing.assert_array_equal(*rows)
 
     def test_zero_counts_are_a_numerical_error(self, tmp_path, capsys):
-        scenario = tmp_path / "brief.scenario"
-        scenario.write_text(edited({"experiment.scan.dwell_s": 5.0e-324}), encoding="utf-8")
+        # no photons and no noise: every mean is 0
+        scenario = tmp_path / "dark.scenario"
+        scenario.write_text(edited({"source.mean_photons_per_pulse": 0.0,
+                                    "detector.noise.dark_cps": 0.0,
+                                    "detector.noise.calibration_noise_cps": 0.0}),
+                            encoding="utf-8")
         assert run("deconv", str(scenario), "--out", str(tmp_path / "art")) == 2
         err = capsys.readouterr().err
         assert err.startswith(
-            "ucspd: error: measured counts total 0, not above the background total "
+            "ucspd: error: measured counts total 0, not above the background total 0 "
         )
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("sub", ["sweep", "fitvis"])
     def test_overflowing_sweep_rate_is_a_numerical_error(self, sub, tmp_path, capsys):
-        scenario = tmp_path / "brief.scenario"
-        scenario.write_text(edited({"experiment.sweep.dwell_s": 5.0e-324}), encoding="utf-8")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            assert run(sub, str(scenario), "--out", str(tmp_path / "art")) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("ucspd: error: rate function returned inf at coordinate 0; ")
-        assert "Traceback" not in err
+        # counts_scale / dwell_s would overflow for a subnormal dwell, which is
+        # outside its key's range; the largest rate in range is finite, and
+        # its mean is refused by the sampler's limit
+        largest = {"experiment.sweep.dwell_s": RANGES["experiment.sweep.dwell_s"].low,
+                   "experiment.sweep.counts_scale": RANGES["experiment.sweep.counts_scale"].high}
+        for edits, code, cause in (
+            ({"experiment.sweep.dwell_s": 5.0e-324}, 1,
+             range_refusal("experiment.sweep.dwell_s", 5e-324) + "\n"),
+            (largest, 2, "Poisson mean 6.606666666666666e+19 at coordinate 0 is above"),
+        ):
+            scenario = tmp_path / "brief.scenario"
+            scenario.write_text(edited(edits), encoding="utf-8")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert run(sub, str(scenario), "--out", str(tmp_path / "art")) == code
+            assert capsys.readouterr().err.startswith(f"ucspd: error: {cause}")
 
     # values the code computes from checked scenario values are checked where
-    # they are computed
+    # they are computed.  An n0_cps that would overflow, a pump that would
+    # not saturate at all, scan coordinates rounded together and a phase
+    # difference that would overflow come only from values outside their keys'
+    # ranges: those values are refused by the range their key names, and the
+    # pump at its least saturated in range is refused by eta_max
     @pytest.mark.parametrize("sub, edits, cause", [
         ("limits", {"detector.noise.growth_per_unit_eta": 1.0e-308},
-         "detector.noise: n0_cps must be >= 0, got inf"),
+         range_refusal("detector.noise.growth_per_unit_eta", 1e-308)),
         ("resolve", {"detector.pump.calibration_power_mw": 10.0,
                      "detector.pump.calibration_eta": 0.99},
          "detector.pump: eta_max must be in (0, 1], got 20.29912482813523"),
-        ("resolve", {"detector.pump.calibration_power_mw": 5.0e-324,
-                     "detector.pump.p_sat_mw": 1.0e300},
-         "detector.pump: calibration power 5e-324 mW against saturation power 1e+300 mW "
-         "gives 1 - exp(-P / p_sat) = 0, which cannot fix eta_max"),
+        ("resolve", {"detector.pump.calibration_power_mw":
+                     RANGES["detector.pump.calibration_power_mw"].low,
+                     "detector.pump.p_sat_mw": RANGES["detector.pump.p_sat_mw"].high},
+         "detector.pump: eta_max must be in (0, 1], got 101000000."),
         ("resolve", {"detector.noise.calibration_noise_cps": 50.0},
          "detector.noise: reference noise 50.0 cps is below the dark floor 100.0 cps"),
         ("scan", {"experiment.scan.start_fs": 1.0e16,
                   "experiment.scan.stop_fs": 1.00000000000001e16,
                   "experiment.scan.step_fs": 1.0},
-         "scan coordinates must be strictly increasing"),
+         range_refusal("experiment.scan.start_fs", 1e16)),
         ("report", {"experiment.scan.signal": "gaussian", "experiment.scan.stop_fs": -1700.0},
          "experiment.scan: the gate fit needs at least 8 scan points, got 5"),
         ("timebin", {"experiment.timebin.phase_rad": 1.0e308,
                      "experiment.timebin.phase_prime_rad": -1.0e308},
-         "phase difference must be finite"),
+         range_refusal("experiment.timebin.phase_rad", 1e308)),
     ], ids=["noise-n0", "pump-eta-max-above-1", "pump-no-saturation", "noise-below-dark",
             "scan-rounded-coordinates", "report-short-scan", "timebin-phases"])
     def test_computed_values_are_refused(self, sub, edits, cause, tmp_path, capsys):
@@ -740,22 +762,25 @@ class TestExitCodes:
 
     # refusals of single edits of l2: each exits with its code and names its
     # cause, with no traceback
+    # the largest float length and integration time would overflow the model
+    # grid's sample count and the noise counts: both are outside their keys'
+    # ranges
     @pytest.mark.parametrize("sub, text, code, cause", [
-        ("resolve", edited({"experiment.dt_fs": 1.0e300}), 1,
+        ("resolve", edited({"experiment.dt_fs": RANGES["experiment.dt_fs"].high}), 1,
          "ucspd: error: experiment.dt_fs: must be at most half of source.pump_fwhm_fs "
-         "(200.0 fs), got 1e+300\n"),
+         f"(200.0 fs), got {RANGES['experiment.dt_fs'].high}\n"),
         ("sweep", edited({"experiment.sweep.n_points": 3}), 1,
          "ucspd: error: experiment.sweep.n_points: must be at least 5, got 3\n"),
         ("resolve", edited({"detector.crystal.length_mm": 1.7976931348623157e308}), 1,
-         "ucspd: error: a time grid at 1.0 fs spacing needs inf samples, "
-         "more than the 1000000 allowed\n"),
-        ("limits", edited({"experiment.limits.integration_s": 1.7976931348623157e308}), 2,
-         "ucspd: error: noise_rate_cps * integration_s = 127.07379529840617 * "
-         "1.7976931348623157e+308 overflows, so the limit per pulse is undefined\n"),
-        # a key written twice, which a YAML mapping cannot hold
+         f"ucspd: error: {range_refusal('detector.crystal.length_mm', 1.7976931348623157e308)}\n"),
+        ("limits", edited({"experiment.limits.integration_s": 1.7976931348623157e308}), 1,
+         "ucspd: error: "
+         f"{range_refusal('experiment.limits.integration_s', 1.7976931348623157e308)}\n"),
+        # a key written twice, which a YAML mapping cannot hold, named at its
+        # line in the file
         ("resolve", (BUNDLED / "l2_300mw.scenario").read_text(encoding="utf-8").replace(
             "    length_mm: 2.0\n", "    length_mm: 2.0\n    length_mm: 3.0\n"), 1,
-         "found duplicate key 'length_mm'"),
+         "found duplicate key 'length_mm'\n  in \"{path}\", line 11, column 5\n"),
     ], ids=["coarse", "few", "long", "endless", "twice"])
     def test_edited_scenario_is_refused_by_its_cause(
         self, sub, text, code, cause, tmp_path, capsys
@@ -764,7 +789,9 @@ class TestExitCodes:
         scenario.write_text(text, encoding="utf-8")
         assert run(sub, str(scenario), "--out", str(tmp_path / "art")) == code
         err = capsys.readouterr().err
-        assert cause in err
+        assert cause.replace("{path}", str(scenario)) in err
+        assert err.startswith("ucspd: error: scenario is not valid YAML: " if "{path}" in cause
+                              else "ucspd: error: ")
         assert "Traceback" not in err
 
     def test_options_do_not_carry_over_between_calls(self, tmp_path, capsys):
@@ -791,30 +818,19 @@ class TestExitCodes:
 SUBCOMMANDS = ("resolve", "scan", "sweep", "timebin", "limits", "deconv", "fitvis", "report")
 
 
-def _leaf_checks(table=_SCHEMA, prefix=""):
-    """(dotted key path, check) for every key of the scenario schema."""
-    for key, spec in table.items():
-        path = f"{prefix}.{key}" if prefix else key
-        if isinstance(spec, dict):
-            yield from _leaf_checks(spec, path)
-        else:
-            yield path, spec[0]
-
-
-def _passes(check, path, value) -> bool:
-    try:
-        check(value, path)
-    except ScenarioError:
-        return False
-    return True
-
-
-# every edge value each key's own check accepts
+# each real-valued key at each end of its range, and at 0 where its range
+# holds 0; and the nearest floats outside those ends
 EDGE_EDITS = [
     (path, value)
-    for path, check in _leaf_checks()
-    for value in (0, 5.0e-324, 1.0e-300, 1.0e300, 2 ** 64 - 1, 1.7976931348623157e308)
-    if _passes(check, path, value)
+    for path, interval in RANGES.items()
+    for value in (interval.low, interval.high, *[0.0] * interval.zero)
+]
+OUTSIDE_EDITS = [
+    (path, value)
+    for path, interval in RANGES.items()
+    for value in (math.nextafter(interval.low, -math.inf),
+                  math.nextafter(interval.high, math.inf),
+                  *[math.nextafter(0.0, -math.inf), math.nextafter(0.0, math.inf)] * interval.zero)
 ]
 # a refusal names a key path, or (exit 1) the size or values of an array the
 # scenario generates; exit 2 is a numerical failure by the CLI's contract
@@ -830,9 +846,9 @@ class TestEdgeValues:
     @settings(max_examples=100, deadline=None)
     @given(edit=st.sampled_from(EDGE_EDITS), sub=st.sampled_from(SUBCOMMANDS),
            name=st.sampled_from(("l1_300mw", "l2_300mw", "l3_300mw")))
-    # noise * integration_s and integration_s * rep_rate_hz overflow to inf
-    @example(edit=("experiment.limits.integration_s", 1.7976931348623157e308),
-             name="l2_300mw", sub="limits")
+    # the largest noise counts and detected pulses of a single edit
+    @example(edit=("experiment.limits.integration_s",
+                   RANGES["experiment.limits.integration_s"].high), name="l2_300mw", sub="limits")
     def test_every_accepted_value_runs_or_fails_by_name(self, edit, name, sub):
         path, value = edit
         err = io.StringIO()
@@ -853,6 +869,18 @@ class TestEdgeValues:
             assert KEY_PATH.search(message) or ARRAY_CAUSE.search(message), message
         if code == 2:
             assert message.startswith("ucspd: error: "), message
+
+    @pytest.mark.parametrize("i, edit", enumerate(OUTSIDE_EDITS),
+                             ids=[f"{path}={value!r}" for path, value in OUTSIDE_EDITS])
+    def test_every_value_outside_its_range_is_refused_at_parse(self, i, edit, tmp_path, capsys):
+        path, value = edit
+        scenario = tmp_path / "outside.scenario"
+        scenario.write_text(edited({path: value}), encoding="utf-8")
+        out = tmp_path / "art"
+        assert run(SUBCOMMANDS[i % len(SUBCOMMANDS)], str(scenario), "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"ucspd: error: {range_refusal(path, value)}\n"
+        # refused before the output directory, or anything else, is made
+        assert not out.exists()
 
 
 class TestCsvBytes:

@@ -15,7 +15,7 @@ from oracles import (
     NOISE_CPS_BY_LENGTH,
     PUBLISHED_LIMIT_BY_LENGTH,
 )
-from scenario_edits import edited
+from scenario_edits import RANGES, edited, range_refusal
 from ucspd.detector import (
     detection_limit,
     efficiency_at_power,
@@ -72,7 +72,7 @@ class TestPumpEfficiencyModel:
     def test_negative_power_rejected(self):
         # every power the model is evaluated at comes from these two keys
         for path in ("source.pump_power_mw", "experiment.limits.power_start_mw"):
-            with pytest.raises(ScenarioError, match=re.escape(f"{path}: must be positive")):
+            with pytest.raises(ScenarioError, match=re.escape(range_refusal(path, -1.0))):
                 parse_scenario(edited({path: -1.0}))
 
     def test_calibrated_curve_reproduces_anchor(self):
@@ -96,8 +96,9 @@ class TestPumpEfficiencyModel:
         # above the curve's reach makes it exceed 1
         with pytest.raises(ValidationError, match=r"eta_max must be in \(0, 1\], got 1\.2"):
             pump_eta_max(200.0, 1.2 * -math.expm1(-1.0), p_sat_mw=200.0)
-        with pytest.raises(ScenarioError, match=r"detector\.pump\.p_sat_mw: must be positive"):
-            parse_scenario(edited({"detector.pump.p_sat_mw": 0.0}))
+        path = "detector.pump.p_sat_mw"
+        with pytest.raises(ScenarioError, match=re.escape(range_refusal(path, 0.0))):
+            parse_scenario(edited({path: 0.0}))
 
 
 class TestNoiseModel:
@@ -133,7 +134,7 @@ class TestNoiseModel:
         # efficiencies up to eta_max <= 1; the schema refuses the former
         path = "detector.noise.calibration_eta"
         for value in (0.0, 1.1):
-            with pytest.raises(ScenarioError, match=re.escape(f"{path}: must be in (0, 1]")):
+            with pytest.raises(ScenarioError, match=re.escape(range_refusal(path, value))):
                 parse_scenario(edited({path: value}))
 
     def test_reference_below_dark_rejected(self):
@@ -142,14 +143,24 @@ class TestNoiseModel:
 
     @pytest.mark.parametrize("growth", [0.0, 1e300])
     def test_calibration_without_a_finite_rising_curve_rejected(self, growth):
-        with pytest.raises(ValidationError, match="cannot fix n0_cps"):
-            noise_n0(100.0, growth, 0.1, 800.0)
+        # a growth of 0 fixes no curve; one whose exp(growth * eta_ref)
+        # overflows is outside the key's range
+        path = "detector.noise.growth_per_unit_eta"
+        cause = ("detector.noise: .* which cannot fix n0_cps" if growth == 0.0
+                 else re.escape(range_refusal(path, growth)))
+        with pytest.raises(ScenarioError, match=cause):
+            parse_scenario(edited({path: growth}))
 
     def test_overflowing_noise_rate_rejected(self):
-        n0 = noise_n0(100.0, 7000.0, 0.1, 800.0)
-        assert noise_cps(100.0, n0, 7000.0, 0.1) == pytest.approx(800.0, rel=1e-12)
-        with pytest.raises(ValidationError, match="overflows"):
-            noise_cps(100.0, n0, 7000.0, 0.2)
+        # exp(growth * eta) overflows at an efficiency of 1 or less only for a
+        # growth outside the key's range; at its top the rate is finite
+        path = "detector.noise.growth_per_unit_eta"
+        with pytest.raises(ScenarioError, match=re.escape(range_refusal(path, 7000.0))):
+            parse_scenario(edited({path: 7000.0}))
+        growth = RANGES[path].high
+        n0 = noise_n0(100.0, growth, 0.1, 800.0)
+        assert noise_cps(100.0, n0, growth, 0.1) == pytest.approx(800.0, rel=1e-12)
+        assert math.isfinite(noise_cps(100.0, n0, growth, 1.0))
 
 
 class TestDetectionLimit:
@@ -180,46 +191,54 @@ class TestDetectionLimit:
             detection_limit(800.0, 1.0, 0.0, REP_RATE_HZ)
 
     def test_nonpositive_time_and_rate_rejected(self):
-        # the schema refuses both keys at 0; the product of positive values
-        # can still be 0, which leaves no detected pulse
+        # the schema refuses both keys at 0, and below the ends of their
+        # ranges, where the product of positive values could underflow to 0
         with pytest.raises(NumericalError, match=r"= 0\.0 \* .* is 0, so the limit"):
             detection_limit(800.0, 0.0, 0.033, REP_RATE_HZ)
-        with pytest.raises(NumericalError, match="underflows to 0"):
-            detection_limit(800.0, 1.0e-300, 0.033, 1.0e-30)
+        for path, value in (("experiment.limits.integration_s", 1.0e-300),
+                            ("source.rep_rate_hz", 1.0e-30)):
+            with pytest.raises(ScenarioError, match=re.escape(range_refusal(path, value))):
+                parse_scenario(edited({path: value}))
 
     @pytest.mark.parametrize("integration_s", [5.0e-324, 1.0e-320, 1.0e-315])
     def test_subnormal_products_lose_no_digits(self, integration_s):
-        # on l2 the detected pulses T * R * eta hold fewer digits than a float
-        scenario = parse_scenario(edited({"experiment.limits.integration_s": integration_s}))
-        _, eta, noise = scenario.operating_point()
-        rate = scenario.rep_rate_hz
-        assert 0.0 < integration_s * rate * eta < sys.float_info.min
-        limit = detection_limit(noise, integration_s, eta, rate)
-        assert_within_4_ulp(limit, noise, integration_s, eta, rate)
+        # on l2 these times would make the detected pulses T * R * eta subnormal:
+        # they are outside the key's range, and at its low end both products
+        # are normal and the limit is exact to 4 ulp
+        path = "experiment.limits.integration_s"
+        with pytest.raises(ScenarioError, match=re.escape(range_refusal(path, integration_s))):
+            parse_scenario(edited({path: integration_s}))
+        lowest = RANGES[path].low
+        _, eta, noise = parse_scenario(edited({path: lowest})).operating_point()
+        assert min(noise * lowest, lowest * REP_RATE_HZ * eta) >= sys.float_info.min
+        assert_within_4_ulp(detection_limit(noise, lowest, eta, REP_RATE_HZ),
+                            noise, lowest, eta, REP_RATE_HZ)
 
     @pytest.mark.parametrize("eta", [0.01, 0.0123, 0.0177])
     def test_subnormal_reduced_product_loses_no_digits(self, eta):
-        # with T > 1, sqrt(T) * R * eta is subnormal too (0 at eta 0.01)
-        args = (1.0e-40, 1000.0, eta, 5.0e-324)
-        assert math.sqrt(1000.0) * 5.0e-324 * eta < sys.float_info.min
+        # a 5e-324 Hz rate would make sqrt(T) * R * eta subnormal: it is outside the
+        # key's range, and at the lowest noise, time and rate in range the
+        # limit is exact to 4 ulp
+        path = "source.rep_rate_hz"
+        with pytest.raises(ScenarioError, match=re.escape(range_refusal(path, 5e-324))):
+            parse_scenario(edited({path: 5.0e-324}))
+        args = (RANGES["detector.noise.dark_cps"].low,
+                RANGES["experiment.limits.integration_s"].low, eta, RANGES[path].low)
         assert_within_4_ulp(detection_limit(*args), *args)
 
-    # each product the limit is formed from, and the limit itself, can
-    # overflow; inf over inf would be NaN, and a finite sigma over inf pulses 0
-    @pytest.mark.parametrize("args, product", [
-        ((800.0, 1.7976931348623157e308, 0.033, REP_RATE_HZ),
-         "noise_rate_cps * integration_s = 800.0 * 1.7976931348623157e+308 overflows"),
-        ((1.0e9, 1.0e300, 0.033, REP_RATE_HZ),
-         "noise_rate_cps * integration_s = 1000000000.0 * 1e+300 overflows"),
-        ((800.0, 1.0e300, 0.033, 1.0e10),
-         "integration_s * rep_rate_hz * external_eta = 1e+300 * 10000000000.0 * 0.033 overflows"),
-        ((800.0, 1.0e300, 0.0, 1.0e10),
-         "integration_s * rep_rate_hz * external_eta = 1e+300 * 10000000000.0 * 0.0 overflows"),
-        ((1.0e307, 5.0e-324, 0.033, REP_RATE_HZ),
-         "3 * sqrt(noise_rate_cps * integration_s) / (integration_s * rep_rate_hz * "
-         "external_eta) = 3 * sqrt(4.9406564584124654e-17) / 1.244008e-317 overflows"),
+    # each product the limit is formed from, and the limit itself, would
+    # overflow only for an integration time outside its key's range, which names it
+    @pytest.mark.parametrize("edits", [
+        {"experiment.limits.integration_s": 1.7976931348623157e308},
+        {"experiment.limits.integration_s": 1.0e300, "detector.noise.dark_cps": 1.0e9,
+         "detector.noise.calibration_noise_cps": 1.0e9},
+        {"experiment.limits.integration_s": 1.0e300, "source.rep_rate_hz": 1.0e10},
+        {"experiment.limits.integration_s": 1.0e300, "source.rep_rate_hz": 1.0e10,
+         "detector.chain.apd_efficiency": 0.0},
+        {"experiment.limits.integration_s": 5.0e-324},
     ], ids=["noise-counts", "noise-counts-from-noise", "pulses", "pulses-times-zero", "limit"])
-    def test_overflow_is_named(self, args, product):
-        with pytest.raises(NumericalError) as raised:
-            detection_limit(*args)
-        assert str(raised.value) == f"{product}, so the limit per pulse is undefined"
+    def test_overflow_is_named(self, edits):
+        path = "experiment.limits.integration_s"
+        with pytest.raises(ScenarioError) as raised:
+            parse_scenario(edited(edits))
+        assert str(raised.value) == range_refusal(path, edits[path])

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import RATE_AT_PEAK_CPS
+from scenario_edits import RANGES
 from waveform_measures import peak_time_fs
 from ucspd.errors import NumericalError, ValidationError
 from ucspd.response import resolution_function
@@ -287,7 +288,7 @@ class TestBulkSeeding:
         with pytest.raises(NumericalError, match=r"Poisson mean .* at coordinate 1 is above"):
             run_scan(cfg, lambda _: np.array(above))
         with pytest.raises(NumericalError, match="at coordinate 0 is above"):
-            run_scan(ScanConfig(np.array([0.0]), dwell_s=1e15), lambda _: 1e300)
+            run_scan(ScanConfig(np.array([0.0]), dwell_s=1e15), lambda _: 1e10)
 
 
 class TestPhaseSweep:
@@ -326,10 +327,12 @@ class TestPhaseSweep:
         # the sweep computes from them is checked here
         with pytest.raises(ValidationError, match="strictly increasing"):
             run_phase_sweep(np.array([0.0, 0.0]), contrast=1.0, counts_scale=1e5)
-        # the rate overflows without a numpy warning and is refused by name
-        with pytest.raises(NumericalError, match=r"rate function returned inf at coordinate 0;"):
-            run_phase_sweep(np.array([0.0, 1.0]), contrast=1.0, counts_scale=1e5,
-                            dwell_s=5.0e-324)
+        # the largest rate the schema's ranges allow, counts_scale over
+        # dwell_s, is finite, and its mean is refused by the sampler's limit
+        with pytest.raises(NumericalError, match=r"Poisson mean .* at coordinate 0 is above"):
+            run_phase_sweep(np.array([0.0, 1.0]), contrast=1.0,
+                            counts_scale=RANGES["experiment.sweep.counts_scale"].high,
+                            dwell_s=RANGES["experiment.sweep.dwell_s"].low)
 
 
 class TestStageSeeds:
