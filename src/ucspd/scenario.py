@@ -187,7 +187,9 @@ _SCHEMA = {
         },
         "noise": {
             "dark_cps": (_Interval(1e-3, 1e9, zero=True), _REQUIRED),
-            # exp(growth * eta) stays finite for every eta up to 1
+            # exp(growth * eta) stays finite for every eta up to 1; a growth of
+            # 0 (no pump-induced noise) passes, and noise_n0 refuses it because
+            # it fixes no n0_cps
             "growth_per_unit_eta": (_Interval(1e-3, 500.0, zero=True), _REQUIRED),
             "calibration_eta": (_Interval(1e-6, 1.0), _REQUIRED),
             "calibration_noise_cps": (_Interval(1e-3, 1e9, zero=True), _REQUIRED),

@@ -819,12 +819,13 @@ SUBCOMMANDS = ("resolve", "scan", "sweep", "timebin", "limits", "deconv", "fitvi
 
 
 # each real-valued key at each end of its range, and at 0 where its range
-# holds 0; and the nearest floats outside those ends
+# holds 0, and the scenario seed at both ends of [0, 2^64); and the nearest
+# floats outside the ranges' ends
 EDGE_EDITS = [
     (path, value)
     for path, interval in RANGES.items()
     for value in (interval.low, interval.high, *[0.0] * interval.zero)
-]
+] + [("seed", 0), ("seed", 2 ** 64 - 1)]
 OUTSIDE_EDITS = [
     (path, value)
     for path, interval in RANGES.items()
@@ -849,6 +850,8 @@ class TestEdgeValues:
     # the largest noise counts and detected pulses of a single edit
     @example(edit=("experiment.limits.integration_s",
                    RANGES["experiment.limits.integration_s"].high), name="l2_300mw", sub="limits")
+    # the largest scenario seed through the scan's per-point substreams
+    @example(edit=("seed", 2 ** 64 - 1), name="l2_300mw", sub="scan")
     def test_every_accepted_value_runs_or_fails_by_name(self, edit, name, sub):
         path, value = edit
         err = io.StringIO()
