@@ -27,13 +27,11 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import io
 import json
 import re
 from collections import namedtuple
 
 import numpy as np
-import yaml
 
 from .detector import efficiency_at_power, external_efficiency, noise_cps, noise_n0, pump_eta_max
 from .errors import ScenarioError, ValidationError
@@ -56,40 +54,74 @@ _HASH_LENGTH = 12
 _REQUIRED = object()
 
 
-def _loader(base):
-    """``base`` that refuses duplicate keys and reads exponent floats such as ``1e20``.
-
-    PyYAML keeps the last of two equal keys in a mapping, so a key written
-    twice would silently override the first; YAML requires keys to be
-    unique, and this loader refuses the second with its line.  PyYAML also
-    follows YAML 1.1, whose floats need a dot in the mantissa and a sign in
-    the exponent, so ``1e20`` and ``1.0e20`` would load as strings.  The
-    added resolver is tried after the YAML 1.1 ones and only matches plain
-    scalars that were strings before.
-    """
-    class Loader(base):
-        def construct_mapping(self, node, deep=False):
-            seen = set()
-            for key, _ in node.value:
-                if isinstance(key, yaml.ScalarNode):
-                    if (key.tag, key.value) in seen:
-                        raise yaml.constructor.ConstructorError(
-                            "while constructing a mapping", node.start_mark,
-                            f"found duplicate key {key.value!r}", key.start_mark,
-                        )
-                    seen.add((key.tag, key.value))
-            return super().construct_mapping(node, deep)
-
-    Loader.add_implicit_resolver(
-        "tag:yaml.org,2002:float",
-        re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
-        list("-+0123456789."),
-    )
-    return Loader
+# tabs, and the characters YAML refuses or reads as line breaks
+_UNREADABLE = re.compile("[^ -~\xa0-\u2027\u202a-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+_QUOTED = r"""'(?:[^']|'')*'|"(?:[^"\\]|\\.)*\""""
+# the indent, the key (a word or quoted, of at most 100 characters) and the
+# value of a line, whose comment is dropped; a blank or comment line has no key
+_LINE = re.compile(r"""( *)(?:(\w{1,100}|'(?:[^']|''){0,100}'|"(?:[^"\\]|\\.){0,100}") *:"""
+                   rf"""(?: +({_QUOTED}|[^ '"#].*?))?(?: +#.*| *)|#.*)?""")
+_INT = re.compile(r"[-+]?(?:0|[1-9][0-9]*)")
+_FLOAT = re.compile(r"[-+]?(?:[0-9]+\.[0-9]*|\.?[0-9]+(?=[eE]))(?:[eE][-+]?[0-9]+)?|\.[0-9]+")
+_NUMBERISH = re.compile(r"[-+.0-9][-+.:\w ]*")  # what YAML 1.1 may read as a number or date
+# the plain words PyYAML reads as null, true, false, infinity and nan
+_WORDS = {"~": None, **dict.fromkeys((".nan", ".NaN", ".NAN"), float("nan")), **{
+    case(word): value for case in (str.lower, str.title, str.upper) for word, value in (
+        ("null", None), ("true", True), ("false", False),
+        (".inf", float("inf")), ("+.inf", float("inf")), ("-.inf", -float("inf")))}}
 
 
-# libyaml's loader when PyYAML was built with it: same documents, several times faster
-_LOADER = _loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+def _scalar(text):
+    """A scalar's value as PyYAML reads it; ValueError if the subset does not hold it."""
+    if text[0] == "'":
+        return text[1:-1].replace("''", "'")
+    # JSON joins an escaped surrogate pair into one character, YAML does not
+    if text[0] == '"' and not re.search(r"\\u[dD][89abAB]", text):
+        return json.loads(text)
+    if text in _WORDS or text == "{}":
+        return _WORDS.get(text, {})
+    if _INT.fullmatch(text):
+        return int(text)
+    if _FLOAT.fullmatch(text):
+        return float(text)
+    if (text.lower() in ("yes", "no", "on", "off", "<<", "=") or text[0] in "-\"[]{},?:&*!|>%@`"
+            or ": " in text or text[-1] == ":" or _NUMBERISH.fullmatch(text)):
+        raise ValueError(f"unsupported scalar {text!r}")
+    return text
+
+
+def _read(text: str, source: str):
+    """The tree PyYAML's safe loader gives a scenario document, with exponent floats,
+    or ``None`` if it has no keys; refuses the rest naming ``source`` and the line."""
+    root = {}
+    mappings = [(0, root)]  # the open mappings, by the indent of their keys
+    parent = None  # the mapping and key a deeper next line opens a mapping under
+    for n, line in enumerate(text.split("\n"), 1):
+        try:
+            bad = _UNREADABLE.search(line)
+            if bad:
+                raise ValueError(f"character {bad[0]!r} is not allowed")
+            match = _LINE.fullmatch(line)
+            if match is None:
+                raise ValueError("expected 'key: value' or 'key:'")
+            if match[2] is None:
+                continue
+            indent, key, value = len(match[1]), _scalar(match[2]), match[3]
+            if parent and indent > mappings[-1][0]:
+                mappings.append((indent, {}))
+                parent[0][parent[1]] = mappings[-1][1]
+            while indent < mappings[-1][0]:
+                mappings.pop()
+            if indent != mappings[-1][0]:
+                raise ValueError("the indentation matches no open mapping")
+            mapping = mappings[-1][1]
+            if key in mapping:
+                raise ValueError(f"duplicate key {key!r}")
+            mapping[key] = None if value is None else _scalar(value)
+            parent = (mapping, key) if value is None else None
+        except ValueError as exc:
+            raise ScenarioError(f"scenario is not valid YAML: {source}, line {n}: {exc}") from exc
+    return root or None
 
 
 class _Interval(namedtuple("_Interval", "low high zero", defaults=(False,))):
@@ -406,20 +438,12 @@ def parse_scenario(text: str, path: str | None = None) -> Scenario:
     Raises
     ------
     ScenarioError
-        Malformed YAML, missing or unknown keys, or values out of range alone
-        or together; the message names the key or section path, and a YAML
-        error's line marks name ``path``.
+        YAML outside the subset ``_read`` reads, naming ``path`` (or
+        ``<string>``) and the line; missing or unknown keys, or values out of
+        range alone or together, naming the key or section path.
     """
-    stream = text
-    if path is not None:
-        # the loader names a stream's file in its marks
-        stream = io.StringIO(text)
-        stream.name = path
-    try:
-        doc = yaml.load(stream, Loader=_LOADER)
-    except yaml.YAMLError as exc:
-        raise ScenarioError(f"scenario is not valid YAML: {exc}") from exc
-    if doc is None or doc == {}:
+    doc = _read(text, path or "<string>")
+    if doc is None:
         required = [key for key, spec in _SCHEMA.items() if _default(spec) is _REQUIRED]
         raise ScenarioError("scenario is empty; required keys: " + ", ".join(required))
     tree = _walk(doc, _SCHEMA)

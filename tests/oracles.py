@@ -6,14 +6,17 @@ Gaussian convolved with a rectangle, the erf difference of a Gaussian
 delay scan, direct quadrature for convolution peaks, scipy's ``curve_fit``
 as the reference for the gate fit, a stable sort as the reference for the
 plots' per-column reduction, a loop over the powers as the reference for the
-power list, and plain arithmetic for rates and limits.
+power list, PyYAML's safe loader as the reference for the scenario reader,
+and plain arithmetic for rates and limits.
 The frozen numbers were evaluated once with the helpers in this module and
 are asserted against the library.
 """
 
 import math
+import re
 
 import numpy as np
+import yaml
 from scipy.optimize import brentq, curve_fit
 from scipy.special import erf
 from scipy.stats import norm
@@ -112,6 +115,37 @@ def power_list_loop(start_mw, stop_mw, step_mw):
             return out
         out.append(p)
         k += 1
+
+
+class ScenarioLoader(yaml.SafeLoader):
+    """PyYAML's safe loader, refusing duplicate keys and reading exponent floats such as ``1e20``.
+
+    The scenario reader gives this loader's tree or refuses.  PyYAML keeps
+    the last of two equal keys in a mapping; this loader refuses the second
+    with its line.  PyYAML also follows YAML 1.1, whose floats need a dot in
+    the mantissa and a sign in the exponent, so ``1e20`` and ``1.0e20`` would
+    load as strings.  The added resolver is tried after the YAML 1.1 ones and
+    only matches plain scalars that were strings before.
+    """
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key, _ in node.value:
+            if isinstance(key, yaml.ScalarNode):
+                if (key.tag, key.value) in seen:
+                    raise yaml.constructor.ConstructorError(
+                        "while constructing a mapping", node.start_mark,
+                        f"found duplicate key {key.value!r}", key.start_mark,
+                    )
+                seen.add((key.tag, key.value))
+        return super().construct_mapping(node, deep)
+
+
+ScenarioLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."),
+)
 
 
 def m4_lexsort(x, y, x_lo, x_hi, plot_w):

@@ -780,7 +780,7 @@ class TestExitCodes:
         # line in the file
         ("resolve", (BUNDLED / "l2_300mw.scenario").read_text(encoding="utf-8").replace(
             "    length_mm: 2.0\n", "    length_mm: 2.0\n    length_mm: 3.0\n"), 1,
-         "found duplicate key 'length_mm'\n  in \"{path}\", line 11, column 5\n"),
+         "{path}, line 11: duplicate key 'length_mm'\n"),
     ], ids=["coarse", "few", "long", "endless", "twice"])
     def test_edited_scenario_is_refused_by_its_cause(
         self, sub, text, code, cause, tmp_path, capsys
@@ -792,6 +792,39 @@ class TestExitCodes:
         assert cause.replace("{path}", str(scenario)) in err
         assert err.startswith("ucspd: error: scenario is not valid YAML: " if "{path}" in cause
                               else "ucspd: error: ")
+        assert "Traceback" not in err
+
+    # each construct outside the scenario reader's YAML subset in place of
+    # l2's line 10, its crystal length: exit 1 naming the file, the line and
+    # the cause, with no traceback
+    @pytest.mark.parametrize("line, cause", [
+        ("\tlength_mm: 2.0", "character '\\t' is not allowed"),
+        ("    length_mm: {mm: 2.0}", "unsupported scalar '{mm: 2.0}'"),
+        ("    length_mm: [2.0]", "unsupported scalar '[2.0]'"),
+        ("    length_mm: &length 2.0", "unsupported scalar '&length 2.0'"),
+        ("    length_mm: *length", "unsupported scalar '*length'"),
+        ("    length_mm: !!float 2", "unsupported scalar '!!float 2'"),
+        ("    length_mm: >", "unsupported scalar '>'"),
+        ("    - 2.0", "expected 'key: value' or 'key:'"),
+        ("    length_mm: 0x2", "unsupported scalar '0x2'"),
+        ("    length_mm: 02", "unsupported scalar '02'"),
+        ("    length_mm: 2_0", "unsupported scalar '2_0'"),
+        ("    length_mm: 1:30", "unsupported scalar '1:30'"),
+        ("    length_mm: on", "unsupported scalar 'on'"),
+        # more digits than Python converts to an int
+        ("    length_mm: 1" + "0" * 5000, "Exceeds the limit (4300 digits) for integer string"),
+    ], ids=["tab", "flow-mapping", "flow-sequence", "anchor", "alias", "tag", "block-scalar",
+            "sequence", "hex", "octal", "underscore", "sexagesimal", "yaml-1.1-bool",
+            "5000-digits"])
+    def test_yaml_outside_the_subset_is_refused_at_its_line(self, line, cause, tmp_path, capsys):
+        text = (BUNDLED / "l2_300mw.scenario").read_text(encoding="utf-8")
+        scenario = tmp_path / "edited.scenario"
+        scenario.write_text(text.replace("    length_mm: 2.0", line), encoding="utf-8")
+        assert run("resolve", str(scenario), "--out", str(tmp_path / "art")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"ucspd: error: scenario is not valid YAML: {scenario}, line 10: {cause}"
+        )
         assert "Traceback" not in err
 
     def test_options_do_not_carry_over_between_calls(self, tmp_path, capsys):
@@ -973,11 +1006,12 @@ class TestArtifactWriter:
         assert os.listdir(out) == []
 
 
-# Runs in a fresh interpreter with scipy blocked, so that any scipy import
-# raises: every subcommand on l1 through main(), then a gate fit.
+# Runs in a fresh interpreter with scipy and PyYAML blocked, so that any
+# import of either raises: every subcommand on l1 through main(), then a
+# gate fit.
 BLOCKED_SCIPY_PROBE = textwrap.dedent("""
     import contextlib, io, json, math, sys
-    sys.modules["scipy"] = None
+    sys.modules["scipy"] = sys.modules["yaml"] = None
     from ucspd.cli import main
     codes = {}
     for sub in %r:
@@ -991,9 +1025,9 @@ BLOCKED_SCIPY_PROBE = textwrap.dedent("""
     fit = fit_erf_gate(delays, np.round(expected), 200.0, 240.0)
     print(json.dumps({
         "exit_codes": codes,
-        "scipy_loaded": sorted(
+        "blocked_loaded": sorted(
             m for m, mod in sys.modules.items()
-            if mod is not None and m.split(".")[0] == "scipy"
+            if mod is not None and m.split(".")[0] in ("scipy", "yaml")
         ),
         "gate_width_fs": fit.gate_width_fs,
     }))
@@ -1072,14 +1106,15 @@ class TestImportCost:
         assert proc.returncode == 0, proc.stderr
         probe = json.loads(proc.stdout)
         assert probe["exit_codes"] == dict.fromkeys(SUBCOMMANDS, 0), proc.stderr
-        assert probe["scipy_loaded"] == []
+        assert probe["blocked_loaded"] == []
         assert probe["gate_width_fs"] == pytest.approx(408.6, rel=1e-3)
 
-    @pytest.mark.parametrize("module", ["importlib.resources", "dataclasses", "scipy"])
+    @pytest.mark.parametrize("module", ["importlib.resources", "dataclasses", "scipy", "yaml"])
     def test_cli_import_loads_no(self, module):
         # -S skips the site .pth files, which may import importlib.resources
-        # themselves; the dependencies are put on the path directly, and
-        # scipy, installed beside numpy, stays importable
+        # themselves; the package, numpy and PyYAML are put on the path
+        # directly, so PyYAML stays importable, as does scipy, installed
+        # beside numpy
         paths = {str(Path(m.__file__).resolve().parents[1]) for m in (ucspd, np, yaml)}
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sorted(paths)))
         probe = f"import sys, ucspd.cli; print({module!r} in sys.modules)"

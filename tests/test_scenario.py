@@ -1,4 +1,4 @@
-"""Scenario documents: schema, validation diagnostics, and hashing."""
+"""Scenario documents: reading, schema, validation diagnostics, and hashing."""
 
 import json
 import math
@@ -13,14 +13,13 @@ import yaml
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import power_list_loop
+from oracles import ScenarioLoader, power_list_loop
 from scenario_edits import RANGES, edited
 from ucspd import cli
-from ucspd import scenario as scenario_module
 from ucspd.detector import detection_limit
 from ucspd.errors import NumericalError, ScenarioError
 from ucspd.scenario import (
-    _REQUIRED, _SCHEMA, LimitsSection, _default, load_scenario, parse_scenario,
+    _REQUIRED, _SCHEMA, LimitsSection, _default, _read, load_scenario, parse_scenario,
     scenario_with_seed,
 )
 from ucspd.waveform import MAX_SAMPLES
@@ -162,60 +161,142 @@ class TestHash:
         assert parse_scenario(bundled_text(name)).scenario_hash == digest
 
 
-# the loader the module picks (libyaml's when PyYAML was built with it) and
-# the pure-Python one, configured the same way
-LOADERS = {
-    "module": scenario_module._LOADER,
-    "pure": scenario_module._loader(yaml.SafeLoader),
-}
+def oracle(text):
+    return yaml.load(text, Loader=ScenarioLoader)
 
 
-def use_loader(monkeypatch, name):
-    """Parse with loader ``name``; a cached parse would not run it."""
-    monkeypatch.setattr(scenario_module, "_LOADER", LOADERS[name])
-    parse_scenario.cache_clear()
+def read(text):
+    return _read(text, "<string>")
 
 
-class TestLoader:
-    """Both PyYAML loaders read the same documents (libyaml is used when built)."""
+# strings that a dump quotes, or that YAML 1.1 reads as something else
+TRICKY_STRINGS = [
+    "", " ", " lead", "trail ", "yes", "No", "ON", "off", "null", "~", "true", "<<", "=", "1e5",
+    "1.0e20", "0x10", "017", "08", "1_000", "-.5", "+.5", "1:30", "2026-10-20", ".inf", ".nan",
+    "a: b", "a:", ":a", "?a", "-", "- a", "#a", "a #b", "'a'", '"a"', "it's", "&a", "*a", "!a",
+    "[a]", "{}", "|", "a\tb", "a\nb", "\\", "\u00e9", "\ufeffa", "a\xa0",
+]
+SCALARS = st.one_of(st.floats(), st.integers(-(2 ** 64) + 1, 2 ** 64 - 1), st.booleans(),
+                    st.none(), st.sampled_from(TRICKY_STRINGS), st.text())
+
+
+def schema_shaped(table=_SCHEMA):
+    """Trees of some keys of ``table``, a section's value a tree, ``{}`` or a scalar."""
+    return st.fixed_dictionaries({}, optional={
+        key: st.one_of(schema_shaped(spec), st.just({}), SCALARS)
+        if isinstance(spec, dict) else SCALARS
+        for key, spec in table.items()
+    })
+
+
+def read_as_pyyaml_or_refused(tree, sort_keys=False):
+    """The reader gives the oracle's tree for ``tree`` as dumped, or refuses naming a line."""
+    text = yaml.safe_dump(tree, sort_keys=sort_keys)
+    try:
+        doc = read(text)
+    except ScenarioError as exc:
+        line = re.match(r"scenario is not valid YAML: <string>, line (\d+): ", str(exc))
+        assert line and 1 <= int(line[1]) <= text.count("\n"), str(exc)
+        return
+    assert repr(doc) == repr(oracle(text))
+
+
+class TestReader:
+    """The scenario reader gives the tree of PyYAML's loader (``oracles.ScenarioLoader``)
+    or refuses naming a line.  ``repr`` compares trees: it tells 1 from 1.0
+    and True, and -0.0 from 0.0, and it equates nans."""
 
     @pytest.mark.parametrize("name", NAMES)
-    def test_pure_python_loader_gives_the_same_tree(self, name, monkeypatch):
-        expected = parse_scenario(bundled_text(name)).effective_json
-        use_loader(monkeypatch, "pure")
-        assert parse_scenario(bundled_text(name)).effective_json == expected
+    def test_bundled_trees_are_pyyamls(self, name):
+        tree = oracle(bundled_text(name))
+        assert repr(read(bundled_text(name))) == repr(tree)
+        dumped = yaml.safe_dump(tree, sort_keys=False)
+        assert repr(read(dumped)) == repr(oracle(dumped)) == repr(tree)
 
-    def test_pure_python_loader_reports_bad_yaml(self, monkeypatch):
-        use_loader(monkeypatch, "pure")
-        with pytest.raises(ScenarioError, match="YAML"):
-            parse_scenario("{unbalanced")
+    @settings(max_examples=300, deadline=None)
+    @given(tree=schema_shaped(), sort_keys=st.booleans())
+    @example(tree={"name": "", "seed": 2 ** 64 - 1, "source": {}}, sort_keys=False)
+    def test_reader_gives_pyyamls_tree_or_refuses_a_line(self, tree, sort_keys):
+        read_as_pyyaml_or_refused(tree, sort_keys)
 
-    @pytest.mark.parametrize("loader", sorted(LOADERS))
+    @pytest.mark.parametrize("value", TRICKY_STRINGS)
+    def test_tricky_strings_read_as_pyyaml_or_refused(self, value):
+        read_as_pyyaml_or_refused({"detector": {"crystal": {"label": value}}})
+
     @pytest.mark.parametrize("text,value", [
         ("1e20", 1e20), ("1.0e20", 1e20), ("1.0e+20", 1e20), ("2E-1", 0.2), (".5e1", 5.0),
     ])
-    def test_exponent_floats_are_numbers(self, loader, text, value, monkeypatch):
+    def test_exponent_floats_are_numbers(self, text, value):
         # YAML 1.1 reads the first two as strings; YAML 1.2 and users read numbers
-        use_loader(monkeypatch, loader)
         edited = bundled_text().replace("counts_scale: 2000000.0", f"counts_scale: {text}")
         assert edited != bundled_text()
         assert parse_scenario(edited).sweep.counts_scale == value
 
-    @pytest.mark.parametrize("loader", sorted(LOADERS))
-    def test_a_key_written_twice_is_refused_at_its_line(self, loader, monkeypatch):
+    def test_a_key_written_twice_is_refused_at_its_line(self):
         # PyYAML alone keeps the last one: l2, labelled l2, with l3's crystal
-        use_loader(monkeypatch, loader)
         twice = "    length_mm: 2.0\n    length_mm: 3.0\n"
         text = bundled_text().replace("    length_mm: 2.0\n", twice)
         line = text.splitlines().index("    length_mm: 3.0") + 1
-        cause = rf"duplicate key 'length_mm'\n  in .*, line {line},"
-        with pytest.raises(ScenarioError, match=cause):
+        with pytest.raises(ScenarioError) as err:
             parse_scenario(text)
+        assert str(err.value) == (
+            f"scenario is not valid YAML: <string>, line {line}: duplicate key 'length_mm'"
+        )
 
-    @pytest.mark.parametrize("loader", sorted(LOADERS))
-    def test_words_that_look_like_exponents_stay_strings(self, loader):
-        doc = yaml.load("[1e, e5, 1e2.5, 0x10, 1_000, 1.5]", Loader=LOADERS[loader])
-        assert doc == ["1e", "e5", "1e2.5", 16, 1000, 1.5]
+    # YAML 1.1 reads 0x10 and 1_000 as 16 and 1000, and the others as they
+    # look: a plain word that starts with a digit, a sign or a dot and is not
+    # a decimal int, a float or a float word such as .nan is refused
+    @pytest.mark.parametrize("word,value", [
+        ("1e", None), ("e5", "e5"), ("1e2.5", None), ("0x10", None), ("1_000", None),
+        ("1.5", 1.5), ("-.5", None), (".Nan", None), ("-.nan", None),
+    ])
+    def test_words_that_look_like_numbers(self, word, value):
+        text = f"label: {word}\n"
+        if value is None:
+            with pytest.raises(ScenarioError, match=f"line 1: unsupported scalar '{word}'$"):
+                read(text)
+        else:
+            assert read(text) == oracle(text) == {"label": value}
+
+    # plain scalars the reader reads, each as PyYAML does: the words it
+    # reads as null, bools and float specials in each of their cases, the
+    # forms of numbers, and strings that are near them
+    @pytest.mark.parametrize("word", [
+        "~", "null", "Null", "NULL", "true", "True", "TRUE", "false", "False", "FALSE",
+        ".inf", ".Inf", ".INF", "+.inf", "-.Inf", "+.INF", ".nan", ".NaN", ".NAN",
+        "0", "-0", "+7", "18446744073709551615", "1.", "-0.0", "01.5", "1.e5", ".5", "-.5e1",
+        "+.5E-1", "08e5", "0e5", "1e400", "1" + "0" * 5000 + ".0",
+        "nULL", "tRUE", "inf", "e5", "a#b", "a:b", "./out", "x\xa0", "é",
+    ], ids=lambda word: word[:24])
+    def test_plain_scalars_read_as_pyyaml(self, word):
+        text = f"label: {word}  # a comment\n"
+        assert repr(read(text)) == repr(oracle(text))
+
+    # documents whose lines look like the subset, but which PyYAML reads
+    # otherwise than a line-by-line reading would, or refuses
+    @pytest.mark.parametrize("text, line, cause", [
+        # JSON would join the pair into one character; YAML keeps two
+        ('label: "\\ud83d\\ude00"\n', 1, "unsupported scalar"),
+        # PyYAML merges the mapping into its parent
+        ("<<:\n  label: x\n", 1, "expected 'key: value' or 'key:'"),
+        ("label: 2026-10-20\n", 1, "unsupported scalar '2026-10-20'"),
+        ("label: =\n", 1, "unsupported scalar '='"),
+        # PyYAML refuses a key of more than 1024 characters
+        ("k" * 1100 + ": 1\n", 1, "expected 'key: value' or 'key:'"),
+        # YAML reads a next-line character as a line break
+        ("label: a\x85b\n", 1, "character '\\x85' is not allowed"),
+        ("name: x\n  label: y\n", 2, "the indentation matches no open mapping"),
+        # neither a mapping nor a sequence can be a value on its key's line
+        ("label: a: b\n", 1, "unsupported scalar 'a: b'"),
+        ("label: - a#b\n", 1, "unsupported scalar '- a#b'"),
+    ], ids=["surrogate-pair", "merge-key", "date", "equals-sign", "long-key", "next-line",
+            "indentation", "value-holds-a-key", "value-holds-an-entry"])
+    def test_lines_pyyaml_reads_otherwise_are_refused(self, text, line, cause):
+        with pytest.raises(ScenarioError) as err:
+            read(text)
+        assert str(err.value).startswith(
+            f"scenario is not valid YAML: <string>, line {line}: {cause}"
+        )
 
 
 def _shuffled(node, data):
@@ -644,19 +725,34 @@ class TestSections:
 name: tiny
 seed: 7
 detector:
-  crystal: {length_mm: 1.5}
-  pump: {p_sat_mw: 200.0, calibration_power_mw: 300.0, calibration_eta: 0.1}
-  noise: {dark_cps: 100.0, growth_per_unit_eta: 40.0, calibration_eta: 0.1,
-          calibration_noise_cps: 900.0}
+  crystal:
+    length_mm: 1.5
+  pump:
+    p_sat_mw: 200.0
+    calibration_power_mw: 300.0
+    calibration_eta: 0.1
+  noise:
+    dark_cps: 100.0
+    growth_per_unit_eta: 40.0
+    calibration_eta: 0.1
+    calibration_noise_cps: 900.0
 source:
   pump_fwhm_fs: 200.0
   signal_fwhm_fs: 240.0
   pump_power_mw: 300.0
 experiment:
-  scan: {start_fs: -600.0, stop_fs: 600.0, step_fs: 20.0}
-  sweep: {counts_scale: 1000000.0}
-  timebin: {slot_spacing_fs: 700.0}
-  limits: {power_start_mw: 100.0, power_stop_mw: 400.0, power_step_mw: 50.0}
+  scan:
+    start_fs: -600.0
+    stop_fs: 600.0
+    step_fs: 20.0
+  sweep:
+    counts_scale: 1000000.0
+  timebin:
+    slot_spacing_fs: 700.0
+  limits:
+    power_start_mw: 100.0
+    power_stop_mw: 400.0
+    power_step_mw: 50.0
 """
         s = parse_scenario(text)
         assert s.output_dir == "out"
