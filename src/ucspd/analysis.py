@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FitConvergenceError, NumericalError, ValidationError
-from .waveform import SampledWaveform, check_equal_spacing, convolver
+from .waveform import SampledWaveform, check_equal_spacing, convolver, libm
 
 __all__ = [
     "RL_MAX_ITERATIONS",
@@ -59,7 +59,7 @@ def _erf(u: np.ndarray) -> np.ndarray:
     """libm's ``math.erf`` per element; it is exactly +-1 wherever ``|u| >= 6``."""
     out = np.sign(u)
     near = np.abs(u) < 6.0
-    out[near] = np.fromiter(map(math.erf, u[near].tolist()), dtype=np.float64)
+    out[near] = libm(math.erf, u[near])
     return out
 
 

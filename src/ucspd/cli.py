@@ -3,8 +3,8 @@
 Every subcommand takes a scenario (a file path or the name of a bundled
 configuration), derives its own stage seed from the scenario seed, and
 writes CSV/JSON/SVG artifacts through one writer, ``_Artifacts``, which
-tags every file with the scenario hash and renames it into place from a
-temporary name, so a failed write never leaves a partial file; ``artifacts``
+tags every file with the scenario hash and stages it under a temporary name
+until the subcommand returns, so a run that fails writes no file; ``artifacts``
 lists exactly the files written (a failed plot is skipped with a warning).
 CSV rows come from ``waveform.csv_text``, JSON payloads from the scenario
 and result records, and ``report`` reuses the helpers of the other
@@ -119,12 +119,12 @@ def _resolve_scenario(args) -> Scenario:
 
 
 class _Artifacts:
-    """Writes one run's files into ``out`` and lists the ones it wrote.
+    """Stages one run's files in ``out`` and lists the ones it wrote.
 
-    Every file is tagged with the scenario name and hash, written under a
-    temporary name in ``out`` and renamed into place, so a failed write
-    leaves any earlier file of that name untouched.  ``names`` lists a file
-    only once it is in place.
+    Every file is tagged with the scenario name and hash and written under a
+    temporary name in ``out``.  ``commit`` renames them into place in write
+    order, and ``discard`` deletes them, so a failed run leaves no file.
+    ``names`` lists a file once it is staged.
     """
 
     def __init__(self, scenario: Scenario, out: Path, quiet: bool) -> None:
@@ -137,23 +137,31 @@ class _Artifacts:
         scenario = self.scenario
         return {"scenario": scenario.name, "scenario_hash": scenario.scenario_hash, **fields}
 
-    def _commit(self, name: str, write) -> None:
-        path = self.out / name
-        tmp = self.out / f".{name}.{os.getpid()}.tmp"
+    def _tmp(self, name: str) -> Path:
+        return self.out / f".{name}.{os.getpid()}.tmp"
+
+    def _stage(self, name: str, write) -> None:
+        tmp = self._tmp(name)
         try:
             write(tmp)
-            os.replace(tmp, path)
         except OSError as exc:
-            raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
-        finally:
             tmp.unlink(missing_ok=True)
+            raise OSError(f"cannot write {self.out / name}: {exc.strerror or exc}") from exc
         self.names.append(name)
 
+    def commit(self) -> None:
+        for name in self.names:
+            os.replace(self._tmp(name), self.out / name)
+
+    def discard(self) -> None:
+        for name in self.names:
+            self._tmp(name).unlink(missing_ok=True)
+
     def _text(self, name: str, text: str) -> None:
-        self._commit(name, lambda tmp: tmp.write_text(text, encoding="utf-8"))
+        self._stage(name, lambda tmp: tmp.write_text(text, encoding="utf-8"))
 
     def waveform(self, name: str, w: SampledWaveform, kind: str) -> None:
-        self._commit(name, lambda tmp: write_csv(tmp, w, self._tagged({"kind": kind})))
+        self._stage(name, lambda tmp: write_csv(tmp, w, self._tagged({"kind": kind})))
 
     def table(self, name: str, header: str, columns, **metadata) -> None:
         self._text(name, csv_text(header, columns, self._tagged(metadata)))
@@ -169,7 +177,7 @@ class _Artifacts:
             "model_versions": _MODEL_VERSIONS,
             "config": config,
             "content_sha256": {
-                c: hashlib.sha256((self.out / c).read_bytes()).hexdigest() for c in content
+                c: hashlib.sha256(self._tmp(c).read_bytes()).hexdigest() for c in content
             },
             "generated_utc": datetime.now(timezone.utc).isoformat(),
         })
@@ -178,10 +186,11 @@ class _Artifacts:
         # plotting failures must never fail the numeric run
         comment = f"scenario_hash={self.scenario.scenario_hash}"
         try:
-            self._commit(
+            self._stage(
                 name, lambda tmp: line_plot(tmp, series, title, x_label, y_label, comment)
             )
         except Exception as exc:  # noqa: BLE001
+            self._tmp(name).unlink(missing_ok=True)
             if not self.quiet:
                 print(f"ucspd: plot skipped: {exc}", file=sys.stderr)
 
@@ -601,7 +610,12 @@ def main(argv=None) -> int:
         out = Path(args.out) if args.out else Path(scenario.output_dir)
         out.mkdir(parents=True, exist_ok=True)
         files = _Artifacts(scenario, out, args.quiet)
-        summary = _DISPATCH[args.subcommand](scenario, files)
+        try:
+            summary = _DISPATCH[args.subcommand](scenario, files)
+            files.commit()
+        except BaseException:
+            files.discard()
+            raise
         _emit_success(args, files, summary)
         return 0
     except NumericalError as exc:

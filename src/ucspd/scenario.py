@@ -125,38 +125,30 @@ def _read(text: str, source: str):
 
 
 class _Interval(namedtuple("_Interval", "low high zero", defaults=(False,))):
-    """A key's range: a real in ``[low, high]``, and 0 as well if ``zero``.
+    """A key's range: a number in ``[low, high]``, and 0 as well if ``zero``.
 
-    The ranges hold every detector a lab could build and keep each quantity
-    the model derives from them finite and normal, so no model code guards
-    against overflow or subnormal values.
+    A range with int ends holds ints and returns them unchanged, so an int
+    key stays an int in the hashed configuration; one with float ends holds
+    any real and returns a float.  The ranges hold every detector a lab could
+    build and keep each quantity the model derives from them finite and
+    normal, so no model code guards against overflow or subnormal values.
     """
 
     __slots__ = ()
 
     def __str__(self) -> str:
-        return f"in [{self.low:g}, {self.high:g}]" + (" or 0" if self.zero else "")
+        form = "d" if isinstance(self.low, int) else "g"
+        return f"in [{self.low:{form}}, {self.high:{form}}]" + (" or 0" if self.zero else "")
 
     def __call__(self, value, path):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ScenarioError(f"{path}: expected a number, got {value!r}")
+        integer = isinstance(self.low, int)
+        if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+            raise ScenarioError(
+                f"{path}: expected {'an integer' if integer else 'a number'}, got {value!r}")
         # compared before the conversion, which an int too large for a float refuses
         if not (self.low <= value <= self.high or self.zero and value == 0):
             raise ScenarioError(f"{path}: must be {self}, got {value}")
-        return float(value)
-
-
-def _integer(value, path):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(f"{path}: expected an integer, got {value!r}")
-    return value
-
-
-def _seed(value, path):
-    value = _integer(value, path)
-    if not (0 <= value < 2 ** 64):
-        raise ScenarioError(f"{path}: must be in [0, 2^64), got {value}")
-    return value
+        return value if integer else float(value)
 
 
 def _string(value, path):
@@ -177,15 +169,6 @@ def _signal(value, path):
     return value
 
 
-def _sweep_points(value, path):
-    value = _integer(value, path)
-    if value < 5:
-        raise ScenarioError(f"{path}: must be at least 5, got {value}")
-    if value > MAX_SAMPLES:
-        raise ScenarioError(f"{path}: {value} points are more than the {MAX_SAMPLES} allowed")
-    return value
-
-
 def _boolean(value, path):
     if not isinstance(value, bool):
         raise ScenarioError(f"{path}: expected true or false, got {value!r}")
@@ -195,7 +178,7 @@ def _boolean(value, path):
 # The schema: key -> (check, default or _REQUIRED), or key -> nested section.
 _SCHEMA = {
     "name": (_string, _REQUIRED),
-    "seed": (_seed, _REQUIRED),
+    "seed": (_Interval(0, 2 ** 64 - 1), _REQUIRED),
     "output_dir": (_string, "out"),
     "detector": {
         "crystal": {
@@ -244,7 +227,7 @@ _SCHEMA = {
             "signal": (_signal, "gaussian"),
         },
         "sweep": {
-            "n_points": (_sweep_points, 24),
+            "n_points": (_Interval(5, MAX_SAMPLES), 24),
             "dwell_s": (_Interval(1e-6, 1e6), 1.0),
             # wide enough that a mean above the Poisson sampler's limit stays possible
             "counts_scale": (_Interval(1e-3, 1e20), _REQUIRED),
@@ -482,6 +465,6 @@ def load_scenario(path) -> Scenario:
 
 def scenario_with_seed(scenario: Scenario, seed: int) -> Scenario:
     """A copy with a different seed (and therefore a different hash)."""
-    seed = _seed(seed, "seed")
+    seed = _SCHEMA["seed"][0](seed, "seed")
     effective = dict(scenario.effective(), seed=seed)
     return scenario._replace(seed=seed, effective_json=_canonical_json(effective))

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .timebin import center_bin_expectation
-from .waveform import SampledWaveform, convolve
+from .waveform import SampledWaveform, convolve, libm
 
 __all__ = [
     "ScanConfig",
@@ -273,11 +273,6 @@ def _uniforms(streams: np.ndarray, first: int, count: int) -> np.ndarray:
     return (out >> np.uint64(11)) * (1.0 / 9007199254740992.0)
 
 
-def _libm(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
-    """``fn``, a ``math`` function and so libm's, on each element of ``x``."""
-    return np.fromiter(map(fn, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
-
-
 def _poisson_mult(streams: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """numpy's ``random_poisson_mult`` for 0 < lam < 10, over arrays.
 
@@ -285,7 +280,7 @@ def _poisson_mult(streams: np.ndarray, lam: np.ndarray) -> np.ndarray:
     falls to ``exp(-lam)``; its count is the number of uniforms before the
     last one.  A round gives every point still drawing ``_ROUND_DRAWS`` more.
     """
-    enlam = _libm(math.exp, -lam)
+    enlam = libm(math.exp, -lam)
     counts = np.empty(lam.size, dtype=np.int64)
     rest, prod, first = np.arange(lam.size), np.ones(lam.size), 2
     while rest.size:
@@ -379,7 +374,7 @@ def _poisson_ptrs(streams: np.ndarray, lam: np.ndarray) -> np.ndarray:
         near = np.abs(lhs - rhs) <= 2.0 ** -40 * size
         if near.any():
             near_args = args[:, near]
-            lhs[near], rhs[near], _ = _slow_test(near_args, _libm(math.log, near_args), s_k[near])
+            lhs[near], rhs[near], _ = _slow_test(near_args, libm(math.log, near_args), s_k[near])
         accept[slow] = (s_v == 0.0) | (lhs <= rhs)
         done = accept.any(axis=0)
         counts[rest[done]] = k[accept.argmax(axis=0), np.arange(rest.size)][done]

@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .waveform import SampledWaveform, TimeGrid, gaussian_waveform
+from .waveform import SampledWaveform, TimeGrid, gaussian_waveform, libm
 
 __all__ = [
     "apply_interferometer",
@@ -100,7 +100,6 @@ def center_bin_expectation(phase_diff_rad, contrast: float = 1.0):
     the fringe at each phase.  The cosine is taken with ``math.cos`` element
     by element, so the values are the same bytes on every CPU.
     """
-    phases = np.asarray(phase_diff_rad, dtype=np.float64)
-    cos = np.fromiter(map(math.cos, phases.ravel().tolist()), np.float64, phases.size)
+    cos = libm(math.cos, np.asarray(phase_diff_rad, dtype=np.float64))
     # arithmetic on a 0-d array gives an np.float64, which is a float
-    return (1.0 + contrast * cos.reshape(phases.shape)) / 3.0
+    return (1.0 + contrast * cos) / 3.0

@@ -33,6 +33,7 @@ from .errors import GridMismatchError, NumericalError, ValidationError
 __all__ = [
     "MAX_SAMPLES",
     "check_sample_count",
+    "libm",
     "check_equal_spacing",
     "TimeGrid",
     "SampledWaveform",
@@ -68,6 +69,11 @@ def check_sample_count(count: float, what: str) -> None:
         raise ValidationError(
             f"{what} needs {count:.16g} samples, more than the {MAX_SAMPLES} allowed"
         )
+
+
+def libm(fn, x: np.ndarray) -> np.ndarray:
+    """``fn``, a ``math`` function and so libm's, on each element of ``x``."""
+    return np.fromiter(map(fn, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
 
 
 class TimeGrid(NamedTuple):

@@ -3,7 +3,7 @@
 A scenario value's own range is checked once, by the schema in
 ``ucspd.scenario``, so a test of a refused value edits a real scenario and
 parses it, rather than passing the value to the model code.  ``RANGES``
-reads each real-valued key's range from that schema, so the tests hold no
+reads each numeric key's range from that schema, so the tests hold no
 second copy of the bounds.
 """
 
@@ -46,7 +46,7 @@ def _ranges(table: dict, prefix: str = ""):
             yield path, spec[0]
 
 
-#: every real-valued key's dotted path and its range, in schema order
+#: every numeric key's dotted path and its range, in schema order
 RANGES = dict(_ranges(_SCHEMA))
 
 

@@ -29,8 +29,9 @@ from waveform_measures import peak_time_fs
 from ucspd.analysis import deconvolve
 from ucspd.cli import main
 from ucspd.detector import detection_limit
-from ucspd.scenario import parse_scenario
-from ucspd import svgplot, waveform
+from ucspd.errors import NumericalError
+from ucspd.scenario import parse_scenario, scenario_with_seed
+from ucspd import cli, svgplot, waveform
 from ucspd.simulate import derive_stage_seed
 from ucspd.waveform import ARRAY_MIN_ROWS, fwhm
 
@@ -354,15 +355,17 @@ class TestDeconv:
             text.replace("mean_photons_per_pulse: 0.1", "mean_photons_per_pulse: 0.0"),
             encoding="utf-8",
         )
+        # a seed whose dark scan, as the deconv stage draws it, totals no
+        # more than its background
+        scenario = scenario_with_seed(parse_scenario(dark.read_text(encoding="utf-8")), 1)
+        scan = cli._run_delay_scan(scenario, cli._STAGE_DECONV, cli._resolution_kernel(scenario))
+        background = scenario.operating_point()[2] * scenario.scan.dwell_s
+        assert scan.counts.sum() <= scan.counts.size * background
         out = tmp_path / "art"
-        # a seed whose dark scan totals less than its background: the premise
-        # is checked below from the scan the run wrote before giving up
         assert run("deconv", str(dark), "--out", str(out), "--seed", "1") == 2
         assert "not above the background total" in capsys.readouterr().err
-        metadata, _, columns = read_table(out / "deconv_scan.csv")
-        noise = parse_scenario(dark.read_text(encoding="utf-8")).operating_point()[2]
-        background = noise * float(metadata["dwell_s"])
-        assert columns[:, 1].sum() <= columns.shape[0] * background
+        # the scan was staged before the deconvolution failed, and not kept
+        assert os.listdir(out) == []
 
 
 class TestReport:
@@ -491,7 +494,7 @@ class TestExitCodes:
         ("resolve", {"experiment.dt_fs": 5.0e-324}, range_refusal("experiment.dt_fs", 5e-324)),
         ("timebin", {"experiment.dt_fs": 5.0e-324}, range_refusal("experiment.dt_fs", 5e-324)),
         ("sweep", {"experiment.sweep.n_points": 10 ** 12},
-         "experiment.sweep.n_points: 1000000000000 points are more than the 1000000 allowed"),
+         range_refusal("experiment.sweep.n_points", 10 ** 12)),
     ], ids=["limits-power_step", "scan-step", "deconv-step-subnormal", "resolve-dt",
             "resolve-dt-subnormal", "timebin-dt-subnormal", "sweep-n_points"])
     def test_oversized_arrays_are_refused(self, sub, edits, cause, tmp_path, capsys):
@@ -770,7 +773,7 @@ class TestExitCodes:
          "ucspd: error: experiment.dt_fs: must be at most half of source.pump_fwhm_fs "
          f"(200.0 fs), got {RANGES['experiment.dt_fs'].high}\n"),
         ("sweep", edited({"experiment.sweep.n_points": 3}), 1,
-         "ucspd: error: experiment.sweep.n_points: must be at least 5, got 3\n"),
+         f"ucspd: error: {range_refusal('experiment.sweep.n_points', 3)}\n"),
         ("resolve", edited({"detector.crystal.length_mm": 1.7976931348623157e308}), 1,
          f"ucspd: error: {range_refusal('detector.crystal.length_mm', 1.7976931348623157e308)}\n"),
         ("limits", edited({"experiment.limits.integration_s": 1.7976931348623157e308}), 1,
@@ -851,20 +854,19 @@ class TestExitCodes:
 SUBCOMMANDS = ("resolve", "scan", "sweep", "timebin", "limits", "deconv", "fitvis", "report")
 
 
-# each real-valued key at each end of its range, and at 0 where its range
-# holds 0, and the scenario seed at both ends of [0, 2^64); and the nearest
-# floats outside the ranges' ends
+# each numeric key at each end of its range, and at 0 where its range holds
+# 0; and the nearest ints or floats outside the ranges' ends
 EDGE_EDITS = [
     (path, value)
     for path, interval in RANGES.items()
     for value in (interval.low, interval.high, *[0.0] * interval.zero)
-] + [("seed", 0), ("seed", 2 ** 64 - 1)]
+]
 OUTSIDE_EDITS = [
     (path, value)
     for path, interval in RANGES.items()
-    for value in (math.nextafter(interval.low, -math.inf),
-                  math.nextafter(interval.high, math.inf),
-                  *[math.nextafter(0.0, -math.inf), math.nextafter(0.0, math.inf)] * interval.zero)
+    for value in ((interval.low - 1, interval.high + 1) if isinstance(interval.low, int) else (
+        math.nextafter(interval.low, -math.inf), math.nextafter(interval.high, math.inf),
+        *[math.nextafter(0.0, -math.inf), math.nextafter(0.0, math.inf)] * interval.zero))
 ]
 # a refusal names a key path, or (exit 1) the size or values of an array the
 # scenario generates; exit 2 is a numerical failure by the CLI's contract
@@ -885,6 +887,9 @@ class TestEdgeValues:
                    RANGES["experiment.limits.integration_s"].high), name="l2_300mw", sub="limits")
     # the largest scenario seed through the scan's per-point substreams
     @example(edit=("seed", 2 ** 64 - 1), name="l2_300mw", sub="scan")
+    # the most and fewest sweep points, through the sine fit
+    @example(edit=("experiment.sweep.n_points", 1000000), name="l2_300mw", sub="fitvis")
+    @example(edit=("experiment.sweep.n_points", 5), name="l2_300mw", sub="report")
     def test_every_accepted_value_runs_or_fails_by_name(self, edit, name, sub):
         path, value = edit
         err = io.StringIO()
@@ -975,6 +980,34 @@ class TestArtifactWriter:
         assert run("resolve", "l2_300mw", "--out", str(out), "--quiet") == 0
         assert (out / "resolution.svg").read_bytes() == before
         assert sorted(os.listdir(out)) == ["resolution.csv", "resolution.json", "resolution.svg"]
+
+    def test_failed_run_leaves_an_earlier_runs_files_as_they_were(self, tmp_path, capsys):
+        out = tmp_path / "art"
+        assert run("deconv", "l2_300mw", "--out", str(out), "--quiet") == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        # in range, but deconv refuses its all-zero scan after staging it
+        dark = tmp_path / "dark.scenario"
+        dark.write_text(edited({"source.mean_photons_per_pulse": 0.0,
+                                "detector.noise.dark_cps": 0.0,
+                                "detector.noise.calibration_noise_cps": 0.0}),
+                        encoding="utf-8")
+        assert run("deconv", str(dark), "--out", str(out), "--quiet") == 2
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+        assert run("report", "l2_300mw", "--out", str(out), "--quiet") == 0
+
+    @pytest.mark.parametrize("sub", SUBCOMMANDS)
+    def test_run_that_fails_in_its_last_stage_writes_no_file(self, sub, tmp_path, monkeypatch):
+        staged = cli._DISPATCH[sub]
+
+        def fails_last(scenario, files):
+            staged(scenario, files)
+            assert files.names
+            raise NumericalError("the last stage failed")
+
+        monkeypatch.setitem(cli._DISPATCH, sub, fails_last)
+        out = tmp_path / "art"
+        assert run(sub, "l2_300mw", "--out", str(out), "--quiet") == 2
+        assert os.listdir(out) == []
 
     def test_out_is_a_file(self, tmp_path, capsys):
         taken = tmp_path / "taken"

@@ -307,8 +307,11 @@ def _shuffled(node, data):
 
 def anywhere(path):
     """Any value in the key's range: each end, 0 where the range holds it, or
-    between, spread evenly in value and, for a positive range, in its log."""
+    between, spread evenly in value and, for a positive real range, in its log;
+    an int range gives ints."""
     low, high, zero = RANGES[path]
+    if isinstance(low, int):
+        return st.one_of(st.sampled_from([low, high]), st.integers(low, high))
     values = [st.sampled_from([low, high, *[0.0] * zero]), st.floats(low, high)]
     if low > 0.0:
         values.append(st.floats(math.log(low), math.log(high))
@@ -648,7 +651,7 @@ class TestDiagnostics:
     @pytest.mark.parametrize("old,new,path", [
         ("seed: 20260815", "seed: -5", "seed"),
         ("start_fs: -1800.0", "start_fs: 1800.0", "scan"),
-        ("n_points: 24", "n_points: 3", r"sweep\.n_points: must be at least 5, got 3"),
+        ("n_points: 24", "n_points: 3", r"sweep\.n_points: must be in \[5, 1000000\], got 3"),
         ("contrast: 0.982", "contrast: 0.0", "contrast"),
         ("power_stop_mw: 500.0", "power_stop_mw: 10.0", "power"),
         ("signal: timebin", "signal: chirped", r"experiment\.scan\.signal"),

@@ -1,11 +1,14 @@
 """Source hygiene: every name a package module imports is used there, and
-only ``waveform`` decides how a convolution is evaluated."""
+only ``waveform`` decides how a convolution is evaluated or maps libm over an
+array, and every numeric scenario key has a range."""
 
 import ast
 import re
 from pathlib import Path
 
 import pytest
+
+from ucspd.scenario import _SCHEMA, _Interval, load_scenario
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ucspd"
 
@@ -49,3 +52,30 @@ def test_only_waveform_evaluates_convolutions():
     owners = [path.name for path in sorted(SRC.glob("*.py"))
               if CONVOLUTION_ENGINE.search(path.read_text(encoding="utf-8"))]
     assert owners == ["waveform.py"]
+
+
+def test_only_waveform_maps_libm_over_arrays():
+    owners = [path.name for path in sorted(SRC.glob("*.py"))
+              if "np.fromiter(map(" in path.read_text(encoding="utf-8")]
+    assert owners == ["waveform.py"]
+
+
+def numeric_leaves(tree: dict, prefix: str = ""):
+    """The dotted path of each int or float leaf of a scenario tree, bools excluded."""
+    for key, value in tree.items():
+        path = f"{prefix}.{key}" if prefix else key
+        if isinstance(value, dict):
+            yield from numeric_leaves(value, path)
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield path
+
+
+def test_every_numeric_key_has_a_range():
+    # a key the schema checks another way would miss RANGES, README's range
+    # table and the edge tests; the effective configuration holds every key
+    scenario = load_scenario(SRC / "scenarios" / "l2_300mw.scenario")
+    for path in numeric_leaves(scenario.effective()):
+        node = _SCHEMA
+        for key in path.split("."):
+            node = node[key]
+        assert isinstance(node[0], _Interval), path
