@@ -486,12 +486,13 @@ def _embedded_hash(path: Path) -> str | None:
             payload = json.loads(path.read_text(encoding="utf-8"))
             value = payload.get("scenario_hash") if isinstance(payload, dict) else None
             return value if isinstance(value, str) else None
-        if path.suffix in (".csv", ".svg"):
+        # a CSV's comment line or an SVG's comment, not the name in a CSV's first line
+        tag = {".csv": "# scenario_hash=", ".svg": "<!-- scenario_hash="}.get(path.suffix)
+        if tag:
             with open(path, "r", encoding="utf-8") as handle:
                 for _, line in zip(range(40), handle):
-                    if "scenario_hash=" in line:
-                        tail = line.split("scenario_hash=", 1)[1]
-                        return tail.strip().rstrip("->").strip()
+                    if line.startswith(tag):
+                        return line[len(tag):].strip().rstrip("->").strip()
     except (OSError, ValueError):
         return None
     return None

@@ -157,6 +157,14 @@ def _string(value, path):
     return value
 
 
+def _name(value, path):
+    # every CSV artifact writes the name into its first line
+    bad = _UNREADABLE.search(_string(value, path))
+    if bad:
+        raise ScenarioError(f"{path}: character {bad[0]!r} is not allowed")
+    return value
+
+
 def _label(value, path):
     if not isinstance(value, str):
         raise ScenarioError(f"{path}: expected a string, got {value!r}")
@@ -177,7 +185,7 @@ def _boolean(value, path):
 
 # The schema: key -> (check, default or _REQUIRED), or key -> nested section.
 _SCHEMA = {
-    "name": (_string, _REQUIRED),
+    "name": (_name, _REQUIRED),
     "seed": (_Interval(0, 2 ** 64 - 1), _REQUIRED),
     "output_dir": (_string, "out"),
     "detector": {

@@ -17,8 +17,9 @@ approximates the continuous integral independently of grid resolution, and
 Richardson-Lucy deconvolution builds its blur and adjoint from it.
 
 It also owns the text of every CSV artifact (:func:`csv_text`).  A table of
-at least ``ARRAY_MIN_ROWS`` rows is written from one byte buffer, a cell in
-two 64-bit words built by array arithmetic, with the bytes ``str.format`` writes.
+at least ``ARRAY_MIN_ROWS`` rows whose every cell array arithmetic covers is
+written from one byte buffer, a cell in two 64-bit words, with the bytes
+``str.format`` writes; any other table is written row by row.
 """
 
 from __future__ import annotations
@@ -300,20 +301,23 @@ def _written_column(c: np.ndarray) -> np.ndarray:
 #: Rows from which :func:`csv_text` writes a table from one byte buffer: on a
 #: 2-CPU x86-64 host it was level with ``str.format`` at about 400-500 rows.
 ARRAY_MIN_ROWS = 512
-_POW10 = np.array([10 ** k for k in range(23)], dtype=np.float64)  # exact doubles
+# 10**k / 2**128 for k in [0, 332], as 5**k rounded once times 2**(k - 128): exact to 10**22
+_POW10 = np.ldexp(np.cumprod([1] + [5] * 332, dtype=object).astype(np.float64), range(-128, 205))
 # _LOW[k]: the low k <= 8 bytes of a word; _DOT[k]: "." in its byte k
 _LOW = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 _DOT = np.array([46 << 8 * k for k in range(8)] + [0], dtype=np.uint64)
 # in each byte: "0"; a digit plus _NONZERO sets _HIGHS unless it is "0"
 _ZEROS, _NONZERO, _HIGHS = (np.uint64(b * 0x0101010101010101) for b in (0x30, 0x4F, 0x80))
-# by decimal exponent X + 14, X in [-14, 9], of {:.9g}'s d.ddde+XX outside [-4, 9),
+# by decimal exponent X + 324, X in [-324, 9], of {:.9g}'s d.ddde+XX outside [-4, 9),
 # 0.000ddd below 0 and ddd.ddd from 0 on: digits between d0 and the point, digits
-# written though zero, the shift behind 0.000, the 0.000 and the e+XX
-_LAYOUT = [(0, 1, 0, 0, int.from_bytes(b"\0\0\0e%+03d" % x, "little")) if x < -4 or x > 8
-           else (8, 0, 40, int.from_bytes(b"0.000"[:1 - x], "little"), 0) if x < 0
-           else (x, x + 1, 0, 0, 0) for x in range(-14, 10)]
-_POINT, _FLOOR = np.array([layout[:2] for layout in _LAYOUT]).T
-_SHIFT, _PREFIX, _EXP = np.array([layout[2:] for layout in _LAYOUT], dtype=np.uint64).T
+# written though zero, the shift behind 0.000 and the 0.000: one row for every X < -4
+_POINT, _FLOOR, _SHIFT, _PREFIX = np.repeat([
+    (0, 1, 0, 0) if x < -4 or x > 8 else (8, 0, 40, int.from_bytes(b"0.000"[:1 - x], "little"))
+    if x < 0 else (x, x + 1, 0, 0) for x in range(-5, 10)], [320] + [1] * 14, axis=0).T
+_SHIFT, _PREFIX = _SHIFT.astype(np.uint64), _PREFIX.astype(np.uint64)
+# and the e-XXX from -324 to -100, e-XX to -5, none to 8 and e+09, ending in byte 14
+_EXP = np.frombuffer((b"\0\0e%+04d\0" * 225 + b"\0\0\0e%+03d\0" * 95) % (*range(-324, -4),)
+                     + bytes(8 * 13) + b"\0\0\0e+09\0", dtype="<u8")
 
 
 def _digits(m):
@@ -331,21 +335,27 @@ def _digits(m):
 
 def _float_cells(x):
     """Two words of ``{:.9g}`` text for each float, 0 bytes to drop, and whether
-    that is its text: for ``+0.0`` and [1e-13, 1e9)."""
-    ok, zero = (x >= 1e-13) & (x < 1e9), x.view(np.uint64) == 0
-    x = np.where(ok, x, 1.0)
-    e = np.clip(np.floor(np.log10(x)), -13, 8).astype(np.intp)
-    p = x * _POW10[8 - e]
+    that is its text: for +-0.0, positives from 5e-324 and negatives written
+    without an exponent, all below 1e9 in magnitude, but a scaled value that
+    rounds on or, with an inexact power of ten, near a half."""
+    neg, zero, ok = np.signbit(x), x == 0, np.abs(x) < 1e9
+    a = np.abs(np.where(ok & ~zero, x, 1.0))  # a zero is written as 1, less its digit
+    e = np.clip(np.floor(np.log10(a)), -324, 8).astype(np.intp)
+    # exact, so that a times 10**k / 2**128 is the scaled value rounded once
+    a *= 2.0 ** 128
+    p = a * _POW10[8 - e]
     # log10 may round across a power of ten: one step puts p in [1e8, 1e9]
     off = (p < 1e8) | (p > 1e9)
     e[off] += np.where(p[off] > 1e9, 1, -1)
-    p[off] = x[off] * _POW10[8 - e[off]]
-    # {:.9g} rounds the exact x * 10**(8 - e) half to even, and p on a half
-    # may have been rounded onto it: such a row goes per row
+    p[off] = a[off] * _POW10[8 - e[off]]
+    # {:.9g} rounds the exact x * 10**(8 - e) half to even. With an exact power
+    # (e >= -14) p is that rounded once, and rounds otherwise only on a half;
+    # with an inexact one p is within 2.3e-7 of it, so p within 2**-20 of a half
+    # is refused
     m = np.rint(p)
-    ok &= (p >= 1e8) & (p <= 1e9) & (np.abs(p - m) != 0.5)
+    ok &= (p >= 1e8) & (p <= 1e9) & (0.5 - np.abs(p - m) > (e < -14) * 2.0 ** -20)
     carry = m == 1e9
-    e += carry + 14  # from here the row of the layout tables
+    e += carry + 324  # from here the row of the layout tables
     first, digits = _digits(np.where(carry, 1e8, m))
     # significant digits after d0: up to the last nonzero one, by frexp of its flag
     width = np.frexp((digits + _NONZERO & _HIGHS).astype(np.float64))[1] >> 3
@@ -355,9 +365,13 @@ def _float_cells(x):
     before, after = digits & _LOW[point] | _DOT[point], digits & ~_LOW[point]
     high = (after >> 48 | before >> 56) & _LOW[np.maximum(width - 8, 0)]
     low = (after << 16 | before << 8 | first - zero) & _LOW[np.minimum(width, 8)]
-    # behind 0.000, or before e+XX in bytes 11-14
+    # behind 0.000, or before e+XX in bytes 10-14
     shift = _SHIFT[e]
-    return low << shift | _PREFIX[e], high << shift | low >> (56 - shift) >> 8 | _EXP[e], ok | zero
+    low, high = low << shift | _PREFIX[e], high << shift | low >> (56 - shift) >> 8 | _EXP[e]
+    if neg.any():  # "-" in front of a text with no exponent, which ends by byte 13
+        ok &= ~neg | (_EXP[e] == 0)
+        low, high = np.where(neg, low << 8 | 45, low), np.where(neg, high << 8 | low >> 56, high)
+    return low, high, ok
 
 
 def _int_cells(v):
@@ -377,35 +391,26 @@ def csv_text(header: str, columns, metadata: dict) -> str:
     Integer columns are written as they are and every other column as
     ``"{:.9g}".format`` writes it.  A float column of whole numbers below 1e9
     in magnitude, none of them ``-0.0``, is written as integers, which are the
-    same bytes.  From :data:`ARRAY_MIN_ROWS` rows on, rows come from one byte
-    buffer of 16 bytes a cell, except those holding a negative or non-finite
-    float, a magnitude outside [1e-13, 1e9), one whose scaled value rounds onto
-    a half, or an integer from 1e9 on.  Every CSV artifact of the package is
-    formatted here.
+    same bytes.  From :data:`ARRAY_MIN_ROWS` rows on, a table whose every cell
+    :func:`_int_cells` or :func:`_float_cells` covers comes from one byte buffer
+    of 16 bytes a cell; any other table is formatted row by row.  Every CSV
+    artifact of the package is formatted here.
     """
     lines = [f"# {key}={value}" for key, value in metadata.items()] + [header]
     columns = [_written_column(np.asarray(c)) for c in columns]
-    row = ",".join("{}" if c.dtype.kind in "iu" else "{:.9g}" for c in columns)
     n, k = columns[0].size, len(columns)
-    arrays = all(c.shape == (n,) and c.dtype in (np.int64, np.float64) for c in columns)
-    if n < ARRAY_MIN_ROWS or not arrays:
-        lines += map(row.format, *(c.tolist() for c in columns))
-        return "\n".join(lines) + "\n"
-    buffer = bytearray(16 * n * k)
-    words = np.frombuffer(buffer, dtype="<u8").reshape(n, k, 2)
-    ok = np.ones(n, dtype=bool)
-    for j, c in enumerate(columns):
-        low, high, good = (_int_cells if c.dtype.kind == "i" else _float_cells)(c)
-        words[:, j, 0], words[:, j, 1] = low, high | (44 if j < k - 1 else 10) << 56
-        ok &= good
-    bad = np.flatnonzero(~ok)
-    # a 1 byte marks where the row's own text goes
-    words[bad] = 0
-    words[bad, 0, 0], words[bad, -1, 1] = 1, 10 << 56
-    text = buffer.translate(None, b"\0").decode("ascii")
-    pieces = text.split("\x01") if bad.size else [text]
-    rows = map(row.format, *(c[bad].tolist() for c in columns))
-    return "\n".join(lines) + "\n" + pieces[0] + "".join(map(str.__add__, rows, pieces[1:]))
+    if n >= ARRAY_MIN_ROWS and all(c.shape == (n,) and c.dtype in (np.int64, np.float64)
+                                   for c in columns):
+        cells = [(_int_cells if c.dtype.kind == "i" else _float_cells)(c) for c in columns]
+        if all(ok.all() for _, _, ok in cells):
+            buffer = bytearray(16 * n * k)
+            words = np.frombuffer(buffer, dtype="<u8").reshape(n, k, 2)
+            for j, (low, high, _) in enumerate(cells):
+                words[:, j, 0], words[:, j, 1] = low, high | (44 if j < k - 1 else 10) << 56
+            return "\n".join(lines) + "\n" + buffer.translate(None, b"\0").decode("ascii")
+    row = ",".join("{}" if c.dtype.kind in "iu" else "{:.9g}" for c in columns)
+    lines += map(row.format, *(c.tolist() for c in columns))
+    return "\n".join(lines) + "\n"
 
 
 def write_csv(path, w: SampledWaveform, metadata: dict) -> None:

@@ -401,6 +401,15 @@ class TestReport:
         assert run("scan", "l2_300mw", "--out", str(out), "--quiet") == 0
         assert run("report", "l2_300mw", "--out", str(out), "--quiet") == 0
 
+    def test_name_that_reads_like_a_hash_line_is_not_taken_for_one(self, tmp_path):
+        # a CSV's first line is "# scenario=<name>"; its hash has a line of its own
+        scenario = tmp_path / "named.scenario"
+        scenario.write_text(edited({"name": "x scenario_hash=zzz"}), encoding="utf-8")
+        out = tmp_path / "art"
+        for sub in SUBCOMMANDS:
+            assert run(sub, str(scenario), "--out", str(out), "--quiet") == 0
+        assert run("report", str(scenario), "--out", str(out), "--quiet") == 0
+
 
 class TestExitCodes:
     def test_unknown_subcommand_prints_usage(self, capsys):
@@ -830,6 +839,24 @@ class TestExitCodes:
         )
         assert "Traceback" not in err
 
+    # every CSV writes the name into its "# scenario=" line, so a name that
+    # would break it there is refused at parse, escaped or not
+    @pytest.mark.parametrize("escaped, char", [
+        ("\\n", "\n"), ("\\r", "\r"), ("\\t", "\t"), ("\\u0085", "\x85"), ("\\u2028", "\u2028"),
+    ], ids=["line-feed", "carriage-return", "tab", "next-line", "line-separator"])
+    def test_name_with_a_control_character_is_refused_at_parse(
+        self, escaped, char, tmp_path, capsys
+    ):
+        text = (BUNDLED / "l2_300mw.scenario").read_text(encoding="utf-8")
+        scenario = tmp_path / "named.scenario"
+        scenario.write_text(text.replace("name: l2_300mw", f'name: "l2{escaped}foo,1"'),
+                            encoding="utf-8")
+        out = tmp_path / "art"
+        assert run("resolve", str(scenario), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err == f"ucspd: error: name: character {char!r} is not allowed\n"
+        assert not out.exists()
+
     def test_options_do_not_carry_over_between_calls(self, tmp_path, capsys):
         a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
         assert run("limits", "l2_300mw", "--out", str(a), "--format", "json", "--seed", "42") == 0
@@ -927,7 +954,8 @@ class TestEdgeValues:
 class TestCsvBytes:
     def test_dense_tables_are_the_same_bytes_either_side_of_the_cut(self, tmp_path, monkeypatch):
         # l2 scanned at 1 fs: 3601 scan rows, and model-grid waveforms with
-        # values below 1e-13, whose rows the array path leaves to str.format
+        # values below 1e-13, down to where the power of ten the array path
+        # scales by is inexact
         scenario = tmp_path / "l2_1fs.scenario"
         scenario.write_text(edited({"experiment.scan.step_fs": 1.0}), encoding="utf-8")
         names = ("scan.csv", "deconv_recovered.csv", "timebin_measured.csv")
@@ -943,6 +971,34 @@ class TestCsvBytes:
         assert all(len(table) > ARRAY_MIN_ROWS for table in tables)
         for table in tables[1:]:
             assert ((table[:, 1] > 0) & (table[:, 1] < 1e-13)).any()
+
+    def test_every_table_of_a_dense_scenario_is_held_in_full(self, tmp_path, monkeypatch):
+        # each of the eight subcommands on l2 scanned at 1 fs: every column of
+        # every table from ARRAY_MIN_ROWS rows on is written from the byte
+        # buffer, none per row
+        scenario = tmp_path / "l2_1fs.scenario"
+        scenario.write_text(edited({"experiment.scan.step_fs": 1.0}), encoding="utf-8")
+        held = []
+
+        def spy(cells):
+            def spied(column):
+                low, high, ok = cells(column)
+                held.append((column.size, bool(ok.all())))
+                return low, high, ok
+            return spied
+
+        for name in ("_float_cells", "_int_cells"):
+            monkeypatch.setattr(waveform, name, spy(getattr(waveform, name)))
+        columns = []
+        for sub in SUBCOMMANDS:
+            out = tmp_path / sub
+            assert run(sub, str(scenario), "--out", str(out), "--quiet") == 0
+            for path in out.glob("*.csv"):
+                _, header, table = read_table(path)
+                if len(table) >= ARRAY_MIN_ROWS:
+                    columns += [len(table)] * len(header.split(","))
+        assert len(columns) >= 10
+        assert sorted(held) == sorted((rows, True) for rows in columns)
 
 
 class TestArtifactWriter:

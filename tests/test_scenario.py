@@ -648,7 +648,9 @@ class TestDiagnostics:
         with pytest.raises(ScenarioError):
             parse_scenario("42")
 
-    @pytest.mark.parametrize("old,new,path", [
+    # an edit of l2's text and a regex of the refusal it gets; the edit's
+    # key=value names the test, so a changed refusal text keeps its id
+    INVARIANT_EDITS = [
         ("seed: 20260815", "seed: -5", "seed"),
         ("start_fs: -1800.0", "start_fs: 1800.0", "scan"),
         ("n_points: 24", "n_points: 3", r"sweep\.n_points: must be in \[5, 1000000\], got 3"),
@@ -688,7 +690,10 @@ class TestDiagnostics:
          r"experiment\.dt_fs: must be at most half of source\.pump_fwhm_fs \(1\.0 fs\)"),
         ("signal_fwhm_fs: 240.0", "signal_fwhm_fs: 1.0",
          r"experiment\.dt_fs: must be at most half of source\.signal_fwhm_fs \(1\.0 fs\)"),
-    ])
+    ]
+
+    @pytest.mark.parametrize("old,new,path", INVARIANT_EDITS, ids=[
+        new.partition("\n")[0].replace(": ", "=") for _, new, _ in INVARIANT_EDITS])
     def test_section_invariants_enforced(self, old, new, path):
         text = bundled_text().replace(old, new)
         assert text != bundled_text()

@@ -455,10 +455,14 @@ def _ulps(value, k):
     return near
 
 
-# every power of ten the array path meets and its neighbours within 3 ulp;
+# every power of ten from 1e-14 to 1e9 and its neighbours within 3 ulp;
 # decimal halves (k + 0.5) 10**j with k of 9 digits, doubles just off the
 # half; binary halves, which are exactly on it; ten digits of 9, which round
-# up to the next power of ten; the bounds of [1e-13, 1e9)
+# up to the next power of ten; 1e-13 and 1e9 and their neighbours. Then the
+# powers, halves and ten digits of 9 below 1e-14, down to the subnormals,
+# where the power of ten the array path scales by is inexact, and three-digit
+# exponents; 5e-324, 1e-4 (below it {:.9g} writes an exponent) and a value
+# that rounds up to 1e-4, with their neighbours; and the negative of each
 _ARRAY_EDGES = [
     *(near for j in range(-14, 10) for near in _ulps(float(f"1e{j}"), 3)),
     *(float(f"{k}5e{j}") for k in (100000000, 123456789, 999999999) for j in range(-23, 1)),
@@ -466,7 +470,12 @@ _ARRAY_EDGES = [
     *(float(f"9999999996e{j}") for j in range(-23, 0)),
     999999999.5, 999999998.5, *_ulps(1e-13, 1), *_ulps(1e9, 1),
     0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, math.nan, math.inf, -math.inf,
+    *(near for j in range(-323, -14) for near in _ulps(float(f"1e{j}"), 3)),
+    *(float(f"{k}5e{j}") for k in (100000000, 123456789, 999999999) for j in range(-332, -23)),
+    *(float(f"999999999{d}e{j}") for d in (5, 6) for j in range(-332, -23)),
+    *_ulps(5e-324, 3), *_ulps(1e-4, 3), *_ulps(9.99999999951e-5, 3),
 ]
+_ARRAY_EDGES += [-v for v in _ARRAY_EDGES]
 _ARRAY_INTS = [0, 1, -1, 10 ** 9 - 1, -(10 ** 9 - 1), 10 ** 9, -(10 ** 9), 2 ** 63 - 1, -(2 ** 63)]
 # a float64 of any bit pattern, signaling NaNs too
 _BIT_FLOATS = st.integers(0, 2 ** 64 - 1).map(
@@ -479,11 +488,27 @@ def _array_table(draw):
     """Float columns of any bit patterns, values the array path writes or edge
     values, and an int64 column of any values or edge values."""
     n = draw(st.integers(1, 40))
-    cells = st.one_of(_BIT_FLOATS, st.floats(1e-13, 1e9), st.sampled_from(_ARRAY_EDGES))
+    cells = st.one_of(_BIT_FLOATS, st.floats(-1e9, 1e9), st.floats(0.0, 1e-13),
+                      st.sampled_from(_ARRAY_EDGES))
     floats = [np.array(draw(st.lists(cells, min_size=n, max_size=n)), dtype=np.float64)
               for _ in range(draw(st.integers(1, 2)))]
     ints = st.one_of(_INTS, st.sampled_from(_ARRAY_INTS))
     return [*floats, np.array(draw(st.lists(ints, min_size=n, max_size=n)), dtype=np.int64)]
+
+
+def _cells(column):
+    """The text the byte buffer gives each cell of ``column``, and whether it holds it."""
+    low, high, ok = (waveform._int_cells if column.dtype.kind == "i" else waveform._float_cells)(
+        column)
+    cells = np.stack([low, high], axis=-1).astype("<u8").view("S16")[:, 0]
+    return [cell.replace(b"\0", b"").decode() for cell in cells], ok
+
+
+def _misheld(column):
+    """The values of ``column`` whose held cell is not ``str.format``'s text, with that cell."""
+    texts, ok = _cells(column)
+    return [(value, text) for value, text, held in zip(column.tolist(), texts, ok.tolist())
+            if held and text != _per_cell_rows([[value]])[0]]
 
 
 class TestCsvText:
@@ -508,14 +533,47 @@ class TestCsvText:
         with _cut(1):
             text = csv_text("h", columns, {})
         assert text == "h\n" + "".join(row + "\n" for row in _per_cell_rows(columns))
+        # a table with a cell the buffer does not hold goes per row: the
+        # cells it does hold are checked on their own
+        assert [_misheld(c) for c in columns] == [[] for _ in columns]
 
     def test_array_path_on_edge_values(self):
         floats = np.array(_ARRAY_EDGES)
         ints = np.resize(np.array(_ARRAY_INTS, dtype=np.int64), floats.size)
+        assert _misheld(floats) == [] and _misheld(ints) == []
         columns = [floats, ints, floats[::-1].copy()]
         with _cut(1):
             text = csv_text("h", columns, {})
         assert text.splitlines()[1:] == _per_cell_rows(columns)
+
+    def test_buffer_holds_all_but_negatives_with_an_exponent(self):
+        # powers of ten and their neighbours from the subnormals to 1e9, 5e-324
+        # and 1e-4 with theirs, +-0.0, and the negative of each: all are held
+        # but a negative whose text has an exponent
+        x = np.array([*(v for j in range(-323, 10) for v in _ulps(float(f"1e{j}"), 3)),
+                      *_ulps(5e-324, 3), *_ulps(1e-4, 3), 0.0])
+        x = np.r_[x, -x]
+        x = x[np.abs(x) < 1e9]
+        fits = [v >= 0 or "e" not in f"{v:.9g}" for v in x.tolist()]
+        assert _cells(x)[1].tolist() == fits
+        assert _misheld(x) == []
+        held = x[fits]
+        with _cut(1):
+            text = csv_text("h", [held, held[::-1].copy()], {})
+        assert text.splitlines()[1:] == _per_cell_rows([held, held[::-1]])
+
+    @pytest.mark.parametrize("cell", [math.nan, -1e-5, 1e9], ids=["nan", "-1e-5", "1e9"])
+    def test_one_cell_the_buffer_cannot_hold_sends_the_table_per_row(self, cell):
+        # 600 rows, from the cut on: a fractional grid with negative times, and
+        # values down to 1e-300, every cell held but one
+        t = np.arange(600) * 0.25 - 75.0
+        values = np.geomspace(1e-300, 1.0, 600)
+        values[300] = cell
+        assert ARRAY_MIN_ROWS <= 600
+        assert _cells(t)[1].all() and np.flatnonzero(~_cells(values)[1]).tolist() == [300]
+        text = csv_text("t_fs,value", (t, values), {"kind": "x"})
+        rows = map("{:.9g},{:.9g}\n".format, t.tolist(), values.tolist())
+        assert text == "# kind=x\nt_fs,value\n" + "".join(rows)
 
     @pytest.mark.parametrize("error", [-0.45, 0.45])
     def test_exponent_step_mends_an_inexact_log10(self, error):
