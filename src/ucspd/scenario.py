@@ -55,7 +55,7 @@ _REQUIRED = object()
 
 
 # tabs, and the characters YAML refuses or reads as line breaks
-_UNREADABLE = re.compile("[^ -~\xa0-\u2027\u202a-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+_UNREADABLE = re.compile("[\x00-\x1f\x7f-\x9f\u2028\u2029\ud800-\udfff\ufffe\uffff]")
 _QUOTED = r"""'(?:[^']|'')*'|"(?:[^"\\]|\\.)*\""""
 # the indent, the key (a word or quoted, of at most 100 characters) and the
 # value of a line, whose comment is dropped; a blank or comment line has no key
@@ -151,24 +151,22 @@ class _Interval(namedtuple("_Interval", "low high zero", defaults=(False,))):
         return value if integer else float(value)
 
 
-def _string(value, path):
-    if not isinstance(value, str) or not value:
-        raise ScenarioError(f"{path}: expected a non-empty string, got {value!r}")
-    return value
-
-
-def _name(value, path):
-    # every CSV artifact writes the name into its first line
-    bad = _UNREADABLE.search(_string(value, path))
+def _label(value, path):
+    # a CSV's first line holds the name, an SVG's XML the label and a wrote,
+    # line of stdout the output directory: none may hold a line break or
+    # another character YAML refuses, escaped or not
+    if not isinstance(value, str):
+        raise ScenarioError(f"{path}: expected a string, got {value!r}")
+    bad = _UNREADABLE.search(value)
     if bad:
         raise ScenarioError(f"{path}: character {bad[0]!r} is not allowed")
     return value
 
 
-def _label(value, path):
-    if not isinstance(value, str):
-        raise ScenarioError(f"{path}: expected a string, got {value!r}")
-    return value
+def _string(value, path):
+    if not isinstance(value, str) or not value:
+        raise ScenarioError(f"{path}: expected a non-empty string, got {value!r}")
+    return _label(value, path)
 
 
 def _signal(value, path):
@@ -185,7 +183,7 @@ def _boolean(value, path):
 
 # The schema: key -> (check, default or _REQUIRED), or key -> nested section.
 _SCHEMA = {
-    "name": (_name, _REQUIRED),
+    "name": (_string, _REQUIRED),
     "seed": (_Interval(0, 2 ** 64 - 1), _REQUIRED),
     "output_dir": (_string, "out"),
     "detector": {

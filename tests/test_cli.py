@@ -13,6 +13,7 @@ import textwrap
 import warnings
 from importlib import resources
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -857,6 +858,50 @@ class TestExitCodes:
         assert err == f"ucspd: error: name: character {char!r} is not allowed\n"
         assert not out.exists()
 
+    def test_output_dir_with_a_line_break_is_refused_at_parse(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # each artifact's path is printed on a "wrote," line, where a line
+        # break in the directory would forge another one
+        text = (BUNDLED / "l2_300mw.scenario").read_text(encoding="utf-8")
+        scenario = tmp_path / "forged.scenario"
+        scenario.write_text(text.replace("output_dir: out", 'output_dir: "od\\nwrote,fake.csv"'),
+                            encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert run("limits", str(scenario)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "ucspd: error: output_dir: character '\\n' is not allowed\n"
+        assert "wrote," not in captured.out
+        assert os.listdir(tmp_path) == ["forged.scenario"]
+
+    # an SVG draws the label as XML text, which can hold no control character
+    @pytest.mark.parametrize("label, char", [
+        ('"L2\\u0001x"', "\x01"), ('"a\\u2028b"', "\u2028"),
+    ], ids=["start-of-heading", "line-separator"])
+    def test_label_with_a_control_character_is_refused_at_parse(
+        self, label, char, tmp_path, capsys
+    ):
+        text = (BUNDLED / "l2_300mw.scenario").read_text(encoding="utf-8")
+        scenario = tmp_path / "labelled.scenario"
+        scenario.write_text(text.replace("label: L2", f"label: {label}"), encoding="utf-8")
+        out = tmp_path / "art"
+        assert run("resolve", str(scenario), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err == f"ucspd: error: detector.crystal.label: character {char!r} is not allowed\n"
+        assert not out.exists()
+
+    def test_default_empty_label_runs(self, tmp_path):
+        text = (BUNDLED / "l2_300mw.scenario").read_text(encoding="utf-8")
+        scenario = tmp_path / "unlabelled.scenario"
+        scenario.write_text(text.replace("    label: L2\n", ""), encoding="utf-8")
+        out = tmp_path / "art"
+        assert run("resolve", str(scenario), "--out", str(out), "--quiet") == 0
+        assert json.loads((out / "resolution.json").read_text(encoding="utf-8"))["label"] == ""
+        # the series falls back to the y axis's name as its legend
+        texts = [node.text for node in ElementTree.parse(out / "resolution.svg").iter(
+            "{http://www.w3.org/2000/svg}text")]
+        assert texts.count("T(t)") == 2
+
     def test_options_do_not_carry_over_between_calls(self, tmp_path, capsys):
         a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
         assert run("limits", "l2_300mw", "--out", str(a), "--format", "json", "--seed", "42") == 0
@@ -1181,6 +1226,19 @@ class TestJsonKeys:
                 for key in payload[block]
             }
             assert keys == expected, file
+
+
+class TestSvgXml:
+    @pytest.mark.parametrize("name", ["l1_300mw", "l2_300mw", "l3_300mw"])
+    def test_every_plot_of_a_bundled_scenario_is_well_formed_xml(self, name, tmp_path):
+        out = tmp_path / "art"
+        for sub in SUBCOMMANDS:
+            assert run(sub, name, "--out", str(out), "--quiet") == 0
+        plots = sorted(out.glob("*.svg"))
+        assert len(plots) == 7  # every subcommand but report draws one
+        for path in plots:
+            root = ElementTree.parse(path).getroot()
+            assert root.tag == "{http://www.w3.org/2000/svg}svg", path.name
 
 
 class TestImportCost:

@@ -19,8 +19,8 @@ from ucspd import cli
 from ucspd.detector import detection_limit
 from ucspd.errors import NumericalError, ScenarioError
 from ucspd.scenario import (
-    _REQUIRED, _SCHEMA, LimitsSection, _default, _read, load_scenario, parse_scenario,
-    scenario_with_seed,
+    _REQUIRED, _SCHEMA, _UNREADABLE, LimitsSection, _default, _read, load_scenario,
+    parse_scenario, scenario_with_seed,
 )
 from ucspd.waveform import MAX_SAMPLES
 
@@ -222,6 +222,15 @@ class TestReader:
     @pytest.mark.parametrize("value", TRICKY_STRINGS)
     def test_tricky_strings_read_as_pyyaml_or_refused(self, value):
         read_as_pyyaml_or_refused({"detector": {"crystal": {"label": value}}})
+
+    def test_unreadable_class_is_the_complement_of_the_readable_one(self):
+        # the reference: every character outside what a scenario line may
+        # hold, YAML's printable set less the tab and the line breaks
+        negated = re.compile("[^ -~\xa0-\u2027\u202a-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        refused = _UNREADABLE.findall(every)
+        assert refused == negated.findall(every)
+        assert len(refused) == 2117
 
     @pytest.mark.parametrize("text,value", [
         ("1e20", 1e20), ("1.0e20", 1e20), ("1.0e+20", 1e20), ("2E-1", 0.2), (".5e1", 5.0),
