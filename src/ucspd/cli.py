@@ -34,7 +34,7 @@ from .analysis import RL_MAX_ITERATIONS, deconvolve, fit_erf_gate, fit_sine
 from .detector import detection_limit
 from .errors import NumericalError, ScenarioError, UcspdError
 from .response import resolution_function
-from .scenario import Scenario, load_scenario, scenario_with_seed
+from .scenario import Scenario, _label, load_scenario, scenario_with_seed
 from .simulate import (
     RNG_SCHEME, ScanConfig, delay_rate_function, derive_stage_seed, run_phase_sweep, run_scan,
 )
@@ -608,7 +608,8 @@ def main(argv=None) -> int:
         if args.subcommand is None:
             parser.error("a subcommand is required")
         scenario = _resolve_scenario(args)
-        out = Path(args.out) if args.out else Path(scenario.output_dir)
+        # --out is printed in wrote, lines as output_dir is, so it passes the same rule
+        out = Path(_label(args.out, "--out") if args.out else scenario.output_dir)
         out.mkdir(parents=True, exist_ok=True)
         files = _Artifacts(scenario, out, args.quiet)
         try:

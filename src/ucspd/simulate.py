@@ -4,7 +4,9 @@ A delay scan steps the signal arrival time against the gate and records
 Poisson counts at each step; a phase sweep does the same against an
 interferometer phase.  Counts at every scan point are drawn from a dedicated
 random substream derived from ``(seed, point index)``, so results are
-byte-identical across reruns and independent of evaluation order.
+byte-identical across reruns and independent of evaluation order.  The
+package computes numpy's SeedSequence mixing itself, for these streams and
+for :func:`derive_stage_seed`, so a run never imports numpy's random module.
 
 Rates are exact expectations, from :func:`delay_rate_function` for delay
 scans and the fringe model for sweeps; the only randomness is the Poisson
@@ -24,6 +26,7 @@ flip an acceptance test.  The rest is IEEE-exact arithmetic, run in numpy.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from typing import Callable, NamedTuple
 
@@ -146,22 +149,13 @@ _LOG_2PI = 1.8378770664093453
 
 def _hash_constants(const: int, mult: int, count: int) -> list[tuple[int, int]]:
     """The (xor, multiply) constants of ``count`` SeedSequence hashmix calls from ``const``."""
-    pairs = []
-    for _ in range(count):
-        pairs.append((const, (const * mult) & _MASK32))
-        const = pairs[-1][1]
-    return pairs
+    return [(const, const := (const * mult) & _MASK32) for _ in range(count)]
 
 
-# the pool is four words and the entropy five (two seed words, two zeros,
-# the point index): 4 + 12 hashmix calls mix the seed words, 4 the index,
-# and 8 draw the state
-_HASH_SEED = _hash_constants(_INIT_A, _MULT_A, 16)
-_HASH_INDEX, _HASH_STATE = (
-    np.array(pairs, dtype=np.uint32).T
-    for pairs in (_hash_constants(_HASH_SEED[-1][1], _MULT_A, 4),
-                  _hash_constants(_INIT_B, _MULT_B, 8))
-)
+# the pool is four words: 4 + 12 hashmix calls mix the four seed words (two
+# of them zero), 4 each spawn-key word (at most two), and 8 draw the state
+_HASH_SEED = _hash_constants(_INIT_A, _MULT_A, 24)
+_HASH_STATE = np.array(_hash_constants(_INIT_B, _MULT_B, 8), dtype=np.uint32).T
 
 
 def _hash(value, xor, mult):
@@ -171,7 +165,7 @@ def _hash(value, xor, mult):
 
 
 def _mix(x, y):
-    mixed = (((_MIX_MULT_L * x) & _MASK32) - ((_MIX_MULT_R * y) & _MASK32)) & _MASK32
+    mixed = (((_MIX_MULT_L * x) & _MASK32) - _MIX_MULT_R * y) & _MASK32
     return mixed ^ (mixed >> 16)
 
 
@@ -221,29 +215,34 @@ def _add128(a_hi, a_lo, b_hi, b_lo):
     return a_hi + b_hi + (lo < a_lo), lo
 
 
-def _point_streams(seed: int, n: int) -> np.ndarray:
-    """PCG64 streams of ``PCG64(SeedSequence(entropy=seed, spawn_key=(i,)))``, i < n.
+def _entropy_pool(seed: int, key: tuple) -> list:
+    """The four pool words of ``SeedSequence(entropy=seed, spawn_key=key)``, seed < 2**64.
 
-    Shape (2, 2, n): ``c + s`` and the increment ``c``, each as high and
-    low uint64 words.  The SeedSequence entropy pool mixes the seed's words
-    in Python ints, once; the point index and ``generate_state(4, uint64)``
-    run on uint32 arrays with a row per point and a column per pool word.
-    They give the seed ``s`` and increment, which
-    ``pcg_setseq_128_srandom_r`` turns into ``c = 2 inc + 1`` and the state
-    ``M (c + s) + c``, one step on from ``c + s``: a stream's first draw is
-    at step 2.
+    A key word is below 2**32: a Python int, or a uint32 column with a row
+    per point, which turns every pool word into such a column; no int follows it.
     """
     # a seed below 2**64 is two uint32 words, zero-padded to the pool size
     # of four because a spawn key follows
     consts = iter(_HASH_SEED)
     pool = [_hash(word, *next(consts)) for word in (seed & _MASK32, seed >> 32, 0, 0)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], *next(consts)))
-    # a row per point and a column per pool word
-    index = _hash(np.arange(n, dtype=np.uint32)[:, None], *_HASH_INDEX)
-    pool = _mix(np.array(pool, dtype=np.uint32), index)
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = _mix(pool[dst], _hash(pool[src], *next(consts)))
+    for word in key:
+        pool = [_mix(mixed, _hash(word, *next(consts))) for mixed in pool]
+    return pool
+
+
+def _point_streams(seed: int, n: int) -> np.ndarray:
+    """PCG64 streams of ``PCG64(SeedSequence(entropy=seed, spawn_key=(i,)))``, i < n.
+
+    Shape (2, 2, n): ``c + s`` and the increment ``c``, each as high and
+    low uint64 words.  ``generate_state(4, uint64)`` runs on a uint32 array
+    with a row per point and a column per pool word.  It gives the seed
+    ``s`` and increment, which ``pcg_setseq_128_srandom_r`` turns into
+    ``c = 2 inc + 1`` and the state ``M (c + s) + c``, one step on from
+    ``c + s``: a stream's first draw is at step 2.
+    """
+    pool = np.concatenate(_entropy_pool(seed, (np.arange(n, dtype=np.uint32)[:, None],)), axis=1)
     # the eight state words, read as little-endian uint64 pairs: seed high,
     # seed low, then increment high, increment low
     (seed_hi, seed_lo), (inc_hi, inc_lo) = (
@@ -415,12 +414,13 @@ def _poisson_counts(seed: int, means: np.ndarray) -> np.ndarray:
 def derive_stage_seed(seed: int, stage: int) -> int:
     """Derive an independent 64-bit seed for a named pipeline stage.
 
-    Different stages of one scenario (the delay scan, the phase sweep) must
-    not share count noise, so each draws its seed from a fixed substream of
-    the scenario seed.  Deterministic in both arguments.
+    Stages of one scenario (the delay scan, the phase sweep) must not share
+    count noise, so each takes ``SeedSequence(entropy=seed, spawn_key=(0xFFFF,
+    stage)).generate_state(1, uint64)`` (seed < 2**64, stage < 2**32), from
+    the package's own mixing: numpy's random module is never imported.
     """
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(0xFFFF, stage))
-    return int(ss.generate_state(1, np.uint64)[0])
+    low, high, *_ = map(_hash, _entropy_pool(seed, (0xFFFF, stage)), *_HASH_STATE.tolist())
+    return low | high << 32
 
 
 def run_scan(

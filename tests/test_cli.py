@@ -874,6 +874,17 @@ class TestExitCodes:
         assert "wrote," not in captured.out
         assert os.listdir(tmp_path) == ["forged.scenario"]
 
+    def test_out_with_a_line_break_is_refused_before_any_directory(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # --out is printed on the "wrote," lines as output_dir is
+        monkeypatch.chdir(tmp_path)
+        assert run("limits", "l2_300mw", "--out", "od\nwrote,fake.csv") == 1
+        captured = capsys.readouterr()
+        assert captured.err == "ucspd: error: --out: character '\\n' is not allowed\n"
+        assert captured.out == ""
+        assert os.listdir(tmp_path) == []
+
     # an SVG draws the label as XML text, which can hold no control character
     @pytest.mark.parametrize("label, char", [
         ('"L2\\u0001x"', "\x01"), ('"a\\u2028b"', "\u2028"),
@@ -1140,12 +1151,13 @@ class TestArtifactWriter:
         assert os.listdir(out) == []
 
 
-# Runs in a fresh interpreter with scipy and PyYAML blocked, so that any
-# import of either raises: every subcommand on l1 through main(), then a
-# gate fit.
-BLOCKED_SCIPY_PROBE = textwrap.dedent("""
+# Runs in a fresh interpreter with the modules named after the output
+# directory blocked, so that any import of one raises: every subcommand on l1
+# through main(), then a gate fit.
+BLOCKED_IMPORT_PROBE = textwrap.dedent("""
     import contextlib, io, json, math, sys
-    sys.modules["scipy"] = sys.modules["yaml"] = None
+    blocked = sys.argv[2:]
+    sys.modules.update(dict.fromkeys(blocked, None))
     from ucspd.cli import main
     codes = {}
     for sub in %r:
@@ -1161,7 +1173,7 @@ BLOCKED_SCIPY_PROBE = textwrap.dedent("""
         "exit_codes": codes,
         "blocked_loaded": sorted(
             m for m, mod in sys.modules.items()
-            if mod is not None and m.split(".")[0] in ("scipy", "yaml")
+            if mod is not None and any(m == b or m.startswith(b + ".") for b in blocked)
         ),
         "gate_width_fs": fit.gate_width_fs,
     }))
@@ -1242,12 +1254,25 @@ class TestSvgXml:
 
 
 class TestImportCost:
-    def test_every_subcommand_runs_with_scipy_blocked(self, tmp_path):
+    # the stage seeds and the count streams come from the package's own
+    # SeedSequence mixing; numpy 1.x loads numpy.random on a bare import
+    # numpy, so there it cannot be blocked
+    @pytest.mark.parametrize("blocked", [
+        ("scipy", "yaml"), ("scipy", "yaml", "numpy.random"),
+    ], ids=["scipy-yaml", "scipy-yaml-numpy.random"])
+    def test_every_subcommand_runs_with_scipy_blocked(self, blocked, tmp_path):
         env = dict(os.environ)
         src = str(Path(ucspd.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if "numpy.random" in blocked:
+            bare = subprocess.run(
+                [sys.executable, "-c", "import sys, numpy; print('numpy.random' in sys.modules)"],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            if bare.stdout != "False\n":
+                pytest.skip(f"import numpy {np.__version__} loads numpy.random itself")
         proc = subprocess.run(
-            [sys.executable, "-c", BLOCKED_SCIPY_PROBE, str(tmp_path / "art")],
+            [sys.executable, "-c", BLOCKED_IMPORT_PROBE, str(tmp_path / "art"), *blocked],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr

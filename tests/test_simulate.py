@@ -336,6 +336,18 @@ class TestPhaseSweep:
 
 
 class TestStageSeeds:
+    @settings(deadline=None)
+    @given(seed=st.integers(0, 2 ** 64 - 1), stage=st.integers(0, 2 ** 32 - 1))
+    @example(seed=0, stage=0)
+    @example(seed=2 ** 32 - 1, stage=1)
+    @example(seed=2 ** 32, stage=2)
+    @example(seed=2 ** 64 - 1, stage=3)
+    @example(seed=2 ** 64 - 1, stage=2 ** 32 - 1)
+    @example(seed=0, stage=2 ** 32 - 1)
+    def test_matches_numpy_seed_sequence(self, seed, stage):
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(0xFFFF, stage))
+        assert derive_stage_seed(seed, stage) == int(ss.generate_state(1, np.uint64)[0])
+
     def test_deterministic_and_distinct(self):
         assert derive_stage_seed(123, 1) == derive_stage_seed(123, 1)
         assert derive_stage_seed(123, 1) != derive_stage_seed(123, 2)
