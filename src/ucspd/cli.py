@@ -34,7 +34,7 @@ from .analysis import RL_MAX_ITERATIONS, deconvolve, fit_erf_gate, fit_sine
 from .detector import detection_limit
 from .errors import NumericalError, ScenarioError, UcspdError
 from .response import resolution_function
-from .scenario import Scenario, _label, load_scenario, scenario_with_seed
+from .scenario import Scenario, _string, load_scenario, scenario_with_seed
 from .simulate import (
     RNG_SCHEME, ScanConfig, delay_rate_function, derive_stage_seed, run_phase_sweep, run_scan,
 )
@@ -271,7 +271,7 @@ def _run_delay_scan(scenario: Scenario, stage: int, kernel: SampledWaveform):
         dwell_s=scenario.scan.dwell_s,
         seed=derive_stage_seed(scenario.seed, stage),
     )
-    return run_scan(config, rate)
+    return run_scan(config, rate(config.coordinates))
 
 
 def _run_sweep(scenario: Scenario):
@@ -609,7 +609,7 @@ def main(argv=None) -> int:
             parser.error("a subcommand is required")
         scenario = _resolve_scenario(args)
         # --out is printed in wrote, lines as output_dir is, so it passes the same rule
-        out = Path(_label(args.out, "--out") if args.out else scenario.output_dir)
+        out = Path(scenario.output_dir if args.out is None else _string(args.out, "--out"))
         out.mkdir(parents=True, exist_ok=True)
         files = _Artifacts(scenario, out, args.quiet)
         try:

@@ -8,9 +8,10 @@ byte-identical across reruns and independent of evaluation order.  The
 package computes numpy's SeedSequence mixing itself, for these streams and
 for :func:`derive_stage_seed`, so a run never imports numpy's random module.
 
-Rates are exact expectations, from :func:`delay_rate_function` for delay
-scans and the fringe model for sweeps; the only randomness is the Poisson
-draw.  Point ``i``'s count is the one
+Rates are exact expectations, which the caller evaluates and hands to
+:func:`run_scan`: :func:`delay_rate_function` for delay scans, the fringe
+model for sweeps.  The only randomness is the Poisson draw.  Point ``i``'s
+count is the one
 ``default_rng(SeedSequence(entropy=seed, spawn_key=(i,))).poisson(mean)``
 returns, computed for a whole scan at once: the SeedSequence hash and
 numpy's PCG64 (a 128-bit LCG with XSL-RR output) run on integer arrays, and
@@ -56,8 +57,8 @@ class ScanConfig(NamedTuple("ScanConfig", [
 
     The coordinates are femtosecond delays or interferometer phases in
     radians, strictly increasing either way, stored as a read-only float64
-    copy.  The source flux is part of the rate function a scan runs with,
-    not of its configuration.
+    copy.  The source flux is part of the rates a scan runs with, not of
+    its configuration.
     """
 
     __slots__ = ()
@@ -423,16 +424,13 @@ def derive_stage_seed(seed: int, stage: int) -> int:
     return low | high << 32
 
 
-def run_scan(
-    config: ScanConfig, rate_fn: Callable[[np.ndarray], np.ndarray | float]
-) -> ScanResult:
+def run_scan(config: ScanConfig, rates: np.ndarray | float) -> ScanResult:
     """Draw Poisson counts at every coordinate of the scan.
 
-    ``rate_fn`` is called once with the whole coordinate array and returns
-    the rate at each coordinate, or one rate for all of them.  Point ``i``
-    draws from its own substream seeded by ``(config.seed, i)``, so its
-    count depends only on the seed, ``i`` and its mean, not on the order in
-    which points are evaluated.
+    ``rates`` is the count rate at each coordinate, or one rate for all of
+    them.  Point ``i`` draws from its own substream seeded by
+    ``(config.seed, i)``, so its count depends only on the seed, ``i`` and
+    its mean, not on the order in which points are evaluated.
 
     Raises
     ------
@@ -444,18 +442,18 @@ def run_scan(
         the message names the first such coordinate.
     """
     coords = config.coordinates
-    rates = np.asarray(rate_fn(coords), dtype=np.float64)
+    rates = np.asarray(rates, dtype=np.float64)
     try:
         rates = np.broadcast_to(rates, coords.shape)
     except ValueError:
         raise ValidationError(
-            f"rate function returned shape {rates.shape} for {coords.size} coordinates"
+            f"rates of shape {rates.shape} for {coords.size} coordinates"
         ) from None
     bad = ~(np.isfinite(rates) & (rates >= 0.0))
     if bad.any():
         i = int(np.argmax(bad))
         raise NumericalError(
-            f"rate function returned {float(rates[i])!r} at coordinate {coords[i]:g}; "
+            f"rate {float(rates[i])!r} at coordinate {coords[i]:g}; "
             "expected a finite non-negative rate"
         )
     means = rates * config.dwell_s
@@ -492,4 +490,4 @@ def run_phase_sweep(
     config = ScanConfig(np.asarray(phases_rad, dtype=np.float64), dwell_s=dwell_s, seed=seed)
     fringe = center_bin_expectation(config.coordinates - decode_phase_rad, contrast)
     rates = (counts_scale * fringe) / dwell_s + noise_cps
-    return run_scan(config, lambda _: rates)
+    return run_scan(config, rates)

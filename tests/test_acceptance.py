@@ -185,9 +185,8 @@ def test_acceptance_7_deconvolution_round_trip(announce):
 def test_acceptance_8_poisson_statistics_and_determinism(announce):
     coordinates = np.arange(10000, dtype=np.float64)
     config = ScanConfig(coordinates=coordinates, dwell_s=1.0, seed=20260815)
-    rate = lambda _: 1000.0  # noqa: E731
-    first = run_scan(config, rate)
-    again = run_scan(config, rate)
+    first = run_scan(config, 1000.0)
+    again = run_scan(config, 1000.0)
     # point i alone from its own (seed, i) stream, points visited in shuffled order
     shuffled = np.empty(config.n_points, dtype=np.int64)
     for i in np.random.default_rng(8).permutation(config.n_points).tolist():

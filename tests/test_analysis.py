@@ -72,9 +72,9 @@ def simulate_delay_scan(length_mm, peak_counts, seed, noise_cps=0.0, step_fs=25.
         rep_rate_hz=76.3e6,
         noise_cps=noise_cps,
     )
-    peak_rate = max(rate(d) for d in delays)
-    config = ScanConfig(coordinates=delays, dwell_s=peak_counts / peak_rate, seed=seed)
-    return run_scan(config, rate)
+    rates = rate(delays)
+    config = ScanConfig(coordinates=delays, dwell_s=peak_counts / rates.max(), seed=seed)
+    return run_scan(config, rates)
 
 
 class TestDeconvolveRoundTrip:
@@ -469,7 +469,7 @@ class TestErfGateFit:
     def test_pure_noise_scan_is_not_a_gate(self):
         delays = np.arange(-800.0, 801.0, 50.0)
         config = ScanConfig(coordinates=delays, dwell_s=1.0, seed=99)
-        flat = run_scan(config, lambda d: 800.0)
+        flat = run_scan(config, 800.0)
         with pytest.raises(FitConvergenceError, match="no significant gate signature"):
             fit_erf_gate(flat.coordinates, flat.counts, PUMP_FWHM, SIGNAL_FWHM)
 

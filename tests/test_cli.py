@@ -1,6 +1,8 @@
 """Command line: artifacts, reproducibility, hash policing, exit codes."""
 
 import contextlib
+import csv
+import hashlib
 import io
 import json
 import math
@@ -874,14 +876,19 @@ class TestExitCodes:
         assert "wrote," not in captured.out
         assert os.listdir(tmp_path) == ["forged.scenario"]
 
-    def test_out_with_a_line_break_is_refused_before_any_directory(
-        self, tmp_path, monkeypatch, capsys
+    # --out is printed on the "wrote," lines as output_dir is, and an empty
+    # one would name no directory
+    @pytest.mark.parametrize("out, cause", [
+        ("od\nwrote,fake.csv", "character '\\n' is not allowed"),
+        ("", "expected a non-empty string, got ''"),
+    ], ids=["line-break", "empty"])
+    def test_out_the_string_rule_refuses_makes_no_directory(
+        self, out, cause, tmp_path, monkeypatch, capsys
     ):
-        # --out is printed on the "wrote," lines as output_dir is
         monkeypatch.chdir(tmp_path)
-        assert run("limits", "l2_300mw", "--out", "od\nwrote,fake.csv") == 1
+        assert run("limits", "l2_300mw", "--out", out) == 1
         captured = capsys.readouterr()
-        assert captured.err == "ucspd: error: --out: character '\\n' is not allowed\n"
+        assert captured.err == f"ucspd: error: --out: {cause}\n"
         assert captured.out == ""
         assert os.listdir(tmp_path) == []
 
@@ -961,6 +968,52 @@ def _refuse_constant(name):
     raise ValueError(f"{name} is not valid JSON")
 
 
+def _quoted(text):
+    """``text`` as a double-quoted scalar the scenario reader reads back: JSON's
+    escapes, and ``\\u`` escapes for the characters it refuses on a line."""
+    return ucspd.scenario._UNREADABLE.sub(
+        lambda bad: f"\\u{ord(bad[0]):04x}", json.dumps(text, ensure_ascii=False))
+
+
+# one path name, so that a drawn directory stays inside the test's own: no
+# separator, and no surrogate, which has no UTF-8 form; PLAIN_NAME holds no
+# character the scenario's string rule refuses, EDGE_NAME often one from an
+# edge of the rule
+PLAIN_NAME = st.text(st.characters(exclude_categories=("Cs", "Cc", "Zl", "Zp"),
+                                   exclude_characters="/\ufffe\uffff"), max_size=8)
+EDGE_NAME = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="/")
+                    | st.sampled_from("\t\n\x1f\x7f\x85\x9f\u2028\u2029\ufffe\uffff"),
+                    max_size=8)
+
+
+def _tree(root):
+    return {os.path.join(top, entry)
+            for top, dirs, files in os.walk(root) for entry in dirs + files}
+
+
+def _check_artifact(path, name, scenario_hash):
+    """A CSV, JSON or SVG file parses and carries the run's name and hash, and a
+    manifest's digests are those of its files."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".csv":
+        lines = text.splitlines()
+        metadata = dict(line[2:].partition("=")[::2] for line in lines if line.startswith("# "))
+        rows = list(csv.reader(line for line in lines if not line.startswith("#")))
+        assert (metadata["scenario"], metadata["scenario_hash"]) == (name, scenario_hash)
+        assert len(rows) > 1 and {len(row) for row in rows} == {len(rows[0])}
+    elif path.suffix == ".json":
+        payload = json.loads(text, parse_constant=_refuse_constant)
+        assert (payload["scenario"], payload["scenario_hash"]) == (name, scenario_hash)
+        for listed, digest in payload.get("content_sha256", {}).items():
+            assert hashlib.sha256((path.parent / listed).read_bytes()).hexdigest() == digest
+    else:
+        assert path.suffix == ".svg"
+        parser = ElementTree.XMLParser(target=ElementTree.TreeBuilder(insert_comments=True))
+        root = ElementTree.fromstring(text, parser)
+        comments = [node.text for node in root.iter() if node.tag is ElementTree.Comment]
+        assert f" scenario_hash={scenario_hash} " in comments
+
+
 class TestEdgeValues:
     @settings(max_examples=100, deadline=None)
     @given(edit=st.sampled_from(EDGE_EDITS), sub=st.sampled_from(SUBCOMMANDS),
@@ -993,6 +1046,69 @@ class TestEdgeValues:
             assert KEY_PATH.search(message) or ARRAY_CAUSE.search(message), message
         if code == 2:
             assert message.startswith("ucspd: error: "), message
+
+    @settings(max_examples=200, deadline=None)
+    @given(strings=st.fixed_dictionaries({"name": PLAIN_NAME, "output_dir": PLAIN_NAME,
+                                          "label": PLAIN_NAME, "out": st.none() | PLAIN_NAME}),
+           # at most one string from the edge, so that about half the runs write
+           edge=st.none() | st.tuples(st.sampled_from(("name", "output_dir", "label", "out")),
+                                      EDGE_NAME),
+           sub=st.sampled_from(("resolve", "limits", "sweep")),
+           fmt=st.sampled_from(("csv", "json")))
+    # characters that CSV, XML and stdout's lines each give a meaning to
+    @example(strings={"name": 'l2,"x"', "output_dir": "..", "label": "<&]]>-->", "out": None},
+             edge=None, sub="resolve", fmt="csv")
+    @example(strings={"name": "x scenario_hash=zzz", "output_dir": "o", "label": "", "out": "."},
+             edge=None, sub="sweep", fmt="json")
+    @example(strings={"name": "\u00e9\U0001f600 ", "output_dir": "o", "label": "L2", "out": None},
+             edge=("out", ""), sub="limits", fmt="csv")
+    @example(strings={"name": "l2", "output_dir": "o", "label": "L2", "out": None},
+             edge=("name", "l2\x85"), sub="limits", fmt="csv")
+    def test_every_run_keeps_the_output_contract(self, strings, edge, sub, fmt):
+        if edge is not None:
+            strings = {**strings, edge[0]: edge[1]}
+        name, output_dir, label, out = map(strings.get, ("name", "output_dir", "label", "out"))
+        text = (BUNDLED / "l2_300mw.scenario").read_text(encoding="utf-8")
+        text = text.replace("name: l2_300mw", f"name: {_quoted(name)}")
+        text = text.replace("output_dir: out", f"output_dir: {_quoted(output_dir)}")
+        text = text.replace("label: L2", f"label: {_quoted(label)}")
+        stdout, cwd = io.StringIO(), os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp:
+            # the scenario sits above the working directory, where a drawn ".." writes
+            scenario = Path(tmp) / "drawn.scenario"
+            scenario.write_text(text, encoding="utf-8")
+            work = Path(tmp) / "a" / "b"
+            work.mkdir(parents=True)
+            before = _tree(tmp)
+            argv = [sub, str(scenario), "--format", fmt] + ([] if out is None else ["--out", out])
+            os.chdir(work)
+            try:
+                with contextlib.redirect_stdout(stdout), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    code = run(*argv)
+            finally:
+                os.chdir(cwd)
+            assert code in (0, 1)
+            if code == 1:
+                assert _tree(tmp) == before
+                return
+            shown = Path(output_dir if out is None else out)
+            directory = Path(os.path.normpath(work / shown))
+            names = sorted(path.name for path in directory.iterdir() if path.is_file())
+            assert _tree(tmp) - before <= {str(directory), *(str(directory / n) for n in names)}
+            scenario_hash = parse_scenario(text).scenario_hash
+            if fmt == "json":
+                payload = json.loads(stdout.getvalue(), parse_constant=_refuse_constant)
+                assert sorted(payload["artifacts"]) == names
+                assert (payload["out"], payload["scenario_hash"]) == (str(shown), scenario_hash)
+            else:
+                lines = stdout.getvalue().splitlines()
+                wrote = lines[:len(names)]
+                assert sorted(wrote) == sorted(f"wrote,{shown / n}" for n in names)
+                assert all("," in line and not line.startswith("wrote,")
+                           for line in lines[len(names):])
+            for n in names:
+                _check_artifact(directory / n, name, scenario_hash)
 
     @pytest.mark.parametrize("i, edit", enumerate(OUTSIDE_EDITS),
                              ids=[f"{path}={value!r}" for path, value in OUTSIDE_EDITS])

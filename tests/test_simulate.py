@@ -51,7 +51,7 @@ class TestScanConfig:
         # unchecked, a scalar would reach the sampler and a single row would
         # pass the increasing check, each to fail later on an IndexError
         with pytest.raises(ValidationError, match=r"1-D, got shape \(\)"):
-            run_scan(ScanConfig(5.0), lambda c: 100.0)
+            run_scan(ScanConfig(5.0), 100.0)
         with pytest.raises(ValidationError, match=r"1-D, got shape \(1, 2\)"):
             ScanConfig([[1.0, 2.0]])
 
@@ -116,22 +116,21 @@ class TestExpectedRate:
 class TestRunScan:
     def test_same_seed_bit_identical(self):
         cfg = ScanConfig(np.linspace(-500.0, 500.0, 101), seed=42)
-        rate = lambda d: 1000.0 * np.exp(-(d / 300.0) ** 2) + 50.0
-        a = run_scan(cfg, rate)
-        b = run_scan(cfg, rate)
+        rates = 1000.0 * np.exp(-(cfg.coordinates / 300.0) ** 2) + 50.0
+        a = run_scan(cfg, rates)
+        b = run_scan(cfg, rates)
         assert a.counts.tobytes() == b.counts.tobytes()
         assert np.array_equal(a.expected, b.expected)
 
     def test_different_seeds_differ(self):
         coords = np.linspace(-500.0, 500.0, 101)
-        rate = lambda d: 1000.0
-        a = run_scan(ScanConfig(coords, seed=1), rate)
-        b = run_scan(ScanConfig(coords, seed=2), rate)
+        a = run_scan(ScanConfig(coords, seed=1), 1000.0)
+        b = run_scan(ScanConfig(coords, seed=2), 1000.0)
         assert not np.array_equal(a.counts, b.counts)
 
     def test_counts_do_not_depend_on_evaluation_order(self):
         cfg = ScanConfig(np.linspace(0.0, 1.0, 400), seed=97)
-        out = run_scan(cfg, lambda p: 5000.0 + 1000.0 * np.cos(p))
+        out = run_scan(cfg, 5000.0 + 1000.0 * np.cos(cfg.coordinates))
         # each point drawn alone from its (seed, index) stream, in shuffled order
         reference = np.empty(cfg.n_points, dtype=np.int64)
         for i in np.random.default_rng(4).permutation(cfg.n_points).tolist():
@@ -140,35 +139,42 @@ class TestRunScan:
 
     def test_zero_rate_gives_zero_counts(self):
         cfg = ScanConfig(np.linspace(0.0, 10.0, 11), seed=3)
-        out = run_scan(cfg, lambda d: 0.0)
+        out = run_scan(cfg, 0.0)
         assert np.all(out.counts == 0)
 
     def test_negative_rate_raises(self):
         cfg = ScanConfig(np.linspace(0.0, 10.0, 5))
-        with pytest.raises(NumericalError):
-            run_scan(cfg, lambda d: -1.0)
+        with pytest.raises(NumericalError, match=r"^rate -1\.0 at coordinate 0; expected"):
+            run_scan(cfg, -1.0)
 
     def test_nan_rate_raises(self):
         cfg = ScanConfig(np.linspace(0.0, 10.0, 5))
-        with pytest.raises(NumericalError):
-            run_scan(cfg, lambda d: math.nan)
+        with pytest.raises(NumericalError, match=r"^rate nan at coordinate 0; expected"):
+            run_scan(cfg, math.nan)
 
     @pytest.mark.parametrize("bad", [math.nan, -0.5, math.inf])
     def test_one_bad_rate_in_an_array_names_its_coordinate(self, bad):
         cfg = ScanConfig(np.array([0.0, 10.0, 25.0, 40.0]))
         rates = np.array([1.0, 2.0, bad, bad])
-        with pytest.raises(NumericalError, match=r"at coordinate 25;"):
-            run_scan(cfg, lambda d: rates)
+        with pytest.raises(NumericalError, match=rf"^rate {bad!r} at coordinate 25;"):
+            run_scan(cfg, rates)
 
     @pytest.mark.parametrize("length", [3, 5])
     def test_wrong_length_rate_raises(self, length):
         cfg = ScanConfig(np.array([0.0, 10.0, 25.0, 40.0]))
-        with pytest.raises(ValidationError):
-            run_scan(cfg, lambda d: np.ones(length))
+        with pytest.raises(ValidationError,
+                           match=rf"^rates of shape \({length},\) for 4 coordinates$"):
+            run_scan(cfg, np.ones(length))
+
+    def test_one_rate_draws_what_a_rate_per_coordinate_draws(self):
+        cfg = ScanConfig(np.linspace(-500.0, 500.0, 101), seed=42)
+        one, every = run_scan(cfg, 37.5), run_scan(cfg, np.full(101, 37.5))
+        assert one.counts.tobytes() == every.counts.tobytes()
+        assert one.expected.tobytes() == every.expected.tobytes()
 
     def test_poisson_mean_and_variance(self):
         cfg = ScanConfig(np.linspace(0.0, 1.0, 10000), seed=20260815, dwell_s=1.0)
-        out = run_scan(cfg, lambda p: 1000.0)
+        out = run_scan(cfg, 1000.0)
         mean = out.counts.mean()
         ratio = out.counts.var() / mean
         assert 990.0 <= mean <= 1010.0
@@ -209,7 +215,7 @@ class TestBulkSeeding:
     def test_counts_match_per_point_generators(self, seed, means, huge, at):
         means = means[:at] + [huge] + means[at:]
         cfg = ScanConfig(np.arange(len(means), dtype=np.float64), seed=seed)
-        out = run_scan(cfg, lambda _: np.array(means))
+        out = run_scan(cfg, means)
         assert out.counts.tolist() == per_point_counts(seed, means)
 
     def test_many_means_where_the_slow_test_decides(self):
@@ -217,7 +223,7 @@ class TestBulkSeeding:
         # often just above 10
         means = np.random.default_rng(8).uniform(10.0, 12.0, 20000)
         cfg = ScanConfig(np.arange(means.size, dtype=np.float64), seed=2024)
-        out = run_scan(cfg, lambda _: means)
+        out = run_scan(cfg, means)
         assert out.counts.tolist() == per_point_counts(cfg.seed, means)
 
     def test_exps_come_from_libm(self, monkeypatch):
@@ -235,7 +241,7 @@ class TestBulkSeeding:
 
         monkeypatch.setattr(np, "exp", forbidden)
         monkeypatch.setattr(math, "exp", spy_exp)
-        out = run_scan(cfg, lambda _: means)
+        out = run_scan(cfg, means)
         assert out.counts.tolist() == reference
         # the multiplication method's exp(-lam), once per point with 0 < lam < 10
         assert sorted(exps) == sorted((-means[(means > 0.0) & (means < 10.0)]).tolist())
@@ -256,7 +262,7 @@ class TestBulkSeeding:
             return out + signs.choice([-64.0, 64.0], out.shape) * np.spacing(out)
 
         monkeypatch.setattr(np, "log", off_log)
-        out = run_scan(cfg, lambda _: means)
+        out = run_scan(cfg, means)
         assert out.counts.tolist() == reference
 
     def test_pairs_near_the_margin_take_libms_log(self, monkeypatch):
@@ -273,7 +279,7 @@ class TestBulkSeeding:
             return math_log(x)
 
         monkeypatch.setattr(math, "log", spy_log)
-        out = run_scan(cfg, lambda _: means)
+        out = run_scan(cfg, means)
         assert out.counts.tolist() == reference
         relogged = set(logs) & set(means.tolist())
         assert relogged and min(relogged) >= 9e17
@@ -282,13 +288,13 @@ class TestBulkSeeding:
         limit = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
         cfg = ScanConfig(np.array([0.0, 1.0]), seed=3)
         means = [float(limit), 1e18]
-        out = run_scan(cfg, lambda _: np.array(means))
+        out = run_scan(cfg, means)
         assert out.counts.tolist() == per_point_counts(cfg.seed, means)
         above = [1e18, math.nextafter(float(limit), math.inf)]
         with pytest.raises(NumericalError, match=r"Poisson mean .* at coordinate 1 is above"):
-            run_scan(cfg, lambda _: np.array(above))
+            run_scan(cfg, above)
         with pytest.raises(NumericalError, match="at coordinate 0 is above"):
-            run_scan(ScanConfig(np.array([0.0]), dwell_s=1e15), lambda _: 1e10)
+            run_scan(ScanConfig(np.array([0.0]), dwell_s=1e15), 1e10)
 
 
 class TestPhaseSweep:
